@@ -8,7 +8,6 @@ Per-spectrum correction solves one least-squares problem against that matrix.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +122,7 @@ def rank_estimate(data: np.ndarray) -> int:
 def scores_and_residuals(model: PcaModel, spectra: np.ndarray):
     """Scores, Hotelling T2, and Q residual for one spectrum or a matrix.
 
-    Components with vanishing variance are excluded from T2 (with a warning)
+    Components with vanishing variance are excluded from T2
     since dividing by them would make the statistic meaningless.
     """
     x = np.asarray(spectra, dtype=np.float64)
@@ -136,8 +135,6 @@ def scores_and_residuals(model: PcaModel, spectra: np.ndarray):
     scores = centered @ model.loadings.T
     lam = model.explained_variance
     usable = lam >= _VARIANCE_TINY
-    if not usable.all():
-        warnings.warn("excluding zero-variance components from T2", stacklevel=2)
     t2 = (scores[:, usable] ** 2 / lam[usable]).sum(axis=1)
     residual = centered - scores @ model.loadings
     q = (residual ** 2).sum(axis=1)

@@ -30,8 +30,7 @@ from .errors import DataError, NumericalError
 from .evaluation import (
     ConfusionCounts,
     MetricRow,
-    classify_binary,
-    classify_subtype,
+    classify,
     compute_metrics,
     fold_mean_std,
     patient_vote,
@@ -44,6 +43,7 @@ from .pipeline import (
     Fold,
     SplitPlan,
     TrainConfig,
+    forward_chunked,
     head_mask,
     make_split,
     patients_from_spectraset,
@@ -340,150 +340,59 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _predict(model, spectra: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    outs = [model.forward(spectra[i:i + chunk]) for i in range(0, spectra.shape[0], chunk)]
-    return np.concatenate(outs)
+def _fold_rows(set_name: str, granularity: str, head: str, class_names,
+               per_fold) -> list[MetricRow]:
+    """One row per class: metrics as mean +- std over folds, counts pooled."""
+    rows = []
+    for cls, name in enumerate(class_names):
+        counts = [compute_metrics(pred, truth, cls) for pred, truth in per_fold]
+        pooled = ConfusionCounts(sum(c.tp for c in counts), sum(c.fp for c in counts),
+                                 sum(c.tn for c in counts), sum(c.fn for c in counts))
+        rows.append(MetricRow(set_name, head, name, granularity,
+                              fold_mean_std([c.accuracy for c in counts]),
+                              fold_mean_std([c.specificity for c in counts]),
+                              fold_mean_std([c.sensitivity for c in counts]),
+                              pooled))
+    return rows
 
 
-def _collect_votes(model, sset, head: str, core_ids: list[int]):
-    """Per-core spectrum predictions and the voted class for each core."""
-    votes = {}
-    spectrum_classes = {}
-    spectrum_probs = {}
-    for core_id in core_ids:
-        sel = sset.core_id == core_id
-        probs = _predict(model, sset.spectra[sel])
-        if head == "type":
-            classes = classify_binary(probs[:, 0])
-            vote = patient_vote(classes, probs[:, 0], n_classes=2)
-        else:
-            classes, _ = classify_subtype(probs)
-            vote = patient_vote(classes, probs, n_classes=4)
-        votes[core_id] = vote.final_class
-        spectrum_classes[core_id] = classes
-        spectrum_probs[core_id] = probs
-    return votes, spectrum_classes, spectrum_probs
+def _evaluate(models, sset, plan, patients_by_id, head: str):
+    """Spectrum-level dev metrics and per-core voting on the held-out cores.
 
-
-def _eval_type_head(models, sset, plan, patients_by_id):
-    rows: list[MetricRow] = []
-    table = []
+    Returns (metric rows, patient table rows). Only the inputs depend on the
+    head: the type head votes on two CA and two AT test cores, the subtype
+    head on the four test patients' CA cores.
+    """
+    if head == "type":
+        class_names, labels, test_pairs = ("AT", "CA"), sset.core_type, plan.test_type_cores
+    else:
+        class_names, labels = SUBTYPES, sset.subtype
+        test_pairs = [(pid, "CA") for pid in plan.test_patients]
     test_cores = []
-    for pid, kind in plan.test_type_cores:
+    for pid, kind in test_pairs:
         record = patients_by_id[pid]
         core = record.ca_core_id if kind == "CA" else record.at_core_id
-        test_cores.append((pid, kind, core, 1 if kind == "CA" else 0))
+        test_cores.append((pid, kind, sset.core_id == core))
+    truth = np.array([int(labels[sel][0]) for _, _, sel in test_cores])
 
-    per_fold_test_preds = []
-    per_fold_dev_counts = []
+    dev, test = [], []
     for model, fold in zip(models, plan.folds):
-        # dev: spectrum-level metrics
-        dev_sel = head_mask(sset, "type", fold.dev_patients)
-        probs = _predict(model, sset.spectra[dev_sel])
-        pred = classify_binary(probs[:, 0])
-        truth = sset.core_type[dev_sel].astype(np.int64)
-        per_fold_dev_counts.append({cls: compute_metrics(pred, truth, cls) for cls in (0, 1)})
-        # test: per-core voting
-        votes, _, _ = _collect_votes(model, sset, "type",
-                                     [core for _, _, core, _ in test_cores])
-        per_fold_test_preds.append([votes[core] for _, _, core, _ in test_cores])
+        dev_sel = head_mask(sset, head, fold.dev_patients)
+        dev.append((classify(forward_chunked(model, sset.spectra[dev_sel]), head),
+                    labels[dev_sel].astype(np.int64)))
+        votes = []
+        for _, _, sel in test_cores:
+            probs = forward_chunked(model, sset.spectra[sel])
+            votes.append(patient_vote(classify(probs, head), probs,
+                                      n_classes=len(class_names)).final_class)
+        test.append((np.array(votes), truth))
 
-    for cls, name in ((0, "AT"), (1, "CA")):
-        acc, sens, spec = [], [], []
-        tp = fp = tn = fn = 0
-        for counts in per_fold_dev_counts:
-            c = counts[cls]
-            acc.append(c.accuracy)
-            sens.append(c.sensitivity)
-            spec.append(c.specificity)
-            tp += c.tp; fp += c.fp; tn += c.tn; fn += c.fn
-        rows.append(MetricRow("dev", "type", name, "spectrum",
-                              fold_mean_std(acc), fold_mean_std(spec), fold_mean_std(sens),
-                              ConfusionCounts(tp, fp, tn, fn)))
-
-    truth_classes = np.array([t for _, _, _, t in test_cores])
-    for cls, name in ((0, "AT"), (1, "CA")):
-        acc, sens, spec = [], [], []
-        tp = fp = tn = fn = 0
-        for preds in per_fold_test_preds:
-            c = compute_metrics(np.array(preds), truth_classes, cls)
-            acc.append(c.accuracy)
-            sens.append(c.sensitivity)
-            spec.append(c.specificity)
-            tp += c.tp; fp += c.fp; tn += c.tn; fn += c.fn
-        rows.append(MetricRow("test", "type", name, "patient",
-                              fold_mean_std(acc), fold_mean_std(spec), fold_mean_std(sens),
-                              ConfusionCounts(tp, fp, tn, fn)))
-
-    names = {0: "AT", 1: "CA"}
-    for i, (pid, kind, core, truth_cls) in enumerate(test_cores):
-        table.append({
-            "label": "type", "patient_id": pid, "core": kind,
-            "ground_truth": names[truth_cls],
-            "predictions": [names[preds[i]] for preds in per_fold_test_preds],
-        })
-    return rows, table
-
-
-def _eval_subtype_head(models, sset, plan, patients_by_id):
-    rows: list[MetricRow] = []
-    table = []
-    test_cores = [(pid, patients_by_id[pid].ca_core_id,
-                   SUBTYPES.index(patients_by_id[pid].subtype))
-                  for pid in plan.test_patients]
-
-    per_fold_dev_counts = []
-    per_fold_test_preds = []
-    for model, fold in zip(models, plan.folds):
-        dev_sel = head_mask(sset, "subtype", fold.dev_patients)
-        if dev_sel.any():
-            probs = _predict(model, sset.spectra[dev_sel])
-            pred, _ = classify_subtype(probs)
-            truth = sset.subtype[dev_sel].astype(np.int64)
-            per_fold_dev_counts.append(
-                {cls: compute_metrics(pred, truth, cls) for cls in range(4)})
-        else:
-            per_fold_dev_counts.append(None)
-        votes, _, _ = _collect_votes(model, sset, "subtype",
-                                     [core for _, core, _ in test_cores])
-        per_fold_test_preds.append([votes[core] for _, core, _ in test_cores])
-
-    for cls, name in enumerate(SUBTYPES):
-        acc, sens, spec = [], [], []
-        tp = fp = tn = fn = 0
-        for counts in per_fold_dev_counts:
-            if counts is None:
-                acc.append(None); sens.append(None); spec.append(None)
-                continue
-            c = counts[cls]
-            acc.append(c.accuracy)
-            sens.append(c.sensitivity)
-            spec.append(c.specificity)
-            tp += c.tp; fp += c.fp; tn += c.tn; fn += c.fn
-        rows.append(MetricRow("dev", "subtype", name, "spectrum",
-                              fold_mean_std(acc), fold_mean_std(spec), fold_mean_std(sens),
-                              ConfusionCounts(tp, fp, tn, fn)))
-
-    truth_classes = np.array([t for _, _, t in test_cores])
-    for cls, name in enumerate(SUBTYPES):
-        acc, sens, spec = [], [], []
-        tp = fp = tn = fn = 0
-        for preds in per_fold_test_preds:
-            c = compute_metrics(np.array(preds), truth_classes, cls)
-            acc.append(c.accuracy)
-            sens.append(c.sensitivity)
-            spec.append(c.specificity)
-            tp += c.tp; fp += c.fp; tn += c.tn; fn += c.fn
-        rows.append(MetricRow("test", "subtype", name, "patient",
-                              fold_mean_std(acc), fold_mean_std(spec), fold_mean_std(sens),
-                              ConfusionCounts(tp, fp, tn, fn)))
-
-    for i, (pid, core, truth_cls) in enumerate(test_cores):
-        table.append({
-            "label": "subtype", "patient_id": pid, "core": "CA",
-            "ground_truth": SUBTYPES[truth_cls],
-            "predictions": [SUBTYPES[preds[i]] for preds in per_fold_test_preds],
-        })
+    rows = (_fold_rows("dev", "spectrum", head, class_names, dev)
+            + _fold_rows("test", "patient", head, class_names, test))
+    table = [{"label": head, "patient_id": pid, "core": kind,
+              "ground_truth": class_names[cls],
+              "predictions": [class_names[votes[i]] for votes, _ in test]}
+             for i, ((pid, kind, _), cls) in enumerate(zip(test_cores, truth))]
     return rows, table
 
 
@@ -515,10 +424,7 @@ def cmd_eval(args) -> int:
             raise DataError("fold checkpoints disagree on the model head")
         models.append(model)
 
-    if head == "type":
-        rows, table = _eval_type_head(models, sset, plan, patients_by_id)
-    else:
-        rows, table = _eval_subtype_head(models, sset, plan, patients_by_id)
+    rows, table = _evaluate(models, sset, plan, patients_by_id, head)
 
     metrics_path = run_dir / "metrics.csv"
     table_path = run_dir / "patients.csv"

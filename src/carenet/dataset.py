@@ -106,6 +106,8 @@ class HyperCube:
             raise DataError("cube spectral dimension does not match axis")
         if self.intensities.shape[0] < 1 or self.intensities.shape[1] < 1:
             raise DataError("cube must have at least one pixel")
+        if not np.isfinite(self.intensities).all():
+            raise DataError("cube intensities must be finite")
         if self.core_type not in CORE_TYPES + ("H2O",):
             raise DataError(f"unknown core type {self.core_type!r}")
         if self.core_type == "CA":
@@ -157,6 +159,8 @@ class SpectraSet:
         for name in ("patient_id", "core_id", "row", "col", "core_type", "subtype"):
             if getattr(self, name).shape != (n,):
                 raise DataError(f"{name} must have one entry per spectrum")
+        if not np.isfinite(self.spectra).all():
+            raise DataError("spectra must be finite")
         if n and (self.spectra.min() < 0.0 or self.spectra.max() > 1.0):
             raise DataError("spectra must lie in [0, 1] after min-max normalization")
         at = self.core_type == 0
@@ -262,9 +266,7 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
             crc = int(entry["crc32"])
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: malformed directory entry ({exc})") from exc
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-        if shape == ():
-            expected = dtype.itemsize
+        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
         if expected != length:
             raise DataError(f"{path}: array {name!r} declared shape disagrees with byte length")
         if offset < 0 or offset < prev_end:

@@ -19,7 +19,7 @@ __all__ = [
     "PatientPrediction",
     "classify_binary",
     "classify_subtype",
-    "classify_spectrum",
+    "classify",
     "patient_vote",
     "compute_metrics",
     "fold_mean_std",
@@ -82,16 +82,14 @@ def classify_subtype(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return classes, ties
 
 
-def classify_spectrum(output: np.ndarray, head: str):
-    """Single-spectrum convenience wrapper; returns (class, tie_flag)."""
-    if head not in ("type", "subtype"):
-        raise DataError(f"unknown head {head!r}")
-    out = np.asarray(output)
+def classify(probs: np.ndarray, head: str) -> np.ndarray:
+    """Class per row of model outputs: p >= 0.5 for type, argmax for subtype."""
+    probs = np.asarray(probs)
     if head == "type":
-        p = float(out.reshape(-1)[0])
-        return int(p >= 0.5), False
-    classes, ties = classify_subtype(out.reshape(1, -1))
-    return int(classes[0]), bool(ties[0])
+        return classify_binary(probs[..., 0])
+    if head == "subtype":
+        return classify_subtype(probs)[0]
+    raise DataError(f"unknown head {head!r}")
 
 
 def patient_vote(classes: np.ndarray, probs: np.ndarray, n_classes: int,
@@ -100,15 +98,17 @@ def patient_vote(classes: np.ndarray, probs: np.ndarray, n_classes: int,
 
     Vote ties break on the higher mean predicted probability among the tied
     classes, then on the lower class index; either way the tie is flagged.
-    For the binary head, probs is p(class 1) and p(class 0) is its complement.
+    For the binary head, probs is p(class 1), as (n,) or the sigmoid's (n, 1),
+    and p(class 0) is its complement.
     """
     classes = np.asarray(classes)
     if classes.size == 0:
         raise DataError("cannot vote over an empty spectrum list")
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim == 1:
+    if probs.shape[1:] in ((), (1,)):
         if n_classes != 2:
-            raise DataError("1-D probabilities imply a binary head")
+            raise DataError("one probability per spectrum implies a binary head")
+        probs = probs.reshape(-1)
         probs = np.column_stack([1.0 - probs, probs])
     if probs.shape != (classes.size, n_classes):
         raise DataError("probability matrix does not match classes")

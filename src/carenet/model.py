@@ -121,11 +121,7 @@ class CarenetModel:
     # ---- bookkeeping ----------------------------------------------------------
 
     def parameters(self):
-        params = self.stem.params()
-        for block in self.blocks:
-            params += block.params()
-        params += self.dense.params()
-        return params
+        return self.trunk_parameters() + self.dense.params()
 
     def trunk_parameters(self):
         params = self.stem.params()

@@ -13,7 +13,6 @@ schedule driven by the dev loss.
 
 from __future__ import annotations
 
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -23,14 +22,15 @@ from .chemometrics import emsc_build_model, emsc_correct_rows, remove_outliers
 from .clustering import select_paraffin, select_tissue
 from .dataset import SUBTYPE_NONE, SUBTYPES, HyperCube, SpectraSet, subtype_one_hot
 from .errors import DataError, NumericalError
+from .evaluation import classify
 from .model import CarenetModel, build_carenet
 from .nn import Adam, PlateauScheduler, bce_loss, cce_loss, check_finite, make_rng
 from .spectral import (
     BIOFINGERPRINT_BAND,
-    WavenumberAxis,
     band_slice,
     minmax_normalize_rows,
     savgol_smooth,
+    sub_axis,
 )
 
 __all__ = [
@@ -47,6 +47,7 @@ __all__ = [
     "preprocess_core",
     "preprocess_panel",
     "train_fold",
+    "forward_chunked",
     "targets_for_head",
     "patients_from_spectraset",
 ]
@@ -145,8 +146,8 @@ def make_split(patients: list[PatientRecord], seed: int) -> SplitPlan:
 
     if len(remaining) < 4:
         raise DataError("need at least four non-test patients to build folds")
+    # slot 4 is never a dev set, so it sits inside every train set
     dev_sets = [slots[1], slots[2], slots[3], slots[0]]  # largest slot last
-    always_train = slots[4]
     all_ids = {r.patient_id for r in remaining}
     folds = []
     for dev in dev_sets:
@@ -154,7 +155,6 @@ def make_split(patients: list[PatientRecord], seed: int) -> SplitPlan:
         if not dev:
             raise DataError("a fold ended up with an empty dev set")
         folds.append(Fold(train_patients=tuple(train), dev_patients=tuple(sorted(dev))))
-    del always_train  # implicitly inside every train set
     return SplitPlan(seed=seed, test_patients=tuple(test),
                      test_type_cores=type_cores, folds=tuple(folds))
 
@@ -229,11 +229,7 @@ def _outlier_pass(rows: np.ndarray, n_pcs: int, confidence: float) -> np.ndarray
     is nothing to reject; the pass is skipped rather than failed.
     """
     try:
-        with warnings.catch_warnings():
-            # near-identical spectra legitimately produce zero-variance
-            # components here; the degenerate outcome is handled below
-            warnings.filterwarnings("ignore", message="excluding zero-variance")
-            _, report = remove_outliers(rows, n_pcs=n_pcs, confidence=confidence)
+        _, report = remove_outliers(rows, n_pcs=n_pcs, confidence=confidence)
         return report.kept
     except NumericalError:
         return np.ones(rows.shape[0], dtype=bool)
@@ -279,10 +275,7 @@ def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0,
     tissue = savgol_smooth(tissue)
     paraffin = savgol_smooth(paraffin)
 
-    values = cube.axis.values
-    sub_axis = WavenumberAxis(float(values[sel.start]), float(values[sel.stop - 1]),
-                              sel.stop - sel.start)
-    emsc = emsc_build_model(tissue.mean(axis=0), paraffin, h2o_spectra, sub_axis)
+    emsc = emsc_build_model(tissue.mean(axis=0), paraffin, h2o_spectra, sub_axis(cube.axis, sel))
     corrected, _, usable = emsc_correct_rows(tissue, emsc)
     corrected = corrected[usable]
     tissue_idx = tissue_idx[usable]
@@ -331,25 +324,19 @@ def preprocess_panel(cubes: list[HyperCube], h2o_cube: HyperCube, seed: int = 0,
     """
     h2o = preprocess_h2o(h2o_cube, n_outlier_pcs, confidence)
 
-    def run(cube: HyperCube):
-        return preprocess_core(cube, h2o, seed=seed,
-                               n_outlier_pcs=n_outlier_pcs, confidence=confidence)
+    def run(cube: HyperCube) -> CoreResult | Exception:
+        try:
+            return preprocess_core(cube, h2o, seed=seed,
+                                   n_outlier_pcs=n_outlier_pcs, confidence=confidence)
+        except (DataError, NumericalError) as exc:
+            return exc
 
-    results: list[CoreResult | Exception] = [None] * len(cubes)  # type: ignore[list-item]
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run, cube) for cube in cubes]
-            for i, future in enumerate(futures):
-                try:
-                    results[i] = future.result()
-                except (DataError, NumericalError) as exc:
-                    results[i] = exc
+            results = list(pool.map(run, cubes))
     else:
-        for i, cube in enumerate(cubes):
-            try:
-                results[i] = run(cube)
-            except (DataError, NumericalError) as exc:
-                results[i] = exc
+        # no 1-worker pool: its thread's own glibc malloc arena adds ~15% peak RSS
+        results = [run(cube) for cube in cubes]
 
     kept: list[CoreResult] = []
     skipped: list[tuple[int, str]] = []
@@ -361,14 +348,8 @@ def preprocess_panel(cubes: list[HyperCube], h2o_cube: HyperCube, seed: int = 0,
     if not kept:
         raise DataError("every core failed preprocessing")
 
-    n = sum(r.spectra.shape[0] for r in kept)
-    sel = band_slice(cubes[0].axis, BIOFINGERPRINT_BAND)
-    values = cubes[0].axis.values
-    axis = WavenumberAxis(float(values[sel.start]), float(values[sel.stop - 1]),
-                          sel.stop - sel.start)
-    spectra = np.concatenate([r.spectra for r in kept])
     sset = SpectraSet(
-        spectra=spectra,
+        spectra=np.concatenate([r.spectra for r in kept]),
         patient_id=np.concatenate([np.full(len(r.rows), r.patient_id, np.int32) for r in kept]),
         core_id=np.concatenate([np.full(len(r.rows), r.core_id, np.int32) for r in kept]),
         row=np.concatenate([r.rows for r in kept]),
@@ -379,11 +360,9 @@ def preprocess_panel(cubes: list[HyperCube], h2o_cube: HyperCube, seed: int = 0,
             [np.full(len(r.rows),
                      SUBTYPES.index(r.subtype) if r.core_type == "CA" else SUBTYPE_NONE,
                      np.int8) for r in kept]),
-        axis=axis,
+        axis=sub_axis(cubes[0].axis, band_slice(cubes[0].axis, BIOFINGERPRINT_BAND)),
     )
-    assert len(sset) == n
-    results = {r.core_id: r for r in kept}
-    return sset, results, skipped
+    return sset, {r.core_id: r for r in kept}, skipped
 
 
 def patients_from_spectraset(sset: SpectraSet) -> list[PatientRecord]:
@@ -461,19 +440,18 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def _forward_chunked(model: CarenetModel, x: np.ndarray, chunk: int = 2048) -> np.ndarray:
+def forward_chunked(model: CarenetModel, x: np.ndarray, chunk: int = 2048) -> np.ndarray:
+    """Model outputs for every row of x, forwarded at most chunk rows at a time."""
     outs = [model.forward(x[i:i + chunk]) for i in range(0, x.shape[0], chunk)]
-    return np.concatenate(outs)
+    return np.concatenate(outs) if outs else np.empty((0, model.n_classes), model.dtype)
 
 
 def _loss_and_accuracy(probs: np.ndarray, labels: np.ndarray, targets, head: str):
     if head == "type":
         loss, _ = bce_loss(probs[:, 0], targets)
-        pred = (probs[:, 0] >= 0.5).astype(np.int64)
     else:
         loss, _ = cce_loss(probs, targets)
-        pred = probs.argmax(axis=1)
-    return loss, float((pred == labels).mean())
+    return loss, float((classify(probs, head) == labels).mean())
 
 
 def train_fold(config: TrainConfig, train_x: np.ndarray, train_labels: np.ndarray,
@@ -513,7 +491,7 @@ def train_fold(config: TrainConfig, train_x: np.ndarray, train_labels: np.ndarra
             weights.append(idx.size)
         train_loss = float(np.average(losses, weights=weights))
 
-        dev_probs = _forward_chunked(model, dev_x)
+        dev_probs = forward_chunked(model, dev_x)
         check_finite("dev forward pass", dev_probs)
         dev_loss, dev_acc = _loss_and_accuracy(dev_probs, dev_labels, dev_targets, config.head)
         lr = scheduler.step(dev_loss)

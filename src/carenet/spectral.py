@@ -19,6 +19,7 @@ __all__ = [
     "Band",
     "build_axis",
     "band_slice",
+    "sub_axis",
     "truncate",
     "integrate_band",
     "integrate_band_rows",
@@ -134,7 +135,8 @@ def band_slice(axis: WavenumberAxis, band: Band) -> slice:
     return slice(int(idx[0]), int(idx[-1]) + 1)
 
 
-def _sub_axis(axis: WavenumberAxis, sel: slice) -> WavenumberAxis:
+def sub_axis(axis: WavenumberAxis, sel: slice) -> WavenumberAxis:
+    """The axis points picked by a band_slice result, as an axis of their own."""
     values = axis.values
     count = sel.stop - sel.start
     return WavenumberAxis(float(values[sel.start]), float(values[sel.stop - 1]), count)
@@ -143,7 +145,7 @@ def _sub_axis(axis: WavenumberAxis, sel: slice) -> WavenumberAxis:
 def truncate(spectrum: Spectrum, band: Band) -> Spectrum:
     """Sub-spectrum over the band, boundary points included per band_slice."""
     sel = band_slice(spectrum.axis, band)
-    return Spectrum(_sub_axis(spectrum.axis, sel), spectrum.intensities[sel].copy())
+    return Spectrum(sub_axis(spectrum.axis, sel), spectrum.intensities[sel].copy())
 
 
 def integrate_band(spectrum: Spectrum, band: Band) -> float:

@@ -1,11 +1,12 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from carenet.cli import main, parse_config_file
-from carenet.dataset import read_spectraset
+from carenet.dataset import SUBTYPES, read_cube, read_spectraset, write_cube
 
 TINY_CONFIG = """
 # tiny panel for fast end-to-end runs
@@ -21,7 +22,7 @@ def run(argv):
 
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory):
-    """synth -> preprocess -> train (type head, 2 epochs) shared by tests."""
+    """synth -> preprocess -> train (each head, 2 epochs) shared by tests."""
     root = tmp_path_factory.mktemp("cli")
     config = root / "panel.cfg"
     config.write_text(TINY_CONFIG)
@@ -29,10 +30,12 @@ def tiny_run(tmp_path_factory):
     assert run(["synth", "--seed", 7, "--config", config, "--out-dir", synth_dir]) == 0
     pre_dir = root / "pre"
     assert run(["preprocess", synth_dir, "--seed", 7, "--out-dir", pre_dir]) == 0
-    train_dir = root / "train"
-    assert run(["train", pre_dir / "spectra.crns", "--head", "type", "--seed", 7,
-                "--epochs", 2, "--out-dir", train_dir]) == 0
-    return root, synth_dir, pre_dir, train_dir
+    train_dirs = {}
+    for head in ("type", "subtype"):
+        train_dirs[head] = root / f"train_{head}"
+        assert run(["train", pre_dir / "spectra.crns", "--head", head, "--seed", 7,
+                    "--epochs", 2, "--out-dir", train_dirs[head]]) == 0
+    return root, synth_dir, pre_dir, train_dirs
 
 
 class TestConfigParsing:
@@ -97,42 +100,69 @@ class TestPreprocess:
         (bad / "core.crns").write_bytes(b"garbage")
         assert run(["preprocess", bad, "--out-dir", tmp_path / "out"]) == 3
 
+    # amide band (K-means++ input), inside the kept biofingerprint, outside it
+    @pytest.mark.parametrize("wavenumber", [1650.0, 1100.0, 3000.0])
+    def test_nan_pixel_is_data_error(self, tiny_run, tmp_path, wavenumber):
+        _, synth_dir, _, _ = tiny_run
+        panel = tmp_path / "panel"
+        shutil.copytree(synth_dir, panel)
+        path = panel / json.loads((panel / "panel.json").read_text())["cores"]["0"]
+        cube, extras = read_cube(path)
+        row, col = np.argwhere(extras["gt_role"] == 1)[0]  # first tissue pixel
+        cube.intensities[row, col, np.abs(cube.axis.values - wavenumber).argmin()] = np.nan
+        write_cube(cube, path)
+        assert run(["preprocess", panel, "--out-dir", tmp_path / "out"]) == 3
+
 
 class TestTrainEvalGradcam:
     def test_train_outputs(self, tiny_run):
-        _, _, _, train_dir = tiny_run
-        for fold in range(1, 5):
-            assert (train_dir / f"fold{fold}_final.crnm").exists()
-            assert (train_dir / f"fold{fold}_best.crnm").exists()
-        history = json.loads((train_dir / "history.json").read_text())
-        assert set(history) == {"fold1", "fold2", "fold3", "fold4"}
-        assert all(len(h["epochs"]) == 2 for h in history.values())
-        split = json.loads((train_dir / "split.json").read_text())
-        assert len(split["test_patients"]) == 4
+        for train_dir in tiny_run[3].values():
+            for fold in range(1, 5):
+                assert (train_dir / f"fold{fold}_final.crnm").exists()
+                assert (train_dir / f"fold{fold}_best.crnm").exists()
+            history = json.loads((train_dir / "history.json").read_text())
+            assert set(history) == {"fold1", "fold2", "fold3", "fold4"}
+            assert all(len(h["epochs"]) == 2 for h in history.values())
+            split = json.loads((train_dir / "split.json").read_text())
+            assert len(split["test_patients"]) == 4
 
-    def test_eval_reports(self, tiny_run, tmp_path):
-        root, _, pre_dir, train_dir = tiny_run
+    @pytest.mark.parametrize("head,which", [("type", "final"), ("type", "best"),
+                                            ("subtype", "final"), ("subtype", "best")])
+    def test_eval_reports(self, tiny_run, tmp_path, head, which):
+        _, _, pre_dir, train_dirs = tiny_run
         eval_dir = tmp_path / "eval"
-        assert run(["eval", train_dir, pre_dir / "spectra.crns",
-                    "--out-dir", eval_dir]) == 0
+        assert run(["eval", train_dirs[head], pre_dir / "spectra.crns",
+                    "--which", which, "--out-dir", eval_dir]) == 0
+        classes = ("AT", "CA") if head == "type" else SUBTYPES
         metrics = (eval_dir / "metrics.csv").read_text().splitlines()
         assert metrics[0].startswith("set,label,class,granularity,accuracy_mean")
-        assert any(line.startswith("test,type,CA,patient") for line in metrics)
+        assert [line.split(",")[:4] for line in metrics[1:]] == (
+            [["dev", head, name, "spectrum"] for name in classes]
+            + [["test", head, name, "patient"] for name in classes])
         patients = (eval_dir / "patients.csv").read_text().splitlines()
         assert patients[0] == "label,patient_id,core,ground_truth,fold1,fold2,fold3,fold4"
-        assert len(patients) == 1 + 4  # four type rows (2 CA + 2 AT cores)
+        assert len(patients) == 1 + 4  # 2 CA + 2 AT cores, or the 4 test CA cores
+        cores = sorted(line.split(",")[2] for line in patients[1:])
+        assert cores == (["AT", "AT", "CA", "CA"] if head == "type" else ["CA"] * 4)
+        for line in patients[1:]:
+            assert set(line.split(",")[3:]) <= set(classes)
 
-    def test_gradcam_outputs(self, tiny_run, tmp_path):
-        _, _, pre_dir, train_dir = tiny_run
+    @pytest.mark.parametrize("head", ["type", "subtype"])
+    def test_gradcam_outputs(self, tiny_run, tmp_path, head):
+        _, _, pre_dir, train_dirs = tiny_run
         cam_dir = tmp_path / "cam"
-        assert run(["gradcam", train_dir, pre_dir / "spectra.crns",
+        assert run(["gradcam", train_dirs[head], pre_dir / "spectra.crns",
                     "--out-dir", cam_dir]) == 0
-        csv_path = cam_dir / "heatmap_CA.csv"
-        assert csv_path.exists() and (cam_dir / "heatmap_CA.svg").exists()
-        lines = csv_path.read_text().splitlines()
-        assert len(lines) == 1 + 467
-        values = np.array([float(line.split(",")[1]) for line in lines[1:]])
-        assert values.min() >= 0.0 and values.max() <= 1.0
+        names = ["CA"] if head == "type" else list(SUBTYPES)
+        assert sorted(p.name for p in cam_dir.glob("heatmap_*.csv")) == \
+            sorted(f"heatmap_{name}.csv" for name in names)
+        for name in names:
+            csv_path = cam_dir / f"heatmap_{name}.csv"
+            assert (cam_dir / f"heatmap_{name}.svg").exists()
+            lines = csv_path.read_text().splitlines()
+            assert len(lines) == 1 + 467
+            values = np.array([float(line.split(",")[1]) for line in lines[1:]])
+            assert values.min() >= 0.0 and values.max() <= 1.0
 
     def test_eval_missing_split_is_data_error(self, tiny_run, tmp_path):
         _, _, pre_dir, _ = tiny_run

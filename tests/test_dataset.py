@@ -163,6 +163,13 @@ class TestSpectraSetIO:
                 axis=AXIS,
             )
 
+    def test_nan_spectrum_rejected(self):
+        spectra = np.full((2, 467), 0.5, dtype=np.float32)
+        spectra[1, 100] = np.nan  # NaN compares False against both bounds
+        with pytest.raises(DataError, match="finite"):
+            SpectraSet(spectra=spectra, patient_id=[1, 1], core_id=[0, 0], row=[0, 1],
+                       col=[0, 0], core_type=[1, 1], subtype=[0, 0], axis=AXIS)
+
     def test_mosaic_scale_round_trip_under_10s(self, tmp_path, rng):
         n = 320 * 320  # one full-size mosaic of single spectra
         sset = SpectraSet(

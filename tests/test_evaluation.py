@@ -4,8 +4,8 @@ import pytest
 from carenet.errors import DataError
 from carenet.evaluation import (
     MetricRow,
+    classify,
     classify_binary,
-    classify_spectrum,
     classify_subtype,
     compute_metrics,
     fold_mean_std,
@@ -28,8 +28,11 @@ class TestClassify:
         assert classes[0] == 0 and ties[0]
 
     def test_spectrum_wrapper(self):
-        assert classify_spectrum(np.array([0.5]), "type") == (1, False)
-        assert classify_spectrum(np.array([0.2, 0.3, 0.3, 0.2]), "subtype") == (1, True)
+        assert classify(np.array([0.5]), "type") == 1
+        assert classify(np.array([0.2, 0.3, 0.3, 0.2]), "subtype") == 1
+        np.testing.assert_array_equal(classify(np.array([[0.5], [0.49]]), "type"), [1, 0])
+        with pytest.raises(DataError):
+            classify(np.array([0.5]), "other")
 
 
 class TestPatientVote:
@@ -46,6 +49,10 @@ class TestPatientVote:
         # mean p(CA)=0.5 -> tied votes; mean probability favors CA
         pred = patient_vote(classes, probs, n_classes=2)
         assert pred.final_class == 1 and pred.tie
+        column = patient_vote(classes, probs[:, None], n_classes=2)  # sigmoid head's (n, 1)
+        assert column.final_class == 1 and column.tie
+        with pytest.raises(DataError):
+            patient_vote(classes, probs[:, None], n_classes=4)
 
     def test_single_spectrum(self):
         pred = patient_vote(np.array([3]), np.array([[0.0, 0.1, 0.2, 0.7]]), n_classes=4)

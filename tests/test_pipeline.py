@@ -208,8 +208,9 @@ class TestPreprocessCore:
         cubes = [panel.cubes[k] for k in sorted(panel.cubes)]
         serial, _, _ = preprocess_panel(cubes, panel.h2o_cube, seed=0, jobs=1)
         parallel, _, _ = preprocess_panel(cubes, panel.h2o_cube, seed=0, jobs=2)
-        np.testing.assert_array_equal(serial.spectra, parallel.spectra)
-        np.testing.assert_array_equal(serial.core_id, parallel.core_id)
+        for name in ("spectra", "patient_id", "core_id", "row", "col", "core_type", "subtype"):
+            np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
+        assert serial.axis == parallel.axis
 
 
 class TestTargets:
