@@ -143,7 +143,7 @@ def _write_manifest(run_dir: Path, command: str, args, config_snapshot: dict,
                     extra: dict | None = None) -> None:
     manifest = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "package_version": __version__,
         "seed": args.seed,
         "config": config_snapshot,
@@ -549,11 +549,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
+    args.argv = argv  # recorded in manifest.json as the command that ran
     try:
         return args.func(args)
     except UsageError as exc:

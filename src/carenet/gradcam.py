@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .model import INPUT_LENGTH, CarenetModel
+from .model import FORWARD_CHUNK, INPUT_LENGTH, CarenetModel
 from .spectral import WavenumberAxis
 
 __all__ = [
@@ -60,11 +60,15 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray, target_class: int
     head has a single output and target_class must be 1 (the CA activation).
     score selects whether gradients flow from the pre-activation logit
     (default, the reference formulation) or from the post-activation
-    probability; both rectify to the same ranking per sample.
+    probability; both rectify to the same ranking per sample. Spectra go
+    through the model FORWARD_CHUNK rows at a time, which bounds the memory
+    of the convolutions' column buffers whatever the number of spectra.
     """
     x = np.asarray(spectra, dtype=np.float32)
     if x.ndim == 1:
         x = x[None, :]
+    if x.shape[0] == 0:
+        raise DataError("no spectra to attribute")
     if score not in ("logit", "probability"):
         raise DataError(f"unknown score mode {score!r}")
     if model.head == "type":
@@ -75,7 +79,13 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray, target_class: int
         if not 0 <= target_class < model.n_classes:
             raise DataError(f"class index {target_class} out of range")
         col = target_class
+    cams = [_cam_rows(model, x[i:i + FORWARD_CHUNK], col, score)
+            for i in range(0, x.shape[0], FORWARD_CHUNK)]
+    return _upsample(np.concatenate(cams).astype(np.float64), INPUT_LENGTH)
 
+
+def _cam_rows(model: CarenetModel, x: np.ndarray, col: int, score: str) -> np.ndarray:
+    """Rectified feature-length cams of one chunk: (batch, 30)."""
     feats = model.trunk_forward(x)          # (B, C, L)
     logits, probs = model.head_forward(feats)
     if not np.all(np.isfinite(probs)):
@@ -89,8 +99,7 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray, target_class: int
 
     weights = dfeats.mean(axis=2)                      # (B, C) pooled gradients
     cam = np.einsum("bc,bcl->bl", weights, feats)
-    cam = np.maximum(cam, 0.0)
-    return _upsample(cam.astype(np.float64), INPUT_LENGTH)
+    return np.maximum(cam, 0.0)
 
 
 def class_average(heatmaps_by_class: dict[str, np.ndarray],

@@ -34,6 +34,7 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
     "INPUT_LENGTH",
+    "FORWARD_CHUNK",
     "HEADS",
     "STAGE_FILTERS",
     "BLOCKS_PER_STAGE",
@@ -45,6 +46,11 @@ STAGE_FILTERS = (16, 32, 64, 128)
 BLOCKS_PER_STAGE = 2
 STEM_KERNEL = 7
 STEM_STRIDE = 2
+# Rows per forward pass when evaluating or attributing many spectra.
+# Throughput falls as chunks grow: 4096 rows on one BLAS thread ran at
+# ~1630/1410/1330/1060/960 spectra/s in chunks of 128/256/512/1024/2048.
+# 256 still runs a desk-scale dev set or test core as a single chunk.
+FORWARD_CHUNK = 256
 
 CHECKPOINT_MAGIC = b"CRNM"
 CHECKPOINT_VERSION = 1

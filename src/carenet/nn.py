@@ -4,6 +4,14 @@ Everything runs on numpy. Training arithmetic is float32; layers accept a
 dtype so a float64 replay of the same graph can back gradient verification.
 Backward passes write (not accumulate) parameter gradients, so no zero-grad
 step is needed between batches.
+
+Every layer takes and returns (batch, channels, length) arrays, but the
+convolutions and GlobalAvgPool.backward produce them as transposed views of
+(batch, length, channels) memory. numpy's elementwise ops (bias, ReLU, the
+residual add, the ReLU mask) keep their inputs' memory order, so activations
+and gradients stay channels-last from layer to layer and no transposing copy
+sits between convolutions. Results never depend on memory order; a C-ordered
+input only costs a copy.
 """
 
 from __future__ import annotations
@@ -81,8 +89,18 @@ class Layer:
 class Conv1D(Layer):
     """Strided cross-correlation with 'same' zero padding.
 
-    Input is (batch, channels, length); output length is ceil(length/stride),
-    padded as evenly as possible with the extra zero on the right.
+    Input and output are (batch, channels, length); output length is
+    ceil(length/stride), padded as evenly as possible with the extra zero on
+    the right.
+
+    The engine is a channels-last im2col. Forward pads the input once into a
+    (batch, length + pad, in) buffer, where each k-tap window is k*in
+    contiguous floats, so the column matrix is a row copy and the output is
+    one GEMM against the weights laid out as (k*in, out). That output is
+    (batch, out_len, out) memory returned as a (batch, out, out_len) view.
+    Backward reads its gradient in the same memory without a copy and
+    scatters the k tap slabs of d(columns) back into a channels-last input
+    gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -125,39 +143,36 @@ class Conv1D(Layer):
             )
         batch, _, length = x.shape
         out_len, pad_left, pad_right = self._geometry(length)
-        if pad_left or pad_right:
-            xp = np.zeros((batch, self.in_channels, length + pad_left + pad_right),
-                          dtype=x.dtype)
-            xp[:, :, pad_left : pad_left + length] = x
-        else:
-            xp = x
-        # im2col: one contiguous (batch*out_len, in*k) buffer feeding one GEMM
-        windows = np.lib.stride_tricks.sliding_window_view(xp, self.kernel_size, axis=2)
-        windows = windows[:, :, :: self.stride, :][:, :, :out_len, :]
-        cols = np.ascontiguousarray(windows.transpose(0, 2, 1, 3))
-        cols = cols.reshape(batch * out_len, self.in_channels * self.kernel_size)
-        w2 = self.w.value.reshape(self.out_channels, -1)
-        out = cols @ w2.T
-        self._cache = (cols, length, out_len, pad_left, xp.shape)
-        out = out.reshape(batch, out_len, self.out_channels).transpose(0, 2, 1)
-        return out + self.b.value[None, :, None]
+        xp = np.zeros((batch, length + pad_left + pad_right, self.in_channels), dtype=x.dtype)
+        xp[:, pad_left : pad_left + length] = x.transpose(0, 2, 1)
+        span = self.kernel_size * self.in_channels
+        windows = np.lib.stride_tricks.sliding_window_view(
+            xp.reshape(batch, -1), span, axis=1)[:, :: self.stride * self.in_channels]
+        cols = windows[:, :out_len].reshape(batch * out_len, span)  # the one copy
+        out = cols @ self.w.value.transpose(2, 1, 0).reshape(span, self.out_channels)
+        out += self.b.value
+        self._cache = (cols, length, pad_left, xp.shape)
+        return out.reshape(batch, out_len, self.out_channels).transpose(0, 2, 1)
 
     def backward(self, grad):
-        cols, length, out_len, pad_left, xp_shape = self._need_cache(self._cache)
-        batch = grad.shape[0]
-        g2 = np.ascontiguousarray(grad.transpose(0, 2, 1))
-        g2 = g2.reshape(batch * out_len, self.out_channels)
-        self.w.grad = (g2.T @ cols).reshape(self.w.value.shape)
-        self.b.grad = g2.sum(axis=0)
-        dcols = (g2 @ self.w.value.reshape(self.out_channels, -1)).reshape(
-            batch, out_len, self.in_channels, self.kernel_size
-        )
+        cols, length, pad_left, xp_shape = self._need_cache(self._cache)
+        batch, _, out_len = grad.shape
+        g2 = grad.transpose(0, 2, 1).reshape(batch * out_len, self.out_channels)
+        self.w.grad = np.ascontiguousarray(
+            (cols.T @ g2).reshape(self.kernel_size, self.in_channels, self.out_channels)
+            .transpose(2, 1, 0))
+        # batch first, over long contiguous rows: an axis-0 sum of g2 would
+        # loop once per row of out_channels floats
+        self.b.grad = g2.reshape(batch, -1).sum(axis=0).reshape(out_len, -1).sum(axis=0)
+        # one (batch*out_len, in) slab per tap, so col2im adds whole rows;
+        # tap j of output t lands on padded position t*stride + j
+        taps = np.ascontiguousarray(self.w.value.transpose(2, 0, 1))
+        dcols = np.matmul(g2, taps).reshape(self.kernel_size, batch, out_len,
+                                             self.in_channels)
         dxp = np.zeros(xp_shape, dtype=grad.dtype)
         for j in range(self.kernel_size):
-            dxp[:, :, j : j + self.stride * out_len : self.stride] += (
-                dcols[:, :, :, j].transpose(0, 2, 1)
-            )
-        return dxp[:, :, pad_left : pad_left + length]
+            dxp[:, j : j + self.stride * out_len : self.stride] += dcols[j]
+        return dxp[:, pad_left : pad_left + length].transpose(0, 2, 1)
 
 
 class Dense(Layer):
@@ -268,9 +283,11 @@ class GlobalAvgPool(Layer):
         return x.mean(axis=2)
 
     def backward(self, grad):
-        shape = self._need_cache(self._cache)
-        scale = grad.dtype.type(1.0 / shape[2])
-        return np.broadcast_to((grad * scale)[:, :, None], shape).copy()
+        batch, channels, length = self._need_cache(self._cache)
+        scale = grad.dtype.type(1.0 / length)
+        # channels-last memory, like every conv output, so no layer transposes
+        spread = np.broadcast_to((grad * scale)[:, None, :], (batch, length, channels))
+        return spread.copy().transpose(0, 2, 1)
 
 
 class ResidualBlock(Layer):

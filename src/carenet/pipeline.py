@@ -23,7 +23,7 @@ from .clustering import select_paraffin, select_tissue
 from .dataset import SUBTYPE_NONE, SUBTYPES, HyperCube, SpectraSet, subtype_one_hot
 from .errors import DataError, NumericalError
 from .evaluation import classify
-from .model import CarenetModel, build_carenet
+from .model import FORWARD_CHUNK, CarenetModel, build_carenet
 from .nn import Adam, PlateauScheduler, bce_loss, cce_loss, check_finite, make_rng
 from .spectral import (
     BIOFINGERPRINT_BAND,
@@ -440,7 +440,8 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def forward_chunked(model: CarenetModel, x: np.ndarray, chunk: int = 2048) -> np.ndarray:
+def forward_chunked(model: CarenetModel, x: np.ndarray,
+                    chunk: int = FORWARD_CHUNK) -> np.ndarray:
     """Model outputs for every row of x, forwarded at most chunk rows at a time."""
     outs = [model.forward(x[i:i + chunk]) for i in range(0, x.shape[0], chunk)]
     return np.concatenate(outs) if outs else np.empty((0, model.n_classes), model.dtype)

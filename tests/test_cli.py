@@ -65,6 +65,16 @@ class TestSynth:
         for output in manifest["outputs"]:
             assert Path(output).exists()
 
+    def test_manifest_records_the_command_argv(self, tiny_run):
+        # main() runs in this process, whose own sys.argv is pytest's
+        root, synth_dir, pre_dir, _ = tiny_run
+        manifest = json.loads((synth_dir / "manifest.json").read_text())
+        assert manifest["argv"] == ["synth", "--seed", "7", "--config", str(root / "panel.cfg"),
+                                    "--out-dir", str(synth_dir)]
+        manifest = json.loads((pre_dir / "manifest.json").read_text())
+        assert manifest["argv"] == ["preprocess", str(synth_dir), "--seed", "7",
+                                    "--out-dir", str(pre_dir)]
+
     def test_default_config_is_cohort_shaped(self):
         from carenet.cli import _synth_config
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from carenet import gradcam
 from carenet.errors import DataError
 from carenet.gradcam import (
     Heatmap1D,
@@ -10,7 +11,7 @@ from carenet.gradcam import (
     write_heatmap_csv,
     write_heatmap_svg,
 )
-from carenet.model import INPUT_LENGTH, build_carenet
+from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, build_carenet
 from carenet.spectral import build_axis
 
 AXIS = build_axis(1800, 900, 467)
@@ -54,6 +55,23 @@ class TestGradcamSpectrum:
         from_prob = gradcam_spectrum(type_model, spectra, score="probability")
         for a, b in zip(from_logit, from_prob):
             assert int(a.argmax()) == int(b.argmax())
+
+    @pytest.mark.parametrize("head,target", [("type", 1), ("subtype", 2)])
+    def test_chunked_maps_equal_one_shot(self, head, target, monkeypatch):
+        rng = np.random.default_rng(9)
+        model = build_carenet(head, seed=5)
+        # a non-zero head, so the pooled gradients (and the maps) are non-zero
+        model.dense.w.value = rng.standard_normal(model.dense.w.value.shape).astype(np.float32)
+        x = rng.random((FORWARD_CHUNK + 5, INPUT_LENGTH)).astype(np.float32)
+        chunked = gradcam_spectrum(model, x, target_class=target)
+        monkeypatch.setattr(gradcam, "FORWARD_CHUNK", x.shape[0])
+        one_shot = gradcam_spectrum(model, x, target_class=target)
+        assert chunked.max() > 0.0
+        np.testing.assert_array_equal(chunked, one_shot)
+
+    def test_no_spectra_rejected(self, type_model):
+        with pytest.raises(DataError):
+            gradcam_spectrum(type_model, np.empty((0, INPUT_LENGTH), np.float32))
 
     def test_interpolation_pins_endpoints(self, type_model, spectra):
         # recompute the 30-point cam by hand and compare the pinned endpoints

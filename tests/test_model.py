@@ -116,6 +116,15 @@ class TestArchitecture:
         with pytest.raises(DataError):
             build_carenet("both")
 
+    def test_trunk_output_is_channels_last_memory(self, rng):
+        # every layer hands on a (batch, channels, length) view of
+        # (batch, length, channels) memory; a C-ordered map here would mean
+        # some layer copies or transposes between convolutions
+        model = build_carenet("type", seed=0)
+        feats = model.trunk_forward(rng.random((3, INPUT_LENGTH)).astype(np.float32))
+        assert feats.shape == (3, 128, 30)
+        assert feats.transpose(0, 2, 1).flags.c_contiguous
+
     def test_probability_shapes(self, rng):
         x = rng.standard_normal((5, 1, INPUT_LENGTH)).astype(np.float32)
         assert build_carenet("type", seed=0).forward(x).shape == (5, 1)

@@ -121,6 +121,58 @@ class TestConv1D:
             x = rng.standard_normal((2, 2, 9))
             layer_grad_check(conv, x, rng)
 
+    @pytest.mark.parametrize("in_ch,out_ch,kernel,stride,length", [
+        (1, 4, 7, 2, 467),   # the stem
+        (3, 5, 1, 2, 11),    # a projection shortcut
+    ])
+    def test_backward_matches_loop_oracle(self, in_ch, out_ch, kernel, stride, length, rng):
+        conv = Conv1D(in_ch, out_ch, kernel, stride, rng=make_rng(2), dtype=np.float64)
+        conv.b.value = rng.standard_normal(out_ch)
+        x = rng.standard_normal((2, in_ch, length))
+        out = conv.forward(x)
+        grad = rng.standard_normal(out.shape)
+        dx = conv.backward(grad)
+
+        out_len = -(-length // stride)
+        pad_total = max((out_len - 1) * stride + kernel - length, 0)
+        pad_left = pad_total // 2
+        xp = np.pad(x, ((0, 0), (0, 0), (pad_left, pad_total - pad_left)))
+        w = conv.w.value
+        expected = np.zeros_like(out)
+        dw = np.zeros_like(w)
+        dxp = np.zeros_like(xp)
+        for b in range(x.shape[0]):
+            for t in range(out_len):
+                for j in range(kernel):
+                    window = xp[b, :, t * stride + j]  # (in,)
+                    expected[b, :, t] += w[:, :, j] @ window
+                    dw[:, :, j] += np.outer(grad[b, :, t], window)
+                    dxp[b, :, t * stride + j] += grad[b, :, t] @ w[:, :, j]
+        expected += conv.b.value[None, :, None]
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(conv.w.grad, dw, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(conv.b.grad, grad.sum(axis=(0, 2)), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dx, dxp[:, :, pad_left:pad_left + length],
+                                   rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kernel,stride", [(3, 1), (3, 2), (1, 2)])
+    def test_memory_order_does_not_change_results(self, kernel, stride, rng):
+        # the same (batch, channels, length) values, once C-ordered and once a
+        # transposed view of channels-last memory as layers hand them on
+        conv = Conv1D(4, 6, kernel, stride, rng=make_rng(3), dtype=np.float64)
+        x = rng.standard_normal((3, 4, 10))
+        x_last = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        out = conv.forward(x)
+        grad = rng.standard_normal(out.shape)
+        grad_last = np.ascontiguousarray(grad.transpose(0, 2, 1)).transpose(0, 2, 1)
+        results = []
+        for xv, gv in ((x, grad), (x_last, grad_last)):
+            out = conv.forward(xv)
+            dx = conv.backward(gv)
+            results.append((out, dx, conv.w.grad.copy(), conv.b.grad.copy()))
+        for a, b in zip(*results):
+            np.testing.assert_array_equal(a, b)
+
 
 class TestDenseAndActivations:
     def test_dense_linear_regression_gradient(self, rng):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from carenet.errors import DataError
+from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, build_carenet
 from carenet.pipeline import (
     PatientRecord,
     TrainConfig,
     _epoch_batches,
+    forward_chunked,
     head_mask,
     make_split,
     patients_from_spectraset,
@@ -303,3 +305,23 @@ class TestTrainFold:
         with pytest.raises(DataError):
             train_fold(config, empty, np.empty(0, dtype=np.int64), np.empty(0),
                        empty, np.empty(0, dtype=np.int64), np.empty(0))
+
+
+class TestForwardChunked:
+    @pytest.mark.parametrize("head", ["type", "subtype"])
+    def test_outputs_do_not_depend_on_chunk_size(self, head):
+        rng = np.random.default_rng(4)
+        model = build_carenet(head, seed=1)
+        model.dense.w.value = rng.standard_normal(model.dense.w.value.shape).astype(np.float32)
+        x = rng.random((FORWARD_CHUNK + 37, INPUT_LENGTH)).astype(np.float32)
+        one_shot = model.forward(x)
+        # the trunk's rows are bitwise independent of the batch; the dense
+        # head's small BLAS call may round its last bit by batch size
+        for chunk in (7, 64, FORWARD_CHUNK, x.shape[0]):
+            np.testing.assert_allclose(forward_chunked(model, x, chunk), one_shot,
+                                       rtol=1e-6, atol=1e-7)
+
+    def test_no_rows(self):
+        model = build_carenet("subtype", seed=1)
+        out = forward_chunked(model, np.empty((0, INPUT_LENGTH), np.float32))
+        assert out.shape == (0, 4)
