@@ -3,7 +3,7 @@
 The EMSC design matrix stacks the tissue reference, a polynomial baseline
 evaluated on the axis rescaled to [-1, 1], and masked interferent blocks
 (per-block global mean plus PCA loadings, zeroed outside the block's band).
-Per-spectrum correction solves one least-squares problem against that matrix.
+Correction solves one least-squares problem per spectrum against that matrix.
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ __all__ = [
     "PcaModel",
     "OutlierReport",
     "EmscModel",
-    "EmscResult",
     "pca_fit",
     "scores_and_residuals",
     "remove_outliers",
     "write_outlier_report",
     "emsc_build_model",
-    "emsc_correct",
     "emsc_correct_rows",
     "PARAFFIN_MASK_BAND",
     "H2O_MASK_BAND",
@@ -214,17 +212,6 @@ class EmscModel:
         return slice(start, start + 1 + self.n_h2o_pcs)
 
 
-@dataclass
-class EmscResult:
-    corrected: np.ndarray
-    coefficients: np.ndarray
-    ref_coef: float
-    baseline_coefs: np.ndarray
-    paraffin_coefs: np.ndarray
-    h2o_coefs: np.ndarray
-    residual_norm: float
-
-
 def _masked_interferent_basis(spectra: np.ndarray, axis: WavenumberAxis, band: Band,
                               variance_threshold: float) -> tuple[np.ndarray, int]:
     """Global mean plus PCA loadings, all zeroed outside the band."""
@@ -299,25 +286,3 @@ def emsc_correct_rows(rows: np.ndarray, model: EmscModel):
     corrected[usable] = ((rows - fit_without_ref) / safe_ref[:, None])[usable]
     return corrected, coefs, usable
 
-
-def emsc_correct(spectrum: np.ndarray, model: EmscModel) -> EmscResult:
-    """EMSC-correct one spectrum; raises when it is not tissue-like."""
-    x = np.asarray(spectrum, dtype=np.float64)
-    if x.shape != (model.axis.n_points,):
-        raise DataError("spectrum length does not match the EMSC model axis")
-    corrected, coefs, usable = emsc_correct_rows(x[None, :], model)
-    if not usable[0]:
-        raise NumericalError(
-            f"reference coefficient {coefs[0, 0]:.3e} below {_REF_COEF_FLOOR:.0e}; "
-            "spectrum is not tissue-like"
-        )
-    residual = x - model.design @ coefs[0]
-    return EmscResult(
-        corrected=corrected[0],
-        coefficients=coefs[0],
-        ref_coef=float(coefs[0, 0]),
-        baseline_coefs=coefs[0, model.baseline_cols].copy(),
-        paraffin_coefs=coefs[0, model.paraffin_cols].copy(),
-        h2o_coefs=coefs[0, model.h2o_cols].copy(),
-        residual_norm=float(np.linalg.norm(residual)),
-    )

@@ -17,6 +17,7 @@ short entries, and CRC failures.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -250,23 +251,28 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
         directory = json.loads(raw[10:10 + dir_len].decode("utf-8"))
         entries = directory["arrays"]
         meta = directory["meta"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: corrupt directory ({exc})") from exc
+    if not isinstance(entries, list) or not isinstance(meta, dict):
+        raise DataError(f"{path}: corrupt directory (arrays must be a list, meta an object)")
+
+    parsed = []
+    for entry in entries:
+        try:
+            name = str(entry["name"])
+            dtype = np.dtype(entry["dtype"])
+            shape = tuple(int(s) for s in entry["shape"])
+            parsed.append((int(entry["offset"]), int(entry["length"]), int(entry["crc32"]),
+                           name, dtype, shape))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"{path}: malformed directory entry ({exc})") from exc
 
     data_start = _align(10 + dir_len)
     arrays: dict[str, np.ndarray] = {}
     prev_end = -1
-    for entry in sorted(entries, key=lambda e: e.get("offset", 0)):
-        try:
-            name = entry["name"]
-            dtype = np.dtype(entry["dtype"])
-            shape = tuple(int(s) for s in entry["shape"])
-            offset = int(entry["offset"])
-            length = int(entry["length"])
-            crc = int(entry["crc32"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed directory entry ({exc})") from exc
-        expected = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
+    for offset, length, crc, name, dtype, shape in sorted(parsed, key=lambda e: e[0]):
+        # exact integer size: an int64 product could wrap round to the byte length
+        expected = dtype.itemsize * math.prod(shape)
         if expected != length:
             raise DataError(f"{path}: array {name!r} declared shape disagrees with byte length")
         if offset < 0 or offset < prev_end:
@@ -278,7 +284,11 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
         blob = raw[start:end]
         if zlib.crc32(blob) != crc:
             raise DataError(f"{path}: array {name!r} failed its CRC32 check")
-        arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
+        except ValueError as exc:  # object dtypes, negative dimensions
+            raise DataError(f"{path}: array {name!r} cannot be read as {dtype} {shape} "
+                            f"({exc})") from exc
         prev_end = offset + length
     return arrays, meta
 
@@ -331,6 +341,8 @@ def read_spectraset(path) -> SpectraSet:
         )
     except KeyError as exc:
         raise DataError(f"{path}: spectra-set container is missing array {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: spectra-set container is malformed ({exc})") from exc
 
 
 def write_cube(cube: HyperCube, path, ground_truth=None) -> None:
@@ -367,6 +379,8 @@ def read_cube(path) -> tuple[HyperCube, dict[str, np.ndarray]]:
         )
     except KeyError as exc:
         raise DataError(f"{path}: hypercube container is missing {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{path}: hypercube container is malformed ({exc})") from exc
     extras = {k: v for k, v in arrays.items() if k.startswith("gt_")}
     return cube, extras
 
@@ -415,14 +429,20 @@ def spectraset_from_csv(path) -> SpectraSet:
     ct = np.empty(n, dtype=np.int8)
     st = np.empty(n, dtype=np.int8)
     for i, cells in enumerate(rows):
+        where = f"{path}: row {i + 2}"
         if len(cells) != 6 + wns.size:
-            raise DataError(f"{path}: row {i + 2} has {len(cells)} cells")
-        pid[i], cid[i], rr[i], cc[i] = (int(c) for c in cells[:4])
+            raise DataError(f"{where} has {len(cells)} cells")
         if cells[4] not in CORE_TYPES:
-            raise DataError(f"{path}: row {i + 2} has unknown core type {cells[4]!r}")
+            raise DataError(f"{where} has unknown core type {cells[4]!r}")
+        if cells[5] != "none" and cells[5] not in SUBTYPES:
+            raise DataError(f"{where} has unknown subtype {cells[5]!r}")
+        try:
+            pid[i], cid[i], rr[i], cc[i] = (int(c) for c in cells[:4])
+            spectra[i] = [float(c) for c in cells[6:]]
+        except (ValueError, OverflowError) as exc:
+            raise DataError(f"{where} has a malformed number ({exc})") from exc
         ct[i] = CORE_TYPES.index(cells[4])
         st[i] = SUBTYPE_NONE if cells[5] == "none" else SUBTYPES.index(cells[5])
-        spectra[i] = [float(c) for c in cells[6:]]
     axis = WavenumberAxis(float(wns[0]), float(wns[-1]), int(wns.size))
     return SpectraSet(spectra=spectra, patient_id=pid, core_id=cid, row=rr, col=cc,
                       core_type=ct, subtype=st, axis=axis)

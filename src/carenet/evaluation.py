@@ -17,8 +17,6 @@ from .errors import DataError
 __all__ = [
     "ConfusionCounts",
     "PatientPrediction",
-    "classify_binary",
-    "classify_subtype",
     "classify",
     "patient_vote",
     "compute_metrics",
@@ -67,28 +65,17 @@ class PatientPrediction:
     tie: bool
 
 
-def classify_binary(probs: np.ndarray) -> np.ndarray:
-    """Class 1 iff p >= 0.5 (boundary inclusive)."""
-    probs = np.asarray(probs)
-    return (probs >= 0.5).astype(np.int64)
-
-
-def classify_subtype(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax class per row; exact ties go to the lowest index and get flagged."""
-    probs = np.atleast_2d(np.asarray(probs))
-    classes = probs.argmax(axis=1)
-    best = probs.max(axis=1, keepdims=True)
-    ties = (probs == best).sum(axis=1) > 1
-    return classes, ties
-
-
 def classify(probs: np.ndarray, head: str) -> np.ndarray:
-    """Class per row of model outputs: p >= 0.5 for type, argmax for subtype."""
+    """Class per row of model outputs.
+
+    type: class 1 iff p >= 0.5 (boundary inclusive). subtype: argmax, exact
+    ties going to the lowest class index.
+    """
     probs = np.asarray(probs)
     if head == "type":
-        return classify_binary(probs[..., 0])
+        return (probs[..., 0] >= 0.5).astype(np.int64)
     if head == "subtype":
-        return classify_subtype(probs)[0]
+        return probs.argmax(axis=-1)
     raise DataError(f"unknown head {head!r}")
 
 

@@ -2,7 +2,7 @@
 
 Importance comes from the last residual stage's activation map: channel
 weights are the length-averaged gradients of the target class score (the
-pre-activation logit by default), the weighted channel sum is rectified, and
+pre-activation logit), the weighted channel sum is rectified, and
 the result is linearly interpolated from the feature length back onto the
 467-point biofingerprint axis.
 """
@@ -52,15 +52,13 @@ def _upsample(cam: np.ndarray, out_len: int) -> np.ndarray:
     return np.stack([np.interp(positions, np.arange(n), row) for row in np.atleast_2d(cam)])
 
 
-def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray, target_class: int = 1,
-                     score: str = "logit") -> np.ndarray:
+def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
+                     target_class: int = 1) -> np.ndarray:
     """Raw (unnormalized) importance vectors, one row per input spectrum.
 
     target_class indexes the softmax output for the subtype head; the type
     head has a single output and target_class must be 1 (the CA activation).
-    score selects whether gradients flow from the pre-activation logit
-    (default, the reference formulation) or from the post-activation
-    probability; both rectify to the same ranking per sample. Spectra go
+    Gradients flow from the target class's pre-activation logit. Spectra go
     through the model FORWARD_CHUNK rows at a time, which bounds the memory
     of the convolutions' column buffers whatever the number of spectra.
     """
@@ -69,8 +67,6 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray, target_class: int
         x = x[None, :]
     if x.shape[0] == 0:
         raise DataError("no spectra to attribute")
-    if score not in ("logit", "probability"):
-        raise DataError(f"unknown score mode {score!r}")
     if model.head == "type":
         if target_class != 1:
             raise DataError("the type head exposes only the CA activation (class 1)")
@@ -79,12 +75,12 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray, target_class: int
         if not 0 <= target_class < model.n_classes:
             raise DataError(f"class index {target_class} out of range")
         col = target_class
-    cams = [_cam_rows(model, x[i:i + FORWARD_CHUNK], col, score)
+    cams = [_cam_rows(model, x[i:i + FORWARD_CHUNK], col)
             for i in range(0, x.shape[0], FORWARD_CHUNK)]
     return _upsample(np.concatenate(cams).astype(np.float64), INPUT_LENGTH)
 
 
-def _cam_rows(model: CarenetModel, x: np.ndarray, col: int, score: str) -> np.ndarray:
+def _cam_rows(model: CarenetModel, x: np.ndarray, col: int) -> np.ndarray:
     """Rectified feature-length cams of one chunk: (batch, 30)."""
     feats = model.trunk_forward(x)          # (B, C, L)
     logits, probs = model.head_forward(feats)
@@ -93,8 +89,6 @@ def _cam_rows(model: CarenetModel, x: np.ndarray, col: int, score: str) -> np.nd
 
     dscore = np.zeros_like(logits)
     dscore[:, col] = 1.0
-    if score == "probability":
-        dscore = model.activation.backward(dscore)
     dfeats = model.head_backward_to_features(dscore)
 
     weights = dfeats.mean(axis=2)                      # (B, C) pooled gradients

@@ -222,6 +222,8 @@ def load_checkpoint(path, expect_head: str | None = None) -> tuple[CarenetModel,
         descriptor = json.loads(raw[10:10 + dj_len].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: corrupt checkpoint descriptor ({exc})") from exc
+    if not isinstance(descriptor, dict):
+        raise DataError(f"{path}: checkpoint descriptor is not a JSON object")
 
     head = descriptor.get("head")
     if head not in HEADS:

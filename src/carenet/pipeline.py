@@ -222,33 +222,28 @@ class CoreResult:
     paraffin_mask: np.ndarray | None = None
 
 
-def _outlier_pass(rows: np.ndarray, n_pcs: int, confidence: float) -> np.ndarray:
-    """Keep mask from one T2/Q pass; degenerate variance keeps everything.
+def _outlier_pass(rows: np.ndarray) -> np.ndarray:
+    """Keep mask from one T2/Q pass; a pass with nothing to model keeps everything.
 
-    Identical spectra give every point the same (zero) statistics, so there
-    is nothing to reject; the pass is skipped rather than failed.
+    Identical spectra give every point the same (zero) statistics, and fewer
+    rows than components leave too little data to model; either way there
+    is nothing to reject, so the pass is skipped rather than failed.
     """
     try:
-        _, report = remove_outliers(rows, n_pcs=n_pcs, confidence=confidence)
-        return report.kept
-    except NumericalError:
-        return np.ones(rows.shape[0], dtype=bool)
-    except DataError:
-        # fewer rows than components: not enough data to model, keep all
+        return remove_outliers(rows)[1].kept
+    except (DataError, NumericalError):
         return np.ones(rows.shape[0], dtype=bool)
 
 
-def preprocess_h2o(h2o_cube: HyperCube, n_outlier_pcs: int = 10,
-                   confidence: float = 0.95) -> np.ndarray:
+def preprocess_h2o(h2o_cube: HyperCube) -> np.ndarray:
     """Environment-image spectra: truncate, outlier pass, smooth."""
     sel = band_slice(h2o_cube.axis, BIOFINGERPRINT_BAND)
     rows = h2o_cube.spectra_matrix().astype(np.float64)[:, sel]
-    rows = rows[_outlier_pass(rows, n_outlier_pcs, confidence)]
+    rows = rows[_outlier_pass(rows)]
     return savgol_smooth(rows)
 
 
-def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0,
-                    n_outlier_pcs: int = 10, confidence: float = 0.95) -> CoreResult:
+def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0) -> CoreResult:
     """Run the full per-core chain; raises DataError when no tissue survives."""
     tissue_mask = select_tissue(cube, seed=seed)
     paraffin_mask = select_paraffin(cube, tissue_mask, seed=seed)
@@ -264,10 +259,10 @@ def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0,
     paraffin = flat[paraffin_mask.mask.ravel()][:, sel]
     n0 = tissue.shape[0]
 
-    keep1 = _outlier_pass(tissue, n_outlier_pcs, confidence)
+    keep1 = _outlier_pass(tissue)
     tissue = tissue[keep1]
     tissue_idx = tissue_idx[keep1]
-    paraffin = paraffin[_outlier_pass(paraffin, n_outlier_pcs, confidence)]
+    paraffin = paraffin[_outlier_pass(paraffin)]
     n1 = tissue.shape[0]
     if n1 == 0:
         raise DataError(f"core {cube.core_id}: no tissue spectra survived outlier removal")
@@ -290,7 +285,7 @@ def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0,
     if n3 == 0:
         raise DataError(f"core {cube.core_id}: all spectra degenerate after normalization")
 
-    keep2 = _outlier_pass(normalized, n_outlier_pcs, confidence)
+    keep2 = _outlier_pass(normalized)
     normalized = normalized[keep2]
     tissue_idx = tissue_idx[keep2]
     n4 = normalized.shape[0]
@@ -315,19 +310,17 @@ def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0,
     )
 
 
-def preprocess_panel(cubes: list[HyperCube], h2o_cube: HyperCube, seed: int = 0,
-                     jobs: int = 1, n_outlier_pcs: int = 10, confidence: float = 0.95):
+def preprocess_panel(cubes: list[HyperCube], h2o_cube: HyperCube, seed: int = 0, jobs: int = 1):
     """Preprocess every core against a shared H2O model.
 
     Degenerate cores are reported and skipped, not fatal. Returns
     (SpectraSet, per-core CoreResult dict, skipped list of (core_id, reason)).
     """
-    h2o = preprocess_h2o(h2o_cube, n_outlier_pcs, confidence)
+    h2o = preprocess_h2o(h2o_cube)
 
     def run(cube: HyperCube) -> CoreResult | Exception:
         try:
-            return preprocess_core(cube, h2o, seed=seed,
-                                   n_outlier_pcs=n_outlier_pcs, confidence=confidence)
+            return preprocess_core(cube, h2o, seed=seed)
         except (DataError, NumericalError) as exc:
             return exc
 

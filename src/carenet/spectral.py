@@ -1,5 +1,6 @@
-"""Wavenumber-axis arithmetic and per-spectrum chemometric primitives.
+"""Wavenumber-axis arithmetic and row-wise spectral primitives.
 
+The primitives work row-wise on (n, points) matrices, one spectrum per row.
 All math here runs in 64-bit floats; callers that store spectra in 32-bit
 are expected to upcast before calling in and downcast on the way out.
 """
@@ -11,21 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 
 __all__ = [
     "WavenumberAxis",
-    "Spectrum",
     "Band",
-    "build_axis",
     "band_slice",
     "sub_axis",
-    "truncate",
-    "integrate_band",
     "integrate_band_rows",
     "savgol_smooth",
-    "savitzky_golay",
-    "minmax_normalize",
     "minmax_normalize_rows",
     "RAW_AXIS",
     "BIOFINGERPRINT_BAND",
@@ -77,41 +72,12 @@ class Band:
         if not self.high_wn > self.low_wn:
             raise DataError(f"band must have high_wn > low_wn, got ({self.high_wn}, {self.low_wn})")
 
-    @property
-    def width(self) -> float:
-        return self.high_wn - self.low_wn
-
-
-@dataclass
-class Spectrum:
-    """One absorbance spectrum tied to its wavenumber axis."""
-
-    axis: WavenumberAxis
-    intensities: np.ndarray
-
-    def __post_init__(self):
-        self.intensities = np.asarray(self.intensities, dtype=np.float64)
-        if self.intensities.ndim != 1:
-            raise DataError("spectrum intensities must be 1-D")
-        if self.intensities.shape[0] != self.axis.n_points:
-            raise DataError(
-                f"spectrum length {self.intensities.shape[0]} does not match "
-                f"axis with {self.axis.n_points} points"
-            )
-        if not np.all(np.isfinite(self.intensities)):
-            raise DataError("spectrum intensities must be finite")
-
 
 # Raw instrument-like axis and the bands the pipeline keeps reaching for.
 RAW_AXIS = WavenumberAxis(3950.0, 900.0, 1580)
 BIOFINGERPRINT_BAND = Band(1800.0, 900.0)
 AMIDE_BAND = Band(1700.0, 1500.0)
 PARAFFIN_PEAK_BAND = Band(1480.0, 1450.0)
-
-
-def build_axis(start_wn: float, end_wn: float, n_points: int) -> WavenumberAxis:
-    """Build a uniform descending axis; errors on non-descending ranges."""
-    return WavenumberAxis(float(start_wn), float(end_wn), int(n_points))
 
 
 def band_slice(axis: WavenumberAxis, band: Band) -> slice:
@@ -140,19 +106,6 @@ def sub_axis(axis: WavenumberAxis, sel: slice) -> WavenumberAxis:
     values = axis.values
     count = sel.stop - sel.start
     return WavenumberAxis(float(values[sel.start]), float(values[sel.stop - 1]), count)
-
-
-def truncate(spectrum: Spectrum, band: Band) -> Spectrum:
-    """Sub-spectrum over the band, boundary points included per band_slice."""
-    sel = band_slice(spectrum.axis, band)
-    return Spectrum(sub_axis(spectrum.axis, sel), spectrum.intensities[sel].copy())
-
-
-def integrate_band(spectrum: Spectrum, band: Band) -> float:
-    """Trapezoidal band area (absorbance * cm^-1) using positive spacing."""
-    sub = truncate(spectrum, band)
-    y = sub.intensities
-    return float(sub.axis.spacing * (y.sum() - 0.5 * (y[0] + y[-1])))
 
 
 def integrate_band_rows(rows: np.ndarray, axis: WavenumberAxis, band: Band) -> np.ndarray:
@@ -190,21 +143,6 @@ def savgol_smooth(y: np.ndarray, window: int = 11, poly_order: int = 2) -> np.nd
     head = y[..., :window] @ hat[:half].T
     tail = y[..., -window:] @ hat[half + 1 :].T
     return np.concatenate([head, interior, tail], axis=-1)
-
-
-def savitzky_golay(spectrum: Spectrum, window: int = 11, poly_order: int = 2) -> Spectrum:
-    """Savitzky-Golay smoothed copy of a spectrum."""
-    return Spectrum(spectrum.axis, savgol_smooth(spectrum.intensities, window, poly_order))
-
-
-def minmax_normalize(spectrum: Spectrum) -> Spectrum:
-    """Rescale to [0, 1]; a constant spectrum is a degenerate input."""
-    y = spectrum.intensities
-    lo = float(y.min())
-    hi = float(y.max())
-    if not hi > lo:
-        raise NumericalError("cannot min-max normalize a constant spectrum")
-    return Spectrum(spectrum.axis, (y - lo) / (hi - lo))
 
 
 def minmax_normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

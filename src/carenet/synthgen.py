@@ -15,7 +15,7 @@ import numpy as np
 from .dataset import SUBTYPES, HyperCube
 from .errors import DataError
 from .pipeline import PatientRecord
-from .spectral import BIOFINGERPRINT_BAND, RAW_AXIS, Spectrum, WavenumberAxis, band_slice
+from .spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice
 
 __all__ = [
     "BandSpec",
@@ -242,16 +242,15 @@ ROLE_H2O = 3
 
 
 def gen_spectrum(class_label: str, role: str, rng: np.random.Generator,
-                 config: SynthConfig | None = None):
-    """One synthetic spectrum on the raw axis; role is tissue|paraffin|slide|h2o."""
+                 config: SynthConfig | None = None) -> np.ndarray:
+    """One float64 spectrum on config.axis; role is tissue|paraffin|slide|h2o."""
     config = config or SynthConfig()
     codes = {"tissue": ROLE_TISSUE, "paraffin": ROLE_PARAFFIN, "slide": ROLE_SLIDE, "h2o": ROLE_H2O}
     if role not in codes:
         raise DataError(f"unknown role {role!r}")
     if class_label not in CLASS_LABELS:
         raise DataError(f"unknown class label {class_label!r}")
-    row = _spectra_block(class_label, codes[role], 1, rng, config)[0]
-    return Spectrum(config.axis, row)
+    return _spectra_block(class_label, codes[role], 1, rng, config)[0]
 
 
 def _role_map(size: int) -> np.ndarray:

@@ -1,3 +1,7 @@
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -33,3 +37,19 @@ def relative_error(approx, exact):
     exact = np.asarray(exact, dtype=np.float64)
     denom = np.maximum(np.maximum(np.abs(approx), np.abs(exact)), 1e-8)
     return float(np.max(np.abs(approx - exact) / denom))
+
+
+def rewrite_directory(path, edit):
+    """Rewrite a CRNS file's JSON directory in place; edit(directory) mutates it.
+
+    The payload moves to the new 64-byte-aligned start and its CRCs are kept,
+    so a reader gets past every check that does not look at the edited field.
+    """
+    raw = Path(path).read_bytes()
+    (dir_len,) = struct.unpack_from("<I", raw, 6)
+    directory = json.loads(raw[10:10 + dir_len])
+    payload = raw[(10 + dir_len + 63) // 64 * 64:]
+    edit(directory)
+    new_dir = json.dumps(directory, separators=(",", ":"), sort_keys=True).encode()
+    header = raw[:6] + struct.pack("<I", len(new_dir)) + new_dir
+    Path(path).write_bytes(header + b"\x00" * (-len(header) % 64) + payload)

@@ -12,7 +12,7 @@ import pytest
 
 from carenet.chemometrics import emsc_build_model, emsc_correct_rows, remove_outliers
 from carenet.clustering import kmeans, select_paraffin, select_tissue
-from carenet.evaluation import classify_binary, classify_subtype, patient_vote
+from carenet.evaluation import classify, patient_vote
 from carenet.gradcam import class_average, gradcam_spectrum
 from carenet.model import INPUT_LENGTH, build_carenet, count_params
 from carenet.nn import (
@@ -42,15 +42,15 @@ from carenet.pipeline import (
 from carenet.spectral import (
     BIOFINGERPRINT_BAND,
     RAW_AXIS,
+    WavenumberAxis,
     band_slice,
-    build_axis,
     minmax_normalize_rows,
     savgol_smooth,
 )
 from carenet.synthgen import BandSpec, SynthConfig, gen_cube, gen_panel, gen_spectrum
 from tests.conftest import central_difference, relative_error
 
-AXIS467 = build_axis(1800, 900, 467)
+AXIS467 = WavenumberAxis(1800.0, 900.0, 467)
 SUBTYPE_NAMES = ("LA", "LB", "HER2", "TNBC")
 
 
@@ -349,10 +349,9 @@ def _run_protocol(seed, head, epochs, batch, image_size, n_per, separation):
             sel = sset.core_id == core
             probs = model.forward(sset.spectra[sel])
             if head == "type":
-                vote = patient_vote(classify_binary(probs[:, 0]), probs[:, 0], n_classes=2)
+                vote = patient_vote(classify(probs, head), probs[:, 0], n_classes=2)
             else:
-                classes, _ = classify_subtype(probs)
-                vote = patient_vote(classes, probs, n_classes=4)
+                vote = patient_vote(classify(probs, head), probs, n_classes=4)
             correct += int(vote.final_class == truth)
             total += 1
     return correct, total
@@ -421,7 +420,7 @@ def test_criterion_8_gradcam_localization():
         for idx, cls in enumerate(("AT", name)):
             for _ in range(250):
                 s = gen_spectrum(cls, "tissue", rng, config)
-                spectra.append(s.intensities[sel])
+                spectra.append(s[sel])
                 labels.append(idx)
         spectra = savgol_smooth(np.array(spectra))
         spectra, keep = minmax_normalize_rows(spectra)

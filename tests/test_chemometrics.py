@@ -5,7 +5,6 @@ from carenet.chemometrics import (
     H2O_MASK_BAND,
     PARAFFIN_MASK_BAND,
     emsc_build_model,
-    emsc_correct,
     emsc_correct_rows,
     pca_fit,
     remove_outliers,
@@ -13,9 +12,9 @@ from carenet.chemometrics import (
     write_outlier_report,
 )
 from carenet.errors import DataError, NumericalError
-from carenet.spectral import band_slice, build_axis
+from carenet.spectral import WavenumberAxis, band_slice
 
-AXIS = build_axis(1800, 900, 467)
+AXIS = WavenumberAxis(1800.0, 900.0, 467)
 
 
 def tissue_like(values):
@@ -262,20 +261,27 @@ class TestEmscModel:
                              np.ones((3, 467)), AXIS)
 
 
+def emsc_one(x, model):
+    """emsc_correct_rows on one spectrum as a one-row matrix."""
+    corrected, coefs, usable = emsc_correct_rows(np.asarray(x)[None, :], model)
+    return corrected[0], coefs[0], bool(usable[0])
+
+
 class TestEmscCorrect:
     def test_pure_reference_recovers_identity(self, rng):
         model, m, _, _ = TestEmscModel().build(rng)
-        result = emsc_correct(m, model)
-        assert result.ref_coef == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(result.coefficients[1:], 0.0, atol=1e-9)
-        np.testing.assert_allclose(result.corrected, m, atol=1e-9)
+        corrected, coefs, usable = emsc_one(m, model)
+        assert usable
+        assert coefs[0] == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(coefs[1:], 0.0, atol=1e-9)
+        np.testing.assert_allclose(corrected, m, atol=1e-9)
 
     def test_scaled_reference_recovers_reference(self, rng):
         model, m, _, _ = TestEmscModel().build(rng)
         for alpha in (0.5, 1.0, 2.0):
-            result = emsc_correct(alpha * m, model)
-            assert result.ref_coef == pytest.approx(alpha, rel=1e-12)
-            np.testing.assert_allclose(result.corrected, m, atol=1e-9)
+            corrected, coefs, _ = emsc_one(alpha * m, model)
+            assert coefs[0] == pytest.approx(alpha, rel=1e-12)
+            np.testing.assert_allclose(corrected, m, atol=1e-9)
 
     def test_forward_mixture_recovered(self, rng):
         model, m, _, _ = TestEmscModel().build(rng)
@@ -284,19 +290,20 @@ class TestEmscCorrect:
         t = (values - mid) / (0.5 * (values[0] - values[-1]))
         masked_par_mean = model.design[:, model.paraffin_cols][:, 0]
         x = 2.0 * m + 0.3 * masked_par_mean + (0.05 + 0.02 * t)
-        result = emsc_correct(x, model)
-        assert result.ref_coef == pytest.approx(2.0, abs=1e-6)
-        assert result.paraffin_coefs[0] == pytest.approx(0.3, abs=1e-6)
-        assert result.baseline_coefs[0] == pytest.approx(0.05, abs=1e-6)
-        assert result.baseline_coefs[1] == pytest.approx(0.02, abs=1e-6)
-        np.testing.assert_allclose(result.corrected, m, atol=1e-6)
+        corrected, coefs, _ = emsc_one(x, model)
+        assert coefs[0] == pytest.approx(2.0, abs=1e-6)
+        assert coefs[model.paraffin_cols][0] == pytest.approx(0.3, abs=1e-6)
+        assert coefs[model.baseline_cols][0] == pytest.approx(0.05, abs=1e-6)
+        assert coefs[model.baseline_cols][1] == pytest.approx(0.02, abs=1e-6)
+        np.testing.assert_allclose(corrected, m, atol=1e-6)
 
     def test_interferent_only_spectrum_flagged(self, rng):
         model, _, _, _ = TestEmscModel().build(rng)
         x = model.design[:, model.paraffin_cols][:, 0] * 0.8
         x = x + model.design[:, model.h2o_cols][:, 0] * 0.2
-        with pytest.raises(NumericalError):
-            emsc_correct(x, model)
+        corrected, _, usable = emsc_correct_rows(x[None, :], model)
+        np.testing.assert_array_equal(usable, [False])
+        np.testing.assert_array_equal(corrected, 0.0)
 
     def test_rows_flags_match_scalar(self, rng):
         model, m, _, _ = TestEmscModel().build(rng)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from carenet.cli import main, parse_config_file
-from carenet.dataset import SUBTYPES, read_cube, read_spectraset, write_cube
+from carenet.dataset import SUBTYPES, read_cube, read_spectraset, write_container, write_cube
+from tests.conftest import rewrite_directory
 
 TINY_CONFIG = """
 # tiny panel for fast end-to-end runs
@@ -178,6 +179,12 @@ class TestTrainEvalGradcam:
         _, _, pre_dir, _ = tiny_run
         assert run(["eval", tmp_path, pre_dir / "spectra.crns",
                     "--out-dir", tmp_path / "out"]) == 3
+
+    def test_malformed_container_is_data_error(self, tmp_path):
+        path = tmp_path / "spectra.crns"
+        write_container(path, {"spectra": np.arange(4, dtype=np.int64)}, {"kind": "spectraset"})
+        rewrite_directory(path, lambda d: d["arrays"][0].update(dtype="|O"))  # same byte length
+        assert run(["train", path, "--head", "type", "--out-dir", tmp_path / "out"]) == 3
 
     def test_usage_error_exit_code(self):
         assert run(["train"]) == 2  # missing required arguments

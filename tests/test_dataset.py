@@ -1,4 +1,6 @@
+import struct
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -18,9 +20,11 @@ from carenet.dataset import (
     write_spectraset,
 )
 from carenet.errors import DataError
-from carenet.spectral import RAW_AXIS, build_axis
+from carenet.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
+from carenet.spectral import RAW_AXIS, WavenumberAxis
+from tests.conftest import rewrite_directory
 
-AXIS = build_axis(1800, 900, 467)
+AXIS = WavenumberAxis(1800.0, 900.0, 467)
 
 
 def small_spectraset(n=3, rng=None):
@@ -112,18 +116,10 @@ class TestContainer:
             read_container(path)
 
     def test_shape_length_mismatch_rejected(self, tmp_path):
-        import json
-        import struct
-
         path = tmp_path / "data.crns"
         write_container(path, {"x": np.arange(4, dtype=np.int64)}, {})
-        raw = path.read_bytes()
-        (dir_len,) = struct.unpack_from("<I", raw, 6)
-        directory = json.loads(raw[10:10 + dir_len])
-        directory["arrays"][0]["shape"] = [5]  # now disagrees with byte length
-        new_dir = json.dumps(directory, separators=(",", ":"), sort_keys=True).encode()
-        new_raw = raw[:6] + struct.pack("<I", len(new_dir)) + new_dir + raw[10 + dir_len:]
-        path.write_bytes(new_raw)
+        # now disagrees with byte length
+        rewrite_directory(path, lambda d: d["arrays"][0].update(shape=[5]))
         with pytest.raises(DataError):
             read_container(path)
 
@@ -233,3 +229,62 @@ class TestCsv:
         path.write_text("something,else\n1,2\n")
         with pytest.raises(DataError):
             spectraset_from_csv(path)
+
+    # cell index in a data row: 0-3 ids, 4 core type, 5 subtype, 6.. intensities
+    @pytest.mark.parametrize("cell,value", [(5, "LC"), (1, "2.5"), (40, "abc")],
+                             ids=["unknown-subtype", "non-integer-id", "non-numeric-intensity"])
+    def test_bad_cell_names_its_row(self, tmp_path, cell, value):
+        path = tmp_path / "set.csv"
+        spectraset_to_csv(small_spectraset(), path)
+        lines = path.read_text().splitlines()
+        cells = lines[1].split(",")  # the first data row: a CA core of subtype HER2
+        cells[cell] = value
+        lines[1] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="row 2 "):
+            spectraset_from_csv(path)
+
+
+def _edited_container(path, edit, n=4):
+    write_container(path, {"x": np.arange(n, dtype=np.int64)}, {"kind": "test"})
+    rewrite_directory(path, edit)
+    return lambda: read_container(path)
+
+
+def _entry(**fields):
+    return lambda directory: directory["arrays"][0].update(fields)
+
+
+def _cube_with_core_id(path, core_id):
+    write_cube(HyperCube(np.zeros((2, 2, RAW_AXIS.n_points), dtype=np.float32),
+                         RAW_AXIS, 0, 1, "AT", "none"), path)
+    rewrite_directory(path, lambda d: d["meta"].update(core_id=core_id))
+    return lambda: read_cube(path)
+
+
+def _checkpoint_with_descriptor(path, descriptor: bytes):
+    body = (CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION)
+            + struct.pack("<I", len(descriptor)) + descriptor + struct.pack("<Q", 0))
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid CRC
+    return lambda: load_checkpoint(path)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda p: _edited_container(p, _entry(dtype="|O")), id="object-dtype"),
+    # 8 * (2**62 + 1) * 4 wraps round to the 32 bytes on disk in int64 arithmetic
+    pytest.param(lambda p: _edited_container(p, _entry(shape=[2**62 + 1, 4])),
+                 id="shape-overflows-int64"),
+    pytest.param(lambda p: _edited_container(p, _entry(shape=[-2, 0]), n=0),
+                 id="negative-dim-next-to-zero"),
+    pytest.param(lambda p: _edited_container(p, lambda d: d.update(arrays=5)),
+                 id="arrays-not-a-list"),
+    pytest.param(lambda p: _edited_container(p, lambda d: d.update(arrays=[7])),
+                 id="entry-not-an-object"),
+    pytest.param(lambda p: _cube_with_core_id(p, "seven"), id="non-integer-core-id"),
+    pytest.param(lambda p: _checkpoint_with_descriptor(p, b"[]"),
+                 id="checkpoint-descriptor-not-an-object"),
+])
+def test_malformed_input_is_data_error(tmp_path, make):
+    read = make(tmp_path / "bad.bin")
+    with pytest.raises(DataError):
+        read()

@@ -5,8 +5,6 @@ from carenet.errors import DataError
 from carenet.evaluation import (
     MetricRow,
     classify,
-    classify_binary,
-    classify_subtype,
     compute_metrics,
     fold_mean_std,
     patient_vote,
@@ -17,15 +15,15 @@ from carenet.evaluation import (
 
 class TestClassify:
     def test_binary_boundary_inclusive(self):
-        np.testing.assert_array_equal(classify_binary(np.array([0.49, 0.5, 0.51])), [0, 1, 1])
+        probs = np.array([[0.49], [0.5], [0.51]])
+        np.testing.assert_array_equal(classify(probs, "type"), [0, 1, 1])
 
     def test_subtype_argmax(self):
-        classes, ties = classify_subtype(np.array([[0.1, 0.6, 0.2, 0.1]]))
-        assert classes[0] == 1 and not ties[0]
+        np.testing.assert_array_equal(classify(np.array([[0.1, 0.6, 0.2, 0.1]]), "subtype"), [1])
 
-    def test_subtype_tie_lowest_index_flagged(self):
-        classes, ties = classify_subtype(np.array([[0.25, 0.25, 0.25, 0.25]]))
-        assert classes[0] == 0 and ties[0]
+    def test_subtype_tie_goes_to_lowest_index(self):
+        np.testing.assert_array_equal(classify(np.array([[0.25, 0.25, 0.25, 0.25]]), "subtype"),
+                                      [0])
 
     def test_spectrum_wrapper(self):
         assert classify(np.array([0.5]), "type") == 1
