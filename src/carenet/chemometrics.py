@@ -1,14 +1,20 @@
 """PCA, Hotelling T2 / Q-residual outlier rejection, and EMSC correction.
 
+PCA factors the Gram matrix of the centred rows (p x p, or n x n for fewer
+rows than columns) with one symmetric eigendecomposition; the n x p left
+singular factor is never formed.
+
 The EMSC design matrix stacks the tissue reference, a polynomial baseline
 evaluated on the axis rescaled to [-1, 1], and masked interferent blocks
 (per-block global mean plus PCA loadings, zeroed outside the block's band).
-Correction solves one least-squares problem per spectrum against that matrix.
+Its pseudo-inverse is computed once per model, so correcting a matrix of
+spectra is one projection onto the design rather than a least-squares
+solve per spectrum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +29,7 @@ __all__ = [
     "scores_and_residuals",
     "remove_outliers",
     "write_outlier_report",
+    "interferent_block",
     "emsc_build_model",
     "emsc_correct_rows",
     "PARAFFIN_MASK_BAND",
@@ -35,6 +42,7 @@ H2O_MASK_BAND = Band(1800.0, 1300.0)
 _VARIANCE_TINY = 1e-12
 _BASELINE_ORDER = 4
 _REF_COEF_FLOOR = 1e-6
+_INTERFERENT_VARIANCE = 0.99  # explained-variance share kept per interferent block
 
 
 @dataclass
@@ -71,12 +79,48 @@ class OutlierReport:
             raise DataError("keep flags inconsistent with thresholds")
 
 
+def _variance_spectrum(data: np.ndarray):
+    """(mean, variances, loadings) of all min(n, p) principal components.
+
+    One eigendecomposition of the smaller Gram matrix of the centred rows C,
+    sorted descending, with roundoff below zero clipped: C'C (p x p) for
+    n >= p; for fewer rows than columns C C' (n x n), whose eigenvectors u
+    give the loadings as the normalised C'u (the snapshot method).
+    """
+    mean = data.mean(axis=0)
+    centered = data - mean
+    wide = data.shape[0] < data.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = centered @ centered.T if wide else centered.T @ centered
+    if not np.all(np.isfinite(gram)):
+        raise NumericalError("PCA Gram matrix overflows float64")
+    try:
+        eigvals, eigvecs = np.linalg.eigh(gram)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"PCA eigendecomposition failed: {exc}") from exc
+    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
+    if wide:
+        eigvecs = centered.T @ eigvecs
+        norms = np.linalg.norm(eigvecs, axis=0)
+        eigvecs /= np.where(norms > 0.0, norms, 1.0)
+    variances = np.maximum(eigvals, 0.0) / (data.shape[0] - 1)
+    return mean, variances, eigvecs.T
+
+
+def _numerical_rank(variances: np.ndarray, shape: tuple[int, int]) -> int:
+    """Count of variances above the roundoff level of a Gram eigendecomposition."""
+    if variances.size == 0 or variances[0] <= 0.0:
+        return 0
+    return int((variances > variances[0] * max(shape) * np.finfo(np.float64).eps).sum())
+
+
 def pca_fit(data: np.ndarray, n_components: int | None = None,
             variance_threshold: float | None = None) -> PcaModel:
-    """PCA via SVD of mean-centered rows.
+    """PCA from the eigendecomposition of the centred rows' Gram matrix.
 
-    Exactly one selector applies: a fixed component count, or the smallest
-    count whose cumulative explained-variance ratio reaches the threshold.
+    Exactly one selector applies: a fixed component count (at most
+    min(n, p)), or the smallest count whose cumulative explained-variance
+    ratio reaches the threshold.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
@@ -84,10 +128,7 @@ def pca_fit(data: np.ndarray, n_components: int | None = None,
     if (n_components is None) == (variance_threshold is None):
         raise DataError("choose exactly one of n_components / variance_threshold")
 
-    mean = data.mean(axis=0)
-    centered = data - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    variances = svals ** 2 / (data.shape[0] - 1)
+    mean, variances, loadings = _variance_spectrum(data)
     total = float(variances.sum())
     if total <= _VARIANCE_TINY:
         raise NumericalError("data has (numerically) zero variance; PCA is degenerate")
@@ -99,35 +140,36 @@ def pca_fit(data: np.ndarray, n_components: int | None = None,
         p = int(np.searchsorted(ratios, variance_threshold - 1e-12) + 1)
     else:
         p = int(n_components)
-        if p < 1 or p > svals.size:
+        if p < 1 or p > variances.size:
             raise DataError(
                 f"cannot extract {p} components from {data.shape[0]}x{data.shape[1]} data"
             )
-    return PcaModel(mean=mean, loadings=vt[:p].copy(),
+    return PcaModel(mean=mean, loadings=loadings[:p].copy(),
                     explained_variance=variances[:p].copy(), total_variance=total)
 
 
 def rank_estimate(data: np.ndarray) -> int:
-    """Numerical rank of the mean-centered data (for clamping component counts)."""
+    """Numerical rank of the mean-centred data (for clamping component counts).
+
+    Counts Gram eigenvalues above lambda_0 * max(n, p) * eps. The Gram matrix
+    squares the singular values, so its eigenvalues cannot resolve the 1e-10
+    singular-value ratio an SVD-based rank would use; directions below this
+    relative level are roundoff and are not counted.
+    """
     data = np.asarray(data, dtype=np.float64)
-    centered = data - data.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    if svals.size == 0 or svals[0] <= 0.0:
-        return 0
-    return int((svals > svals[0] * 1e-10).sum())
+    _, variances, _ = _variance_spectrum(data)
+    return _numerical_rank(variances, data.shape)
 
 
-def scores_and_residuals(model: PcaModel, spectra: np.ndarray):
-    """Scores, Hotelling T2, and Q residual for one spectrum or a matrix.
+def scores_and_residuals(model: PcaModel, rows: np.ndarray):
+    """Scores, Hotelling T2, and Q residual for each row of an (n, p) matrix.
 
     Components with vanishing variance are excluded from T2
     since dividing by them would make the statistic meaningless.
     """
-    x = np.asarray(spectra, dtype=np.float64)
-    single = x.ndim == 1
-    rows = np.atleast_2d(x)
-    if rows.shape[1] != model.mean.shape[0]:
-        raise DataError("spectrum length does not match PCA model")
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != model.mean.shape[0]:
+        raise DataError("spectra must be (n, p) rows matching the PCA model")
 
     centered = rows - model.mean
     scores = centered @ model.loadings.T
@@ -136,8 +178,6 @@ def scores_and_residuals(model: PcaModel, spectra: np.ndarray):
     t2 = (scores[:, usable] ** 2 / lam[usable]).sum(axis=1)
     residual = centered - scores @ model.loadings
     q = (residual ** 2).sum(axis=1)
-    if single:
-        return scores[0], float(t2[0]), float(q[0])
     return scores, t2, q
 
 
@@ -145,20 +185,22 @@ def remove_outliers(data: np.ndarray, n_pcs: int = 10,
                     confidence: float = 0.95) -> tuple[np.ndarray, OutlierReport]:
     """Single-pass T2-vs-Q rejection at empirical percentile thresholds.
 
-    Thresholds are the `confidence` quantiles of T2 and Q over the data; a
-    spectrum exceeding either is rejected. Thresholds are not re-fit after
-    rejection.
+    The data is factored once: the model keeps the leading n_pcs components
+    that lie above the numerical rank cutoff of `rank_estimate` (identical
+    spectra leave none and raise NumericalError). Thresholds are the
+    `confidence` quantiles of T2 and Q over the data; a spectrum exceeding
+    either is rejected. Thresholds are not re-fit after rejection.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DataError("expected a 2-D spectra matrix")
     if data.shape[0] <= n_pcs:
         raise DataError(f"need more than {n_pcs} rows, got {data.shape[0]}")
-    rank = rank_estimate(data)
-    if rank == 0:
-        raise NumericalError("all spectra are identical; outlier statistics are degenerate")
 
-    model = pca_fit(data, n_components=min(n_pcs, rank))
+    model = pca_fit(data, n_components=min(n_pcs, data.shape[1]))
+    rank = _numerical_rank(model.explained_variance, data.shape)  # >= 1: pca_fit passed
+    model = replace(model, loadings=model.loadings[:rank],
+                    explained_variance=model.explained_variance[:rank])
     _, t2, q = scores_and_residuals(model, data)
     t2_thr = float(np.quantile(t2, confidence))
     q_thr = float(np.quantile(q, confidence))
@@ -185,11 +227,12 @@ def write_outlier_report(report: OutlierReport, path) -> None:
 
 @dataclass
 class EmscModel:
-    """Assembled least-squares design for spectra on a fixed axis."""
+    """Assembled design for spectra on a fixed axis, with its pseudo-inverse."""
 
     axis: WavenumberAxis
     reference: np.ndarray       # (p,) tissue reference, first design column
     design: np.ndarray          # (p, m)
+    projector: np.ndarray       # (m, p) pseudo-inverse of design
     n_paraffin_pcs: int
     n_h2o_pcs: int
 
@@ -212,9 +255,12 @@ class EmscModel:
         return slice(start, start + 1 + self.n_h2o_pcs)
 
 
-def _masked_interferent_basis(spectra: np.ndarray, axis: WavenumberAxis, band: Band,
-                              variance_threshold: float) -> tuple[np.ndarray, int]:
-    """Global mean plus PCA loadings, all zeroed outside the band."""
+def interferent_block(spectra: np.ndarray, axis: WavenumberAxis, band: Band) -> np.ndarray:
+    """Global mean plus 99%-variance PCA loadings as rows, all zeroed outside the band.
+
+    Row 0 is the mean; the rows after it are the loadings, so a block has
+    `block.shape[0] - 1` principal components.
+    """
     spectra = np.asarray(spectra, dtype=np.float64)
     if spectra.ndim != 2 or spectra.shape[0] == 0:
         raise DataError("interferent set must be a non-empty 2-D matrix")
@@ -222,52 +268,58 @@ def _masked_interferent_basis(spectra: np.ndarray, axis: WavenumberAxis, band: B
         raise DataError("interferent spectra do not match the model axis")
 
     mean = spectra.mean(axis=0)
-    basis = mean[None, :].copy()
-    n_pcs = 0
+    basis = mean[None, :]
     if spectra.shape[0] >= 2:
         try:
-            model = pca_fit(spectra, variance_threshold=variance_threshold)
+            model = pca_fit(spectra, variance_threshold=_INTERFERENT_VARIANCE)
         except NumericalError:
             pass  # identical spectra: the mean says everything there is to say
         else:
             basis = np.vstack([mean, model.loadings])
-            n_pcs = model.n_components
 
     mask = np.zeros(axis.n_points, dtype=np.float64)
     mask[band_slice(axis, band)] = 1.0
-    return basis * mask, n_pcs
+    return basis * mask
 
 
 def emsc_build_model(tissue_mean: np.ndarray, paraffin_spectra: np.ndarray,
-                     h2o_spectra: np.ndarray, axis: WavenumberAxis,
-                     variance_threshold: float = 0.99,
-                     paraffin_band: Band = PARAFFIN_MASK_BAND,
-                     h2o_band: Band = H2O_MASK_BAND) -> EmscModel:
-    """Assemble the EMSC design: reference | baseline | paraffin | H2O blocks."""
+                     h2o_block: np.ndarray, axis: WavenumberAxis) -> EmscModel:
+    """Assemble the EMSC design: reference | baseline | paraffin | H2O blocks.
+
+    The paraffin block is built here from the core's paraffin spectra; the
+    H2O block is the panel-wide `interferent_block` of the water-vapour
+    spectra, built once and shared by every core.
+    """
     reference = np.asarray(tissue_mean, dtype=np.float64)
     if reference.shape != (axis.n_points,):
         raise DataError("tissue reference does not match the model axis")
+    h2o_block = np.asarray(h2o_block, dtype=np.float64)
+    if h2o_block.ndim != 2 or h2o_block.shape[0] == 0 or h2o_block.shape[1] != axis.n_points:
+        raise DataError("H2O block must be a non-empty (k, axis.n_points) matrix")
 
     values = axis.values
     mid = 0.5 * (values[0] + values[-1])
     halfspan = 0.5 * (values[0] - values[-1])
     t = (values - mid) / halfspan
     baseline = np.vander(t, _BASELINE_ORDER + 1, increasing=True)  # (p, 5)
+    par_block = interferent_block(paraffin_spectra, axis, PARAFFIN_MASK_BAND)
 
-    par_basis, n_par = _masked_interferent_basis(paraffin_spectra, axis, paraffin_band,
-                                                 variance_threshold)
-    h2o_basis, n_h2o = _masked_interferent_basis(h2o_spectra, axis, h2o_band,
-                                                 variance_threshold)
-
-    design = np.column_stack([reference, baseline, par_basis.T, h2o_basis.T])
+    design = np.column_stack([reference, baseline, par_block.T, h2o_block.T])
     if not np.all(np.isfinite(design)):
         raise NumericalError("EMSC design matrix contains non-finite values")
-    return EmscModel(axis=axis, reference=reference, design=design,
-                     n_paraffin_pcs=n_par, n_h2o_pcs=n_h2o)
+    # lstsq(rcond=None)'s cutoff; pinv's own default (1e-15) would keep more
+    rcond = np.finfo(np.float64).eps * max(design.shape)
+    try:
+        projector = np.linalg.pinv(design, rcond=rcond)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"EMSC design pseudo-inverse failed: {exc}") from exc
+    return EmscModel(axis=axis, reference=reference, design=design, projector=projector,
+                     n_paraffin_pcs=par_block.shape[0] - 1,
+                     n_h2o_pcs=h2o_block.shape[0] - 1)
 
 
 def emsc_correct_rows(rows: np.ndarray, model: EmscModel):
-    """Least-squares EMSC for a matrix of spectra.
+    """Least-squares EMSC for a matrix of spectra, by the model's projector.
 
     Returns (corrected, coefficients, usable): rows whose reference
     coefficient is numerically zero are not tissue-like; they come back
@@ -276,13 +328,10 @@ def emsc_correct_rows(rows: np.ndarray, model: EmscModel):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.axis.n_points:
         raise DataError("spectra must be (n, axis.n_points)")
-    coefs, _, _, _ = np.linalg.lstsq(model.design, rows.T, rcond=None)
-    coefs = coefs.T  # (n, m)
+    coefs = rows @ model.projector.T  # (n, m)
     ref = coefs[:, 0]
     usable = np.abs(ref) >= _REF_COEF_FLOOR
-    fit_without_ref = coefs[:, 1:] @ model.design[:, 1:].T
-    corrected = np.zeros_like(rows)
     safe_ref = np.where(usable, ref, 1.0)
-    corrected[usable] = ((rows - fit_without_ref) / safe_ref[:, None])[usable]
+    corrected = (rows - coefs[:, 1:] @ model.design[:, 1:].T) / safe_ref[:, None]
+    corrected[~usable] = 0.0
     return corrected, coefs, usable
-

@@ -214,13 +214,18 @@ def _load_panel_dir(panel_dir: Path):
     index_path = panel_dir / "panel.json"
     if not index_path.exists():
         raise DataError(f"{panel_dir}: no panel.json found")
-    with open(index_path, "r", encoding="utf-8") as fh:
-        index = json.load(fh)
-    cubes = []
-    for core_id in sorted(int(k) for k in index["cores"]):
-        cube, _ = read_cube(panel_dir / index["cores"][str(core_id)])
-        cubes.append(cube)
-    h2o_cube, _ = read_cube(panel_dir / index["h2o"])
+    try:
+        with open(index_path, "r", encoding="utf-8") as fh:
+            index = json.load(fh)
+        cores = {int(k): v for k, v in index["cores"].items()}
+        h2o_name = index["h2o"]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{index_path}: malformed panel index ({exc!r})") from exc
+    names = list(cores.values()) + [h2o_name]
+    if not all(isinstance(name, str) for name in names):
+        raise DataError(f"{index_path}: cube file names must be strings")
+    cubes = [read_cube(panel_dir / cores[core_id])[0] for core_id in sorted(cores)]
+    h2o_cube, _ = read_cube(panel_dir / h2o_name)
     return cubes, h2o_cube, index
 
 
@@ -265,17 +270,22 @@ def _split_to_json(plan: SplitPlan) -> dict:
     }
 
 
-def _split_from_json(data: dict) -> SplitPlan:
-    return SplitPlan(
-        seed=int(data["seed"]),
-        test_patients=tuple(int(p) for p in data["test_patients"]),
-        test_type_cores=tuple((int(p), str(k)) for p, k in data["test_type_cores"]),
-        folds=tuple(
-            Fold(train_patients=tuple(int(p) for p in f["train"]),
-                 dev_patients=tuple(int(p) for p in f["dev"]))
-            for f in data["folds"]
-        ),
-    )
+def _split_from_json(path: Path) -> SplitPlan:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        return SplitPlan(
+            seed=int(data["seed"]),
+            test_patients=tuple(int(p) for p in data["test_patients"]),
+            test_type_cores=tuple((int(p), str(k)) for p, k in data["test_type_cores"]),
+            folds=tuple(
+                Fold(train_patients=tuple(int(p) for p in f["train"]),
+                     dev_patients=tuple(int(p) for p in f["dev"]))
+                for f in data["folds"]
+            ),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed split ({exc!r})") from exc
 
 
 def cmd_train(args) -> int:
@@ -407,8 +417,7 @@ def cmd_eval(args) -> int:
     split_path = train_dir / "split.json"
     if not split_path.exists():
         raise DataError(f"{train_dir}: no split.json (is this a train run directory?)")
-    with open(split_path, "r", encoding="utf-8") as fh:
-        plan = _split_from_json(json.load(fh))
+    plan = _split_from_json(split_path)
     missing = [pid for pid in plan.test_patients if pid not in patients_by_id]
     if missing:
         raise DataError(f"container lacks test patients {missing}")
@@ -451,8 +460,7 @@ def cmd_gradcam(args) -> int:
         raise DataError(f"{train_dir}: missing history.json/split.json")
     with open(history_path, "r", encoding="utf-8") as fh:
         history = json.load(fh)
-    with open(split_path, "r", encoding="utf-8") as fh:
-        plan = _split_from_json(json.load(fh))
+    plan = _split_from_json(split_path)
 
     # best fold = lowest dev loss at its best epoch
     def fold_best_loss(name):

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dataset import HyperCube
 from .errors import DataError, NumericalError
-from .spectral import AMIDE_BAND, PARAFFIN_PEAK_BAND, band_slice, integrate_band_rows
+from .spectral import AMIDE_BAND, PARAFFIN_PEAK_BAND, band_slice, integrate_band_rows, sub_axis
 
 __all__ = [
     "KmeansResult",
@@ -95,7 +95,8 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     d2 = ((points - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
-        # distinct-point precondition guarantees some mass remains
+        if not total > 0.0:
+            raise NumericalError(f"k={k} exceeds the {j} distinct points available")
         probs = d2 / total
         idx = rng.choice(n, p=probs)
         centroids[j] = points[idx]
@@ -111,10 +112,6 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
         raise DataError("kmeans expects a non-empty 2-D point matrix")
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
-    n_distinct = np.unique(points, axis=0).shape[0]
-    if k > n_distinct:
-        raise NumericalError(f"k={k} exceeds the {n_distinct} distinct points available")
-
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp(points, k, rng)
 
@@ -186,9 +183,9 @@ def _area_contrast(labels: np.ndarray, areas: np.ndarray,
 def select_tissue(cube: HyperCube, seed: int = 0) -> PixelMask:
     """First clustering step: amide-band k=2, larger-area cluster is tissue."""
     sel = band_slice(cube.axis, AMIDE_BAND)
-    spectra = cube.spectra_matrix().astype(np.float64)
-    result = kmeans(spectra[:, sel], 2, seed=seed)
-    areas = integrate_band_rows(spectra, cube.axis, AMIDE_BAND)
+    amide = cube.spectra_matrix()[:, sel].astype(np.float64)  # cut in float32, then upcast
+    result = kmeans(amide, 2, seed=seed)
+    areas = integrate_band_rows(amide, sub_axis(cube.axis, sel), AMIDE_BAND)
     labels = order_clusters_by_area(result.assignments, areas)
     mask = (labels == 1).reshape(cube.rows, cube.cols)
     return PixelMask(mask=mask, role="tissue",
@@ -205,17 +202,17 @@ def select_paraffin(cube: HyperCube, tissue_mask: PixelMask, seed: int = 0) -> P
     if tissue_mask.mask.shape != (cube.rows, cube.cols):
         raise DataError("tissue mask shape does not match cube")
     sel = band_slice(cube.axis, PARAFFIN_PEAK_BAND)
-    spectra = cube.spectra_matrix().astype(np.float64)
+    peak = cube.spectra_matrix()[:, sel].astype(np.float64)  # cut in float32, then upcast
     tissue_flat = tissue_mask.mask.ravel()
 
-    banded = spectra[:, sel].copy()
+    banded = peak.copy()
     banded[tissue_flat] = 0.0
     if tissue_flat.all():
         mask = np.zeros((cube.rows, cube.cols), dtype=bool)
         return PixelMask(mask=mask, role="paraffin", low_coverage=True, area_contrast=0.0)
 
     result = kmeans(banded, 2, seed=seed)
-    areas = integrate_band_rows(spectra, cube.axis, PARAFFIN_PEAK_BAND)
+    areas = integrate_band_rows(peak, sub_axis(cube.axis, sel), PARAFFIN_PEAK_BAND)
     labels = order_clusters_by_area(result.assignments, areas, valid=~tissue_flat)
     flat = (labels == 1) & ~tissue_flat
     mask = flat.reshape(cube.rows, cube.cols)

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chemometrics import emsc_build_model, emsc_correct_rows, remove_outliers
+from .chemometrics import (
+    H2O_MASK_BAND,
+    emsc_build_model,
+    emsc_correct_rows,
+    interferent_block,
+    remove_outliers,
+)
 from .clustering import select_paraffin, select_tissue
 from .dataset import SUBTYPE_NONE, SUBTYPES, HyperCube, SpectraSet, subtype_one_hot
 from .errors import DataError, NumericalError
@@ -236,15 +242,22 @@ def _outlier_pass(rows: np.ndarray) -> np.ndarray:
 
 
 def preprocess_h2o(h2o_cube: HyperCube) -> np.ndarray:
-    """Environment-image spectra: truncate, outlier pass, smooth."""
+    """The panel's EMSC water-vapour block from its environment image.
+
+    Truncate, outlier pass, smooth, then `interferent_block` over the H2O
+    band: built once per panel and shared by every core's EMSC model.
+    """
     sel = band_slice(h2o_cube.axis, BIOFINGERPRINT_BAND)
-    rows = h2o_cube.spectra_matrix().astype(np.float64)[:, sel]
-    rows = rows[_outlier_pass(rows)]
-    return savgol_smooth(rows)
+    rows = h2o_cube.spectra_matrix()[:, sel].astype(np.float64)
+    rows = savgol_smooth(rows[_outlier_pass(rows)])
+    return interferent_block(rows, sub_axis(h2o_cube.axis, sel), H2O_MASK_BAND)
 
 
-def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0) -> CoreResult:
-    """Run the full per-core chain; raises DataError when no tissue survives."""
+def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> CoreResult:
+    """Run the full per-core chain against the panel's `preprocess_h2o` block.
+
+    Raises DataError when no tissue survives.
+    """
     tissue_mask = select_tissue(cube, seed=seed)
     paraffin_mask = select_paraffin(cube, tissue_mask, seed=seed)
     if not tissue_mask.mask.any():
@@ -252,11 +265,12 @@ def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0) -> 
     if not paraffin_mask.mask.any():
         raise DataError(f"core {cube.core_id}: clustering found no paraffin pixels")
 
+    # cut to the biofingerprint in float32; only the selected pixels are upcast
     sel = band_slice(cube.axis, BIOFINGERPRINT_BAND)
-    flat = cube.spectra_matrix().astype(np.float64)
+    flat = cube.spectra_matrix()[:, sel]
     tissue_idx = np.flatnonzero(tissue_mask.mask.ravel())
-    tissue = flat[tissue_idx][:, sel]
-    paraffin = flat[paraffin_mask.mask.ravel()][:, sel]
+    tissue = flat[tissue_idx].astype(np.float64)
+    paraffin = flat[paraffin_mask.mask.ravel()].astype(np.float64)
     n0 = tissue.shape[0]
 
     keep1 = _outlier_pass(tissue)
@@ -270,7 +284,7 @@ def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0) -> 
     tissue = savgol_smooth(tissue)
     paraffin = savgol_smooth(paraffin)
 
-    emsc = emsc_build_model(tissue.mean(axis=0), paraffin, h2o_spectra, sub_axis(cube.axis, sel))
+    emsc = emsc_build_model(tissue.mean(axis=0), paraffin, h2o_block, sub_axis(cube.axis, sel))
     corrected, _, usable = emsc_correct_rows(tissue, emsc)
     corrected = corrected[usable]
     tissue_idx = tissue_idx[usable]
@@ -311,16 +325,16 @@ def preprocess_core(cube: HyperCube, h2o_spectra: np.ndarray, seed: int = 0) -> 
 
 
 def preprocess_panel(cubes: list[HyperCube], h2o_cube: HyperCube, seed: int = 0, jobs: int = 1):
-    """Preprocess every core against a shared H2O model.
+    """Preprocess every core against one shared H2O block.
 
     Degenerate cores are reported and skipped, not fatal. Returns
     (SpectraSet, per-core CoreResult dict, skipped list of (core_id, reason)).
     """
-    h2o = preprocess_h2o(h2o_cube)
+    h2o_block = preprocess_h2o(h2o_cube)
 
     def run(cube: HyperCube) -> CoreResult | Exception:
         try:
-            return preprocess_core(cube, h2o, seed=seed)
+            return preprocess_core(cube, h2o_block, seed=seed)
         except (DataError, NumericalError) as exc:
             return exc
 

@@ -119,14 +119,16 @@ def integrate_band_rows(rows: np.ndarray, axis: WavenumberAxis, band: Band) -> n
 
 
 def savgol_smooth(y: np.ndarray, window: int = 11, poly_order: int = 2) -> np.ndarray:
-    """Savitzky-Golay smoothing along the last axis of a 1-D or 2-D array.
+    """Savitzky-Golay smoothing along each row of an (n, points) matrix.
 
     Interior points get the centered local least-squares fit; the first and
     last half-window points are the polynomial fitted to the first/last full
     window, evaluated at their offsets, so the output keeps the input length.
     """
     y = np.asarray(y, dtype=np.float64)
-    n = y.shape[-1]
+    if y.ndim != 2:
+        raise DataError("spectra must be an (n, points) matrix")
+    n = y.shape[1]
     if window % 2 == 0:
         raise DataError(f"window must be odd, got {window}")
     if window <= poly_order:
@@ -139,10 +141,10 @@ def savgol_smooth(y: np.ndarray, window: int = 11, poly_order: int = 2) -> np.nd
     vand = np.vander(offsets, poly_order + 1, increasing=True)
     hat = vand @ np.linalg.pinv(vand)  # fitted values at every in-window offset
 
-    interior = sliding_window_view(y, window, axis=-1) @ hat[half]
-    head = y[..., :window] @ hat[:half].T
-    tail = y[..., -window:] @ hat[half + 1 :].T
-    return np.concatenate([head, interior, tail], axis=-1)
+    interior = sliding_window_view(y, window, axis=1) @ hat[half]
+    head = y[:, :window] @ hat[:half].T
+    tail = y[:, -window:] @ hat[half + 1 :].T
+    return np.concatenate([head, interior, tail], axis=1)
 
 
 def minmax_normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -6,7 +6,9 @@ from carenet.chemometrics import (
     PARAFFIN_MASK_BAND,
     emsc_build_model,
     emsc_correct_rows,
+    interferent_block,
     pca_fit,
+    rank_estimate,
     remove_outliers,
     scores_and_residuals,
     write_outlier_report,
@@ -90,6 +92,12 @@ class TestPcaFit:
             pca_fit(np.ones((5, 4)), n_components=1)
 
 
+def scores_one(model, x):
+    """scores_and_residuals on one spectrum as a one-row matrix."""
+    scores, t2, q = scores_and_residuals(model, np.asarray(x)[None, :])
+    return scores[0], float(t2[0]), float(q[0])
+
+
 class TestScoresAndResiduals:
     @pytest.fixture()
     def model(self, rng):
@@ -98,7 +106,7 @@ class TestScoresAndResiduals:
 
     def test_mean_spectrum_scores_zero(self, model):
         pca, _ = model
-        scores, t2, q = scores_and_residuals(pca, pca.mean)
+        scores, t2, q = scores_one(pca, pca.mean)
         np.testing.assert_allclose(scores, 0.0, atol=1e-12)
         assert t2 == pytest.approx(0.0, abs=1e-20)
         assert q == pytest.approx(0.0, abs=1e-20)
@@ -106,14 +114,14 @@ class TestScoresAndResiduals:
     def test_unit_mahalanobis_step(self, model):
         pca, _ = model
         x = pca.mean + pca.loadings[0] * np.sqrt(pca.explained_variance[0])
-        _, t2, q = scores_and_residuals(pca, x)
+        _, t2, q = scores_one(pca, x)
         assert t2 == pytest.approx(1.0, rel=1e-9)
         assert q == pytest.approx(0.0, abs=1e-16)
 
     def test_matches_direct_projection_oracle(self, model, rng):
         pca, _ = model
         x = rng.standard_normal(20)
-        scores, t2, q = scores_and_residuals(pca, x)
+        scores, t2, q = scores_one(pca, x)
         centered = x - pca.mean
         t_oracle = np.array([pca.loadings[i] @ centered for i in range(4)])
         t2_oracle = sum(t_oracle[i] ** 2 / pca.explained_variance[i] for i in range(4))
@@ -129,8 +137,8 @@ class TestScoresAndResiduals:
         m1 = pca_fit(data, n_components=3)
         m2 = pca_fit(data[perm], n_components=3)
         x = rng.standard_normal(10)
-        _, t2a, qa = scores_and_residuals(m1, x)
-        _, t2b, qb = scores_and_residuals(m2, x)
+        _, t2a, qa = scores_one(m1, x)
+        _, t2b, qb = scores_one(m2, x)
         assert t2a == pytest.approx(t2b, rel=1e-9)
         assert qa == pytest.approx(qb, rel=1e-9)
 
@@ -181,6 +189,10 @@ class TestRemoveOutliers:
         assert len(lines) == 32
 
 
+def h2o_block(spectra):
+    return interferent_block(spectra, AXIS, H2O_MASK_BAND)
+
+
 class TestEmscModel:
     def values(self):
         return AXIS.values
@@ -206,7 +218,7 @@ class TestEmscModel:
             h2o_like(values, base_amps + jitter_scale * rng.standard_normal(5))
             for _ in range(n_h2o)
         ])
-        return emsc_build_model(m, paraffin, h2o, AXIS), m, paraffin, h2o
+        return emsc_build_model(m, paraffin, h2o_block(h2o), AXIS), m, paraffin, h2o
 
     def test_column_count(self, rng):
         model, _, _, _ = self.build(rng)
@@ -219,7 +231,8 @@ class TestEmscModel:
         model = emsc_build_model(
             tissue_like(values),
             paraffin_like(values)[None, :],
-            np.stack([h2o_like(values, 0.05 + 0.01 * rng.random(5)) for _ in range(5)]),
+            h2o_block(np.stack([h2o_like(values, 0.05 + 0.01 * rng.random(5))
+                                for _ in range(5)])),
             AXIS,
         )
         assert model.n_paraffin_pcs == 0
@@ -232,7 +245,7 @@ class TestEmscModel:
         rows = [base * (1 + s) + tiny * 0.001 * t
                 for s, t in [(-0.3, 1), (-0.1, -1), (0.1, 1), (0.3, -1)]]
         h2o = np.stack([h2o_like(values, [0.05] * 5), h2o_like(values, [0.06] * 5)])
-        model = emsc_build_model(tissue_like(values), np.stack(rows), h2o, AXIS)
+        model = emsc_build_model(tissue_like(values), np.stack(rows), h2o_block(h2o), AXIS)
         assert model.n_paraffin_pcs == 1
 
     def test_paraffin_basis_zero_outside_mask(self, rng):
@@ -252,13 +265,13 @@ class TestEmscModel:
         values = self.values()
         with pytest.raises(DataError):
             emsc_build_model(tissue_like(values)[:100], np.ones((3, 467)),
-                             np.ones((3, 467)), AXIS)
+                             h2o_block(np.ones((3, 467))), AXIS)
 
     def test_empty_interferents_rejected(self, rng):
         values = self.values()
         with pytest.raises(DataError):
             emsc_build_model(tissue_like(values), np.empty((0, 467)),
-                             np.ones((3, 467)), AXIS)
+                             h2o_block(np.ones((3, 467))), AXIS)
 
 
 def emsc_one(x, model):
@@ -314,3 +327,114 @@ class TestEmscCorrect:
         np.testing.assert_allclose(corrected[0], m, atol=1e-9)
         np.testing.assert_allclose(corrected[2], m, atol=1e-9)
         assert coefs[2, 0] == pytest.approx(1.5, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# float64 SVD / lstsq oracles for the Gram-eigh PCA and the EMSC projector
+
+
+def svd_pca(data):
+    """Reference PCA: variances and loadings from an SVD of the centred rows."""
+    centered = data - data.mean(axis=0)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
+    return svals ** 2 / (data.shape[0] - 1), vt
+
+
+def svd_keep_mask(data, n_pcs=10, confidence=0.95):
+    """Reference T2/Q keep mask: SVD rank at a 1e-10 ratio, SVD loadings."""
+    variances, vt = svd_pca(data)
+    svals = np.sqrt(variances)
+    k = min(n_pcs, int((svals > svals[0] * 1e-10).sum()))
+    centered = data - data.mean(axis=0)
+    scores = centered @ vt[:k].T
+    t2 = (scores ** 2 / variances[:k]).sum(axis=1)
+    q = ((centered - scores @ vt[:k]) ** 2).sum(axis=1)
+    return (t2 <= np.quantile(t2, confidence)) & (q <= np.quantile(q, confidence))
+
+
+def low_rank(rng, n, p, rank, noise):
+    data = (rng.standard_normal((n, rank)) * [5.0, 2.0, 1.0][:rank]) @ \
+        np.linalg.qr(rng.standard_normal((p, rank)))[0].T
+    return data + 3.0 + noise * rng.standard_normal((n, p))
+
+
+class TestGramPcaOracle:
+    # (n, p) both ways round: p x p Gram for n >= p, n x n Gram for n < p
+    @pytest.mark.parametrize("shape", [(120, 40), (30, 90)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("case", ["full_rank", "rank3", "rank3_noise"])
+    def test_matches_svd(self, rng, case, shape):
+        n, p = shape
+        if case == "full_rank":
+            data, k = rng.standard_normal((n, p)) * np.geomspace(8.0, 0.5, p), 5
+        else:
+            data, k = low_rank(rng, n, p, 3, 1e-9 if case == "rank3_noise" else 0.0), 3
+        model = pca_fit(data, n_components=k)
+        variances, vt = svd_pca(data)
+        lam0 = variances[0]
+        assert np.abs(model.explained_variance - variances[:k]).max() <= 1e-12 * lam0
+        assert model.total_variance == pytest.approx(variances.sum(), rel=1e-12)
+        np.testing.assert_allclose(np.abs(model.loadings), np.abs(vt[:k]), atol=1e-8)
+        np.testing.assert_allclose(model.loadings.T @ model.loadings, vt[:k].T @ vt[:k],
+                                   atol=1e-8)
+
+    def test_rank_reads_the_gram_spectrum(self, rng):
+        assert rank_estimate(rng.standard_normal((50, 12))) == 12
+        assert rank_estimate(rng.standard_normal((12, 50))) == 11  # centring removes one
+        assert rank_estimate(low_rank(rng, 120, 40, 3, 0.0)) == 3
+        # 1e-9 noise sits below what a Gram eigenvalue resolves (an SVD's
+        # 1e-10 singular-value ratio would count it as full rank)
+        assert rank_estimate(low_rank(rng, 120, 40, 3, 1e-9)) == 3
+        assert rank_estimate(low_rank(rng, 30, 90, 3, 1e-9)) == 3
+        assert rank_estimate(np.ones((5, 4))) == 0
+
+    @pytest.mark.parametrize("shape", [(300, 40), (100, 160)], ids=["tall", "wide"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_keep_mask_matches_svd_path(self, seed, shape):
+        n, p = shape
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((n, p)) * np.geomspace(4.0, 0.2, p)
+        data[rng.choice(n, 5, replace=False), rng.integers(0, p)] += 20.0
+        _, report = remove_outliers(data)
+        np.testing.assert_array_equal(report.kept, svd_keep_mask(data))
+
+    def test_overflowing_gram_is_numerical_error_or_matches_svd(self, rng):
+        # float32 cubes cannot get here; a 1e200-scaled float64 matrix squares past
+        # float64 in the Gram, where eigh would raise a raw LinAlgError
+        data = rng.standard_normal((60, 8)) * 1e200
+        try:
+            model = pca_fit(data, n_components=3)
+        except NumericalError:
+            pass
+        else:
+            np.testing.assert_allclose(model.explained_variance, svd_pca(data)[0][:3],
+                                       rtol=1e-10)
+        try:
+            _, report = remove_outliers(data, n_pcs=3)
+        except NumericalError:
+            pass
+        else:
+            np.testing.assert_array_equal(report.kept, svd_keep_mask(data, n_pcs=3))
+
+
+class TestEmscProjectorOracle:
+    # a column duplicated exactly, or to 1e-14: a singular value between pinv's
+    # default cutoff (1e-15) and lstsq's (eps * max(shape) ~ 1e-13), relative
+    @pytest.mark.parametrize("duplicate", [None, 0.0, 1e-14], ids=["full", "exact", "near"])
+    def test_matches_per_row_lstsq(self, rng, duplicate):
+        _, m, paraffin, h2o = TestEmscModel().build(rng)
+        block = h2o_block(h2o)
+        if duplicate is not None:  # rank-deficient: both sides give the minimum-norm fit
+            block = np.vstack([block, block[:1] + duplicate * rng.standard_normal(AXIS.n_points)])
+        model = emsc_build_model(m, paraffin, block, AXIS)
+        deficient = duplicate is not None
+        assert np.linalg.matrix_rank(model.design) == model.n_columns - deficient
+        rows = (rng.uniform(0.5, 2.0, (20, 1)) * m
+                + rng.uniform(-0.05, 0.05, (20, model.n_columns)) @ model.design.T
+                + 1e-3 * rng.standard_normal((20, AXIS.n_points)))
+        corrected, coefs, usable = emsc_correct_rows(rows, model)
+        assert usable.all()
+        for i, x in enumerate(rows):
+            oracle = np.linalg.lstsq(model.design, x, rcond=None)[0]
+            np.testing.assert_allclose(coefs[i], oracle, atol=1e-10)
+            fit = model.design[:, 1:] @ oracle[1:]
+            np.testing.assert_allclose(corrected[i], (x - fit) / oracle[0], atol=1e-10)

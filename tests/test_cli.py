@@ -186,5 +186,25 @@ class TestTrainEvalGradcam:
         rewrite_directory(path, lambda d: d["arrays"][0].update(dtype="|O"))  # same byte length
         assert run(["train", path, "--head", "type", "--out-dir", tmp_path / "out"]) == 3
 
+    @pytest.mark.parametrize("sidecar,edit", [
+        ("panel.json", lambda d: d.update(cores=[1])),
+        ("panel.json", lambda d: d.pop("h2o")),
+        ("panel.json", lambda d: d["cores"].update(x=d["cores"].pop("0"))),
+        ("split.json", lambda d: d.update(folds=5)),
+    ], ids=["cores_list", "missing_h2o", "core_key_x", "folds_int"])
+    def test_malformed_sidecar_is_data_error(self, tiny_run, tmp_path, sidecar, edit):
+        _, synth_dir, pre_dir, train_dirs = tiny_run
+        source = synth_dir if sidecar == "panel.json" else train_dirs["type"]
+        copy = tmp_path / "copy"
+        shutil.copytree(source, copy)
+        data = json.loads((copy / sidecar).read_text())
+        edit(data)
+        (copy / sidecar).write_text(json.dumps(data))
+        if sidecar == "panel.json":
+            argv = ["preprocess", copy]
+        else:
+            argv = ["eval", copy, pre_dir / "spectra.crns"]
+        assert run(argv + ["--out-dir", tmp_path / "out"]) == 3
+
     def test_usage_error_exit_code(self):
         assert run(["train"]) == 2  # missing required arguments

@@ -214,6 +214,24 @@ class TestPreprocessCore:
             np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
         assert serial.axis == parallel.axis
 
+    def test_h2o_block_built_once_per_panel(self, small_panel, monkeypatch):
+        from carenet import chemometrics, pipeline
+
+        h2o_builds = []
+        original = chemometrics.interferent_block
+
+        def counting(spectra, axis, band):
+            if band == chemometrics.H2O_MASK_BAND:
+                h2o_builds.append(spectra.shape)
+            return original(spectra, axis, band)
+
+        for module in (chemometrics, pipeline):
+            monkeypatch.setattr(module, "interferent_block", counting)
+        cubes = [small_panel.cubes[k] for k in sorted(small_panel.cubes)][:3]
+        _, results, skipped = preprocess_panel(cubes, small_panel.h2o_cube, seed=0)
+        assert len(results) == 3 and skipped == []
+        assert len(h2o_builds) == 1
+
 
 class TestTargets:
     def test_type_targets(self, small_panel):

@@ -121,19 +121,19 @@ class TestIntegrateBand:
 class TestSavitzkyGolay:
     def test_quadratic_reproduced_exactly(self):
         x = np.arange(100, dtype=float)
-        y = 0.3 * x**2 - 2.0 * x + 5.0
+        y = (0.3 * x**2 - 2.0 * x + 5.0)[None, :]
         out = savgol_smooth(y)
         np.testing.assert_allclose(out, y, atol=1e-10)
 
     def test_constant_unchanged(self):
-        out = savgol_smooth(np.full(50, 3.25))
-        np.testing.assert_allclose(out, np.full(50, 3.25), atol=1e-12)
+        out = savgol_smooth(np.full((1, 50), 3.25))
+        np.testing.assert_allclose(out, np.full((1, 50), 3.25), atol=1e-12)
 
     def test_matches_per_window_least_squares_oracle(self, rng):
         y = rng.standard_normal(60)
         window, order = 11, 2
         half = window // 2
-        out = savgol_smooth(y, window, order)
+        out = savgol_smooth(y[None, :], window, order)[0]
 
         def fit_eval(window_vals, eval_offset):
             offsets = np.arange(window) - half
@@ -152,11 +152,11 @@ class TestSavitzkyGolay:
 
     def test_even_window_rejected(self):
         with pytest.raises(DataError):
-            savgol_smooth(np.zeros(30), window=10)
+            savgol_smooth(np.zeros((1, 30)), window=10)
 
     def test_window_longer_than_signal_rejected(self):
         with pytest.raises(DataError):
-            savgol_smooth(np.zeros(5), window=11)
+            savgol_smooth(np.zeros((1, 5)), window=11)
 
     def test_spectrum_wrapper(self):
         # one spectrum as a one-row matrix keeps its shape; a quadratic survives
@@ -165,11 +165,15 @@ class TestSavitzkyGolay:
         assert out.shape == (1, 467)
         np.testing.assert_allclose(out, y, atol=1e-10)
 
+    def test_one_dimensional_rejected(self):
+        with pytest.raises(DataError):
+            savgol_smooth(np.zeros(30))
+
     def test_matrix_rows_match_single(self, rng):
         rows = rng.standard_normal((4, 40))
         batch = savgol_smooth(rows)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], savgol_smooth(rows[i]), atol=1e-12)
+            np.testing.assert_allclose(batch[i], savgol_smooth(rows[i:i + 1])[0], atol=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -181,7 +185,7 @@ class TestSavitzkyGolay:
     def test_degree_two_polynomials_fixed(self, coefs, n):
         a, b, c = coefs
         x = np.linspace(-1, 1, n)
-        y = a + b * x + c * x**2
+        y = (a + b * x + c * x**2)[None, :]
         np.testing.assert_allclose(savgol_smooth(y), y, atol=1e-10)
 
 
