@@ -28,7 +28,6 @@ __all__ = [
     "pca_fit",
     "scores_and_residuals",
     "remove_outliers",
-    "write_outlier_report",
     "interferent_block",
     "emsc_build_model",
     "emsc_correct_rows",
@@ -57,10 +56,6 @@ class PcaModel:
     @property
     def n_components(self) -> int:
         return self.loadings.shape[0]
-
-    @property
-    def explained_variance_ratio(self) -> np.ndarray:
-        return self.explained_variance / self.total_variance
 
 
 @dataclass
@@ -210,15 +205,6 @@ def remove_outliers(data: np.ndarray, n_pcs: int = 10,
     report = OutlierReport(t2=t2, q=q, kept=kept, t2_threshold=t2_thr,
                            q_threshold=q_thr, n_components=model.n_components)
     return data[kept], report
-
-
-def write_outlier_report(report: OutlierReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# t2_threshold={report.t2_threshold!r} q_threshold={report.q_threshold!r} "
-                 f"n_components={report.n_components}\n")
-        fh.write("spectrum_index,T2,Q,kept\n")
-        for i in range(report.t2.shape[0]):
-            fh.write(f"{i},{report.t2[i]!r},{report.q[i]!r},{int(report.kept[i])}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -446,6 +446,18 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _best_fold(path: Path) -> str:
+    """Name of the fold whose best epoch has the lowest dev loss."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            history = json.load(fh)
+        losses = {name: min(float(e["dev_loss"]) for e in fold["epochs"])
+                  for name, fold in history.items()}
+        return min(losses, key=losses.get)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed training history ({exc!r})") from exc
+
+
 def cmd_gradcam(args) -> int:
     started = time.time()
     run_dir = _run_dir(args, "gradcam")
@@ -458,16 +470,8 @@ def cmd_gradcam(args) -> int:
     split_path = train_dir / "split.json"
     if not history_path.exists() or not split_path.exists():
         raise DataError(f"{train_dir}: missing history.json/split.json")
-    with open(history_path, "r", encoding="utf-8") as fh:
-        history = json.load(fh)
+    best_fold = _best_fold(history_path)
     plan = _split_from_json(split_path)
-
-    # best fold = lowest dev loss at its best epoch
-    def fold_best_loss(name):
-        epochs = history[name]["epochs"]
-        return min(e["dev_loss"] for e in epochs)
-
-    best_fold = min(history, key=fold_best_loss)
     model, _ = load_checkpoint(train_dir / f"{best_fold}_best.crnm")
 
     # group test spectra by true class and average per class
@@ -487,7 +491,7 @@ def cmd_gradcam(args) -> int:
                 raise DataError(f"no test spectra with subtype {name}")
             groups[name] = gradcam_spectrum(model, sset.spectra[sel], target_class=idx)
 
-    heatmaps = class_average(groups, provenance={"fold": best_fold})
+    heatmaps = class_average(groups)
     outputs = []
     for name, heatmap in heatmaps.items():
         csv_path = run_dir / f"heatmap_{name}.csv"

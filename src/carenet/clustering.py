@@ -70,10 +70,6 @@ class PixelMask:
             raise DataError(f"unknown mask role {self.role!r}")
 
     @property
-    def fraction(self) -> float:
-        return float(self.mask.mean())
-
-    @property
     def plausible(self) -> bool:
         return not self.low_coverage and self.area_contrast >= AREA_CONTRAST_FLOOR
 

@@ -1,4 +1,5 @@
-"""Persistent containers for cubes and preprocessed spectra, plus label codecs.
+"""Persistent containers for cubes, preprocessed spectra and model checkpoints,
+plus label codecs.
 
 The on-disk format ("CRNS") is a single file holding named arrays:
 
@@ -11,7 +12,8 @@ The on-disk format ("CRNS") is a single file holding named arrays:
 Each directory entry records name, dtype (numpy string, little-endian),
 shape, offset (relative to the 64-byte-aligned payload start), byte length,
 and a CRC32. Readers must reject mismatched magic/version, overlapping or
-short entries, and CRC failures.
+short entries, and CRC failures. The meta "kind" names what a container
+holds: "hypercube" and "spectraset" here, "checkpoint" in model.py.
 """
 
 from __future__ import annotations
@@ -237,8 +239,11 @@ def write_container(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
 
 def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a CRNS file back into (arrays, meta); validates structure and CRCs."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read container ({exc})") from exc
     if len(raw) < 10 or raw[:4] != MAGIC:
         raise DataError(f"{path}: not a CRNS container")
     (version,) = struct.unpack_from("<H", raw, 4)
@@ -264,8 +269,8 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
             shape = tuple(int(s) for s in entry["shape"])
             parsed.append((int(entry["offset"]), int(entry["length"]), int(entry["crc32"]),
                            name, dtype, shape))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: malformed directory entry ({exc})") from exc
+        except Exception as exc:  # np.dtype(",f4") raises SyntaxError, not ValueError
+            raise DataError(f"{path}: malformed directory entry ({exc!r})") from exc
 
     data_start = _align(10 + dir_len)
     arrays: dict[str, np.ndarray] = {}

@@ -9,7 +9,7 @@ the result is linearly interpolated from the feature length back onto the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,6 @@ class Heatmap1D:
     class_label: str
     n_samples: int = 1
     degenerate: bool = False
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -96,8 +95,7 @@ def _cam_rows(model: CarenetModel, x: np.ndarray, col: int) -> np.ndarray:
     return np.maximum(cam, 0.0)
 
 
-def class_average(heatmaps_by_class: dict[str, np.ndarray],
-                  provenance: dict | None = None) -> dict[str, Heatmap1D]:
+def class_average(heatmaps_by_class: dict[str, np.ndarray]) -> dict[str, Heatmap1D]:
     """Mean heatmap per class, min-max normalized to [0, 1].
 
     A constant mean heatmap cannot be normalized; it comes back all-zero
@@ -117,7 +115,7 @@ def class_average(heatmaps_by_class: dict[str, np.ndarray],
             values = np.zeros_like(mean)
             degenerate = True
         out[label] = Heatmap1D(values=values, class_label=label, n_samples=maps.shape[0],
-                               degenerate=degenerate, provenance=provenance or {})
+                               degenerate=degenerate)
     return out
 
 

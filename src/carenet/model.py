@@ -5,16 +5,17 @@ residual stages with filters (16, 32, 64, 128) of two blocks each (first
 block of stages 2-4 downsamples by stride 2 through a kernel-1 projection
 shortcut), global average pooling, and a dense head. The type head is one
 sigmoid unit; the subtype head is four softmax units.
+
+Checkpoints are CRNS containers (dataset.write_container) of kind
+"checkpoint", so one validated reader guards them like every other binary
+input.
 """
 
 from __future__ import annotations
 
-import json
-import struct
-import zlib
-
 import numpy as np
 
+from .dataset import read_container, write_container
 from .errors import DataError
 from .nn import (
     Conv1D,
@@ -30,7 +31,6 @@ from .nn import (
 __all__ = [
     "CarenetModel",
     "build_carenet",
-    "count_params",
     "save_checkpoint",
     "load_checkpoint",
     "INPUT_LENGTH",
@@ -51,9 +51,6 @@ STEM_STRIDE = 2
 # ~1630/1410/1330/1060/960 spectra/s in chunks of 128/256/512/1024/2048.
 # 256 still runs a desk-scale dev set or test core as a single chunk.
 FORWARD_CHUNK = 256
-
-CHECKPOINT_MAGIC = b"CRNM"
-CHECKPOINT_VERSION = 1
 
 
 class CarenetModel:
@@ -151,9 +148,6 @@ class CarenetModel:
             dst.grad = np.zeros_like(dst.value)
         return clone
 
-    def copy(self) -> "CarenetModel":
-        return self.astype(self.dtype)
-
     def set_parameter_values(self, values: list[np.ndarray]) -> None:
         params = self.parameters()
         if len(values) != len(params):
@@ -173,59 +167,36 @@ def build_carenet(head: str, seed: int = 0, dtype=np.float32) -> CarenetModel:
     return CarenetModel(head, seed=seed, dtype=dtype)
 
 
-def count_params(model: CarenetModel) -> int:
-    """Total trainable parameter count."""
-    return int(sum(p.value.size for p in model.parameters()))
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 #
-# Layout: magic "CRNM" | u16 version | u32 descriptor length | UTF-8 JSON
-# descriptor | u64 float count | little-endian float32 parameter blob |
-# u32 CRC32 over everything before the trailer.
+# A checkpoint is a CRNS container (see dataset.py) of kind "checkpoint": one
+# float32 array per model.parameters() entry, named by its index, and meta
+# recording the head, the input length and the layer graph it was saved from.
+
+
+def _param_name(index: int) -> str:
+    return f"param{index:02d}"
 
 
 def save_checkpoint(model: CarenetModel, path, metadata: dict | None = None) -> None:
-    flat = [np.ascontiguousarray(p.value.astype(np.float32)) for p in model.parameters()]
-    blob = b"".join(a.tobytes() for a in flat)
-    n_floats = sum(a.size for a in flat)
-    descriptor = {
+    arrays = {_param_name(i): p.value.astype(np.float32)
+              for i, p in enumerate(model.parameters())}
+    write_container(path, arrays, {
+        "kind": "checkpoint",
         "head": model.head,
         "input_length": INPUT_LENGTH,
         "layers": model.layer_specs(),
-        "param_shapes": [list(p.value.shape) for p in model.parameters()],
         "metadata": metadata or {},
-    }
-    dj = json.dumps(descriptor, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    body = (CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION)
-            + struct.pack("<I", len(dj)) + dj + struct.pack("<Q", n_floats) + blob)
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(body)))
+    })
 
 
 def load_checkpoint(path, expect_head: str | None = None) -> tuple[CarenetModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, metadata)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 14 or raw[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a model checkpoint")
-    (version,) = struct.unpack_from("<H", raw, 4)
-    if version != CHECKPOINT_VERSION:
-        raise DataError(f"{path}: unsupported checkpoint version {version}")
-    body, trailer = raw[:-4], raw[-4:]
-    if struct.unpack("<I", trailer)[0] != zlib.crc32(body):
-        raise DataError(f"{path}: checkpoint failed its CRC32 check")
-    (dj_len,) = struct.unpack_from("<I", raw, 6)
-    try:
-        descriptor = json.loads(raw[10:10 + dj_len].decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: corrupt checkpoint descriptor ({exc})") from exc
-    if not isinstance(descriptor, dict):
-        raise DataError(f"{path}: checkpoint descriptor is not a JSON object")
-
-    head = descriptor.get("head")
+    arrays, meta = read_container(path)
+    if meta.get("kind") != "checkpoint":
+        raise DataError(f"{path}: container does not hold a model checkpoint")
+    head = meta.get("head")
     if head not in HEADS:
         raise DataError(f"{path}: checkpoint carries unknown head {head!r}")
     if expect_head is not None and head != expect_head:
@@ -234,21 +205,16 @@ def load_checkpoint(path, expect_head: str | None = None) -> tuple[CarenetModel,
             f"but {expect_head!r} was requested"
         )
     model = CarenetModel(head, seed=0)
-    if descriptor.get("layers") != model.layer_specs():
+    if (meta.get("input_length") != INPUT_LENGTH
+            or meta.get("layers") != model.layer_specs()):
         raise DataError(f"{path}: checkpoint layer graph does not match this architecture")
-
-    offset = 10 + dj_len
-    (n_floats,) = struct.unpack_from("<Q", raw, offset)
-    offset += 8
-    expected = sum(p.value.size for p in model.parameters())
-    if n_floats != expected or offset + 4 * n_floats != len(raw) - 4:
-        raise DataError(f"{path}: parameter blob length mismatch")
-    flat = np.frombuffer(raw, dtype="<f4", count=n_floats, offset=offset)
-    values = []
-    pos = 0
-    for p in model.parameters():
-        size = p.value.size
-        values.append(flat[pos:pos + size].reshape(p.value.shape).copy())
-        pos += size
-    model.set_parameter_values(values)
-    return model, descriptor.get("metadata", {})
+    names = [_param_name(i) for i in range(len(model.parameters()))]
+    if arrays.keys() != set(names):
+        raise DataError(f"{path}: checkpoint arrays are not this model's parameters")
+    if any(a.dtype != np.float32 for a in arrays.values()):
+        raise DataError(f"{path}: checkpoint parameters must be float32")
+    model.set_parameter_values([arrays[name] for name in names])  # checks each shape
+    metadata = meta.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise DataError(f"{path}: checkpoint metadata is not a JSON object")
+    return model, metadata

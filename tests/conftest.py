@@ -39,6 +39,11 @@ def relative_error(approx, exact):
     return float(np.max(np.abs(approx - exact) / denom))
 
 
+def count_params(model) -> int:
+    """Total trainable parameter count of a model."""
+    return int(sum(p.value.size for p in model.parameters()))
+
+
 def rewrite_directory(path, edit):
     """Rewrite a CRNS file's JSON directory in place; edit(directory) mutates it.
 

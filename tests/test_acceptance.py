@@ -20,7 +20,7 @@ from carenet.chemometrics import (
 from carenet.clustering import kmeans, select_paraffin, select_tissue
 from carenet.evaluation import classify, patient_vote
 from carenet.gradcam import class_average, gradcam_spectrum
-from carenet.model import INPUT_LENGTH, build_carenet, count_params
+from carenet.model import INPUT_LENGTH, build_carenet
 from carenet.nn import (
     Adam,
     Conv1D,
@@ -54,7 +54,7 @@ from carenet.spectral import (
     savgol_smooth,
 )
 from carenet.synthgen import BandSpec, SynthConfig, gen_cube, gen_panel, gen_spectrum
-from tests.conftest import central_difference, relative_error
+from tests.conftest import central_difference, count_params, relative_error
 
 AXIS467 = WavenumberAxis(1800.0, 900.0, 467)
 SUBTYPE_NAMES = ("LA", "LB", "HER2", "TNBC")

@@ -182,9 +182,12 @@ class TestTrainEvalGradcam:
 
     def test_malformed_container_is_data_error(self, tmp_path):
         path = tmp_path / "spectra.crns"
-        write_container(path, {"spectra": np.arange(4, dtype=np.int64)}, {"kind": "spectraset"})
-        rewrite_directory(path, lambda d: d["arrays"][0].update(dtype="|O"))  # same byte length
-        assert run(["train", path, "--head", "type", "--out-dir", tmp_path / "out"]) == 3
+        # "|O" keeps the byte length; ",f4" is one bit away from "<f4"
+        for dtype in ("|O", ",f4"):
+            write_container(path, {"spectra": np.arange(4, dtype=np.int64)},
+                            {"kind": "spectraset"})
+            rewrite_directory(path, lambda d: d["arrays"][0].update(dtype=dtype))
+            assert run(["train", path, "--head", "type", "--out-dir", tmp_path / "out"]) == 3
 
     @pytest.mark.parametrize("sidecar,edit", [
         ("panel.json", lambda d: d.update(cores=[1])),
@@ -205,6 +208,23 @@ class TestTrainEvalGradcam:
         else:
             argv = ["eval", copy, pre_dir / "spectra.crns"]
         assert run(argv + ["--out-dir", tmp_path / "out"]) == 3
+
+    @pytest.mark.parametrize("history", [
+        "{not json",
+        '{"fold1": 5}',
+        '{"fold1": {"best_epoch": 1}}',
+        '{"fold1": {"best_epoch": 1, "epochs": []}}',
+        '{"fold1": {"best_epoch": 1, "epochs": [{"dev_loss": "low"}]}}',
+        '{"fold9": {"best_epoch": 1, "epochs": [{"dev_loss": 0.5}]}}',
+    ], ids=["not_json", "fold_not_object", "missing_epochs", "empty_epochs",
+            "dev_loss_not_number", "fold_without_checkpoint"])
+    def test_malformed_history_is_data_error(self, tiny_run, tmp_path, history):
+        _, _, pre_dir, train_dirs = tiny_run
+        copy = tmp_path / "copy"
+        shutil.copytree(train_dirs["type"], copy)
+        (copy / "history.json").write_text(history)
+        assert run(["gradcam", copy, pre_dir / "spectra.crns",
+                    "--out-dir", tmp_path / "out"]) == 3
 
     def test_usage_error_exit_code(self):
         assert run(["train"]) == 2  # missing required arguments

@@ -1,9 +1,10 @@
-import struct
 import time
-import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carenet.dataset import (
     HyperCube,
@@ -20,7 +21,7 @@ from carenet.dataset import (
     write_spectraset,
 )
 from carenet.errors import DataError
-from carenet.model import CHECKPOINT_MAGIC, CHECKPOINT_VERSION, load_checkpoint
+from carenet.model import build_carenet, load_checkpoint, save_checkpoint
 from carenet.spectral import RAW_AXIS, WavenumberAxis
 from tests.conftest import rewrite_directory
 
@@ -262,15 +263,31 @@ def _cube_with_core_id(path, core_id):
     return lambda: read_cube(path)
 
 
-def _checkpoint_with_descriptor(path, descriptor: bytes):
-    body = (CHECKPOINT_MAGIC + struct.pack("<H", CHECKPOINT_VERSION)
-            + struct.pack("<I", len(descriptor)) + descriptor + struct.pack("<Q", 0))
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))  # a valid CRC
+def _edited_checkpoint(path, edit):
+    """A well-formed container whose checkpoint arrays edit(arrays) has changed."""
+    save_checkpoint(build_carenet("type"), path)
+    arrays, meta = read_container(path)
+    edit(arrays)
+    write_container(path, arrays, meta)
+    return lambda: load_checkpoint(path)
+
+
+def _first_array(change):
+    def edit(arrays):
+        name = next(iter(arrays))
+        arrays[name] = change(arrays[name])
+    return edit
+
+
+def _spectraset_as_checkpoint(path):
+    write_spectraset(small_spectraset(), path)
     return lambda: load_checkpoint(path)
 
 
 @pytest.mark.parametrize("make", [
     pytest.param(lambda p: _edited_container(p, _entry(dtype="|O")), id="object-dtype"),
+    # one bit away from "<f4"; numpy's dtype parser raises SyntaxError for it
+    pytest.param(lambda p: _edited_container(p, _entry(dtype=",f4")), id="dtype-syntax-error"),
     # 8 * (2**62 + 1) * 4 wraps round to the 32 bytes on disk in int64 arithmetic
     pytest.param(lambda p: _edited_container(p, _entry(shape=[2**62 + 1, 4])),
                  id="shape-overflows-int64"),
@@ -281,10 +298,58 @@ def _checkpoint_with_descriptor(path, descriptor: bytes):
     pytest.param(lambda p: _edited_container(p, lambda d: d.update(arrays=[7])),
                  id="entry-not-an-object"),
     pytest.param(lambda p: _cube_with_core_id(p, "seven"), id="non-integer-core-id"),
-    pytest.param(lambda p: _checkpoint_with_descriptor(p, b"[]"),
-                 id="checkpoint-descriptor-not-an-object"),
+    pytest.param(_spectraset_as_checkpoint, id="checkpoint-from-spectraset"),
+    pytest.param(lambda p: _edited_checkpoint(p, lambda a: a.popitem()),
+                 id="checkpoint-missing-parameter"),
+    pytest.param(lambda p: _edited_checkpoint(p, lambda a: a.update(extra=np.zeros(1, "<f4"))),
+                 id="checkpoint-extra-array"),
+    pytest.param(lambda p: _edited_checkpoint(p, _first_array(lambda v: v.astype(np.float64))),
+                 id="checkpoint-float64-parameter"),
+    pytest.param(lambda p: _edited_checkpoint(p, _first_array(lambda v: v.reshape(-1))),
+                 id="checkpoint-wrong-shape"),
 ])
 def test_malformed_input_is_data_error(tmp_path, make):
     read = make(tmp_path / "bad.bin")
     with pytest.raises(DataError):
         read()
+
+
+# ---------------------------------------------------------------------------
+# damaged files: every read either succeeds or raises DataError
+
+READERS = {"cube": read_cube, "spectraset": read_spectraset, "checkpoint": load_checkpoint}
+
+
+@pytest.fixture(scope="module")
+def pristine_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pristine")
+    rng = np.random.default_rng(3)
+    cube = HyperCube(rng.random((2, 3, RAW_AXIS.n_points), dtype=np.float32),
+                     RAW_AXIS, 4, 2, "CA", "LB")
+    truth = SimpleNamespace(role=np.ones((2, 3)), spike=np.zeros((2, 3)))
+    write_cube(cube, root / "cube", ground_truth=truth)
+    write_spectraset(small_spectraset(), root / "spectraset")
+    save_checkpoint(build_carenet("subtype", seed=1), root / "checkpoint")
+    return root, {kind: (root / kind).read_bytes() for kind in READERS}
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_file_reads_or_raises_data_error(pristine_files, kind, data):
+    root, originals = pristine_files
+    raw = bytearray(originals[kind])
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        # half the flips land in the header: a payload flip only ever meets the CRC
+        header_bits = 8 * (10 + int.from_bytes(raw[6:10], "little"))
+        positions = st.integers(0, header_bits - 1) | st.integers(0, 8 * len(raw) - 1)
+        for bit in data.draw(st.lists(positions, min_size=1, max_size=3), label="bits"):
+            raw[bit // 8] ^= 1 << (bit % 8)
+    path = root / f"damaged-{kind}"
+    path.write_bytes(bytes(raw))
+    try:
+        READERS[kind](path)
+    except DataError:
+        pass

@@ -7,10 +7,10 @@ from carenet.model import (
     INPUT_LENGTH,
     STAGE_FILTERS,
     build_carenet,
-    count_params,
     load_checkpoint,
     save_checkpoint,
 )
+from tests.conftest import count_params
 
 
 def architecture_param_count_oracle(head_units: int) -> int:
