@@ -274,7 +274,7 @@ def _split_from_json(path: Path) -> SplitPlan:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return SplitPlan(
+        plan = SplitPlan(
             seed=int(data["seed"]),
             test_patients=tuple(int(p) for p in data["test_patients"]),
             test_type_cores=tuple((int(p), str(k)) for p, k in data["test_type_cores"]),
@@ -286,6 +286,9 @@ def _split_from_json(path: Path) -> SplitPlan:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed split ({exc!r})") from exc
+    if not plan.folds:
+        raise DataError(f"{path}: split lists no folds")
+    return plan
 
 
 def cmd_train(args) -> int:
@@ -366,27 +369,24 @@ def _fold_rows(set_name: str, granularity: str, head: str, class_names,
     return rows
 
 
-def _evaluate(models, sset, plan, patients_by_id, head: str):
+def _evaluate(checkpoints, sset, plan, patients_by_id):
     """Spectrum-level dev metrics and per-core voting on the held-out cores.
 
-    Returns (metric rows, patient table rows). Only the inputs depend on the
-    head: the type head votes on two CA and two AT test cores, the subtype
-    head on the four test patients' CA cores.
+    checkpoints holds one fold checkpoint path per fold. Each is loaded,
+    evaluated and dropped before the next, so one model and its layer caches
+    are live at a time. The first sets the head, and the rest must share it.
+    Returns (head, metric rows, patient table rows). Only the inputs depend
+    on the head: the type head votes on two CA and two AT test cores, the
+    subtype head on the four test patients' CA cores.
     """
-    if head == "type":
-        class_names, labels, test_pairs = ("AT", "CA"), sset.core_type, plan.test_type_cores
-    else:
-        class_names, labels = SUBTYPES, sset.subtype
-        test_pairs = [(pid, "CA") for pid in plan.test_patients]
-    test_cores = []
-    for pid, kind in test_pairs:
-        record = patients_by_id[pid]
-        core = record.ca_core_id if kind == "CA" else record.at_core_id
-        test_cores.append((pid, kind, sset.core_id == core))
-    truth = np.array([int(labels[sel][0]) for _, _, sel in test_cores])
-
+    head = None
     dev, test = [], []
-    for model, fold in zip(models, plan.folds):
+    for path, fold in zip(checkpoints, plan.folds):
+        model, _ = load_checkpoint(path, expect_head=head)
+        if head is None:
+            head = model.head
+            class_names, labels, test_cores, truth = _test_cores(sset, plan,
+                                                                 patients_by_id, head)
         dev_sel = head_mask(sset, head, fold.dev_patients)
         dev.append((classify(forward_chunked(model, sset.spectra[dev_sel]), head),
                     labels[dev_sel].astype(np.int64)))
@@ -403,7 +403,23 @@ def _evaluate(models, sset, plan, patients_by_id, head: str):
               "ground_truth": class_names[cls],
               "predictions": [class_names[votes[i]] for votes, _ in test]}
              for i, ((pid, kind, _), cls) in enumerate(zip(test_cores, truth))]
-    return rows, table
+    return head, rows, table
+
+
+def _test_cores(sset, plan, patients_by_id, head: str):
+    """(class names, per-spectrum labels, [(patient, "CA"|"AT", row mask)], truth)."""
+    if head == "type":
+        class_names, labels, test_pairs = ("AT", "CA"), sset.core_type, plan.test_type_cores
+    else:
+        class_names, labels = SUBTYPES, sset.subtype
+        test_pairs = [(pid, "CA") for pid in plan.test_patients]
+    test_cores = []
+    for pid, kind in test_pairs:
+        record = patients_by_id[pid]
+        core = record.ca_core_id if kind == "CA" else record.at_core_id
+        test_cores.append((pid, kind, sset.core_id == core))
+    truth = np.array([int(labels[sel][0]) for _, _, sel in test_cores])
+    return class_names, labels, test_cores, truth
 
 
 def cmd_eval(args) -> int:
@@ -422,18 +438,9 @@ def cmd_eval(args) -> int:
     if missing:
         raise DataError(f"container lacks test patients {missing}")
 
-    models = []
-    head = None
-    for fold_index in range(1, len(plan.folds) + 1):
-        path = train_dir / f"fold{fold_index}_{args.which}.crnm"
-        model, _ = load_checkpoint(path)
-        if head is None:
-            head = model.head
-        elif model.head != head:
-            raise DataError("fold checkpoints disagree on the model head")
-        models.append(model)
-
-    rows, table = _evaluate(models, sset, plan, patients_by_id, head)
+    checkpoints = [train_dir / f"fold{k}_{args.which}.crnm"
+                   for k in range(1, len(plan.folds) + 1)]
+    head, rows, table = _evaluate(checkpoints, sset, plan, patients_by_id)
 
     metrics_path = run_dir / "metrics.csv"
     table_path = run_dir / "patients.csv"
@@ -519,24 +526,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    unused_jobs = "accepted, no effect yet: this command runs on one thread"
+
+    def common(p, jobs_help):
         p.add_argument("--seed", type=int, default=0, help="master seed for this run")
-        p.add_argument("--jobs", type=int, default=1, help="parallel preprocessing workers")
+        p.add_argument("--jobs", type=int, default=1, help=jobs_help)
         p.add_argument("--out-dir", default=None,
                        help="run directory (default: runs/<timestamp>-seed<seed>-<cmd>)")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic panel of cores")
-    common(p_synth)
+    common(p_synth, unused_jobs)
     p_synth.add_argument("--config", default=None, help="key = value config file")
     p_synth.set_defaults(func=cmd_synth)
 
     p_pre = sub.add_parser("preprocess", help="cluster and preprocess a panel")
-    common(p_pre)
+    common(p_pre, "cores preprocessed in parallel (outputs do not depend on it)")
     p_pre.add_argument("input", help="panel directory from 'synth'")
     p_pre.set_defaults(func=cmd_preprocess)
 
     p_train = sub.add_parser("train", help="train the 4 cross-validation folds")
-    common(p_train)
+    common(p_train, unused_jobs)
     p_train.add_argument("container", help="spectra container from 'preprocess'")
     p_train.add_argument("--head", choices=("type", "subtype"), required=True)
     p_train.add_argument("--epochs", type=int, default=50)
@@ -545,14 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate fold checkpoints")
-    common(p_eval)
+    common(p_eval, unused_jobs)
     p_eval.add_argument("train_dir", help="run directory from 'train'")
     p_eval.add_argument("container", help="spectra container from 'preprocess'")
     p_eval.add_argument("--which", choices=("final", "best"), default="final")
     p_eval.set_defaults(func=cmd_eval)
 
     p_cam = sub.add_parser("gradcam", help="wavenumber-importance heatmaps")
-    common(p_cam)
+    common(p_cam, unused_jobs)
     p_cam.add_argument("train_dir", help="run directory from 'train'")
     p_cam.add_argument("container", help="spectra container from 'preprocess'")
     p_cam.set_defaults(func=cmd_gradcam)

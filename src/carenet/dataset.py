@@ -11,8 +11,8 @@ The on-disk format ("CRNS") is a single file holding named arrays:
 
 Each directory entry records name, dtype (numpy string, little-endian),
 shape, offset (relative to the 64-byte-aligned payload start), byte length,
-and a CRC32. Readers must reject mismatched magic/version, overlapping or
-short entries, and CRC failures. The meta "kind" names what a container
+and a CRC32. Readers must reject mismatched magic/version, duplicate names,
+overlapping or short entries, and CRC failures. The meta "kind" names what a container
 holds: "hypercube" and "spectraset" here, "checkpoint" in model.py.
 """
 
@@ -262,6 +262,7 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
         raise DataError(f"{path}: corrupt directory (arrays must be a list, meta an object)")
 
     parsed = []
+    names = set()
     for entry in entries:
         try:
             name = str(entry["name"])
@@ -271,6 +272,9 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
                            name, dtype, shape))
         except Exception as exc:  # np.dtype(",f4") raises SyntaxError, not ValueError
             raise DataError(f"{path}: malformed directory entry ({exc!r})") from exc
+        if name in names:
+            raise DataError(f"{path}: two arrays are named {name!r}")
+        names.add(name)
 
     data_start = _align(10 + dir_len)
     arrays: dict[str, np.ndarray] = {}

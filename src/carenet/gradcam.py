@@ -58,8 +58,9 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
     target_class indexes the softmax output for the subtype head; the type
     head has a single output and target_class must be 1 (the CA activation).
     Gradients flow from the target class's pre-activation logit. Spectra go
-    through the model FORWARD_CHUNK rows at a time, which bounds the memory
-    of the convolutions' column buffers whatever the number of spectra.
+    through the model FORWARD_CHUNK rows at a time, the same bound training
+    and evaluation use, so the layer caches (column buffers, ReLU outputs)
+    hold one chunk whatever the number of spectra.
     """
     x = np.asarray(spectra, dtype=np.float32)
     if x.ndim == 1:

@@ -46,11 +46,15 @@ STAGE_FILTERS = (16, 32, 64, 128)
 BLOCKS_PER_STAGE = 2
 STEM_KERNEL = 7
 STEM_STRIDE = 2
-# Rows per forward pass when evaluating or attributing many spectra.
-# Throughput falls as chunks grow: 4096 rows on one BLAS thread ran at
-# ~1630/1410/1330/1060/960 spectra/s in chunks of 128/256/512/1024/2048.
-# 256 still runs a desk-scale dev set or test core as a single chunk.
-FORWARD_CHUNK = 256
+# Most rows in one forward pass: training slices (pipeline.train_fold sums a
+# batch's gradients over slices of this many rows), evaluation and Grad-CAM.
+# Layer caches grow with the rows of a pass, so this, not the batch size,
+# sets the network's live activation memory (~1 MB per row). Small passes
+# cost no speed on one BLAS thread (2 vCPUs): forward ran at
+# 1559/1391/1490/1300/1266/1278 spectra/s in passes of 10/25/32/50/125/250
+# rows, and a b=250 training step at 518/586/597/581/535 spectra/s in slices
+# of 16/32/64/125/250.
+FORWARD_CHUNK = 32
 
 
 class CarenetModel:

@@ -5,6 +5,14 @@ dtype so a float64 replay of the same graph can back gradient verification.
 Backward passes write (not accumulate) parameter gradients, so no zero-grad
 step is needed between batches.
 
+Each layer caches what its backward needs from its last forward only: a
+convolution its column matrix (k times its input), Dense its input, ReLU,
+Sigmoid and Softmax their outputs. ReLU.backward takes its mask from the
+cached output, so a forward-only pass computes no mask. The caches grow with
+the rows of the last forward, and they dominate a step's memory; callers
+bound them by forwarding a fixed number of rows at a time (FORWARD_CHUNK in
+model.py).
+
 Every layer takes and returns (batch, channels, length) arrays, but the
 convolutions and GlobalAvgPool.backward produce them as transposed views of
 (batch, length, channels) memory. numpy's elementwise ops (bias, ReLU, the
@@ -216,12 +224,12 @@ class ReLU(Layer):
 
     def forward(self, x):
         out = np.maximum(x, x.dtype.type(0))
-        self._cache = out > 0
+        self._cache = out
         return out
 
     def backward(self, grad):
-        mask = self._need_cache(self._cache)
-        return grad * mask
+        out = self._need_cache(self._cache)
+        return grad * (out > 0)
 
 
 class Sigmoid(Layer):
@@ -324,13 +332,15 @@ class ResidualBlock(Layer):
     def forward(self, x):
         shortcut = x if self.projection is None else self.projection.forward(x)
         h = self.conv2.forward(self.relu1.forward(self.conv1.forward(x)))
-        return self.relu_out.forward(h + shortcut)
+        h += shortcut  # conv2's output is a fresh buffer
+        return self.relu_out.forward(h)
 
     def backward(self, grad):
         gs = self.relu_out.backward(grad)
         g_main = self.conv1.backward(self.relu1.backward(self.conv2.backward(gs)))
         g_short = gs if self.projection is None else self.projection.backward(gs)
-        return g_main + g_short
+        g_main += g_short  # conv1's input gradient is a fresh buffer
+        return g_main
 
 
 # ---------------------------------------------------------------------------

@@ -454,11 +454,50 @@ def forward_chunked(model: CarenetModel, x: np.ndarray,
     return np.concatenate(outs) if outs else np.empty((0, model.n_classes), model.dtype)
 
 
-def _loss_and_accuracy(probs: np.ndarray, labels: np.ndarray, targets, head: str):
+def _loss(probs: np.ndarray, targets: np.ndarray, head: str) -> tuple[float, np.ndarray]:
+    """The head's mean loss and its gradient, shaped like probs."""
     if head == "type":
-        loss, _ = bce_loss(probs[:, 0], targets)
-    else:
-        loss, _ = cce_loss(probs, targets)
+        loss, grad = bce_loss(probs[:, 0], targets)
+        return loss, grad[:, None]
+    return cce_loss(probs, targets)
+
+
+def _batch_gradients(model: CarenetModel, x: np.ndarray, targets: np.ndarray,
+                     sums: list[np.ndarray]) -> float:
+    """Mean loss over the rows of x; leaves its gradient in every Param.grad.
+
+    The rows go forward and backward FORWARD_CHUNK at a time, so only one
+    slice's layer caches are live, whatever the batch size. Each slice's loss
+    gradient is weighted by its share of the batch, and the parameter
+    gradients are summed into sums (one buffer per parameter, reused across
+    batches). The result is one backward pass over the whole batch, up to
+    float rounding.
+    """
+    params = model.parameters()
+    n = x.shape[0]
+    loss = 0.0
+    for start in range(0, n, FORWARD_CHUNK):
+        rows = slice(start, start + FORWARD_CHUNK)
+        probs = model.forward(x[rows])
+        check_finite("training forward pass", probs)
+        share = probs.shape[0] / n
+        part, grad = _loss(probs, targets[rows], model.head)
+        check_finite("training loss", part)
+        grad *= share
+        model.backward(grad)
+        loss += part * share
+        for p, total in zip(params, sums):
+            if start == 0:
+                np.copyto(total, p.grad)
+            else:
+                total += p.grad
+    for p, total in zip(params, sums):
+        p.grad = total
+    return loss
+
+
+def _loss_and_accuracy(probs: np.ndarray, labels: np.ndarray, targets, head: str):
+    loss, _ = _loss(probs, targets, head)
     return loss, float((classify(probs, head) == labels).mean())
 
 
@@ -476,6 +515,7 @@ def train_fold(config: TrainConfig, train_x: np.ndarray, train_labels: np.ndarra
     optimizer = Adam(model.parameters(), lr=config.lr)
     scheduler = PlateauScheduler(lr=config.lr)
     rng = make_rng(config.shuffle_seed)
+    sums = [np.empty_like(p.value) for p in model.parameters()]
 
     history: list[EpochRecord] = []
     best_loss = np.inf
@@ -485,18 +525,9 @@ def train_fold(config: TrainConfig, train_x: np.ndarray, train_labels: np.ndarra
         losses = []
         weights = []
         for idx in _epoch_batches(train_x.shape[0], config.batch_size, rng):
-            probs = model.forward(train_x[idx])
-            check_finite("training forward pass", probs)
-            if config.head == "type":
-                loss, grad = bce_loss(probs[:, 0], train_targets[idx])
-                model.backward(grad[:, None])
-            else:
-                loss, grad = cce_loss(probs, train_targets[idx])
-                model.backward(grad)
-            check_finite("training loss", loss)
-            optimizer.step()
-            losses.append(loss)
+            losses.append(_batch_gradients(model, train_x[idx], train_targets[idx], sums))
             weights.append(idx.size)
+            optimizer.step()
         train_loss = float(np.average(losses, weights=weights))
 
         dev_probs = forward_chunked(model, dev_x)

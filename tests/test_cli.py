@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carenet.cli import main, parse_config_file
+from carenet.cli import build_parser, main, parse_config_file
 from carenet.dataset import SUBTYPES, read_cube, read_spectraset, write_container, write_cube
 from tests.conftest import rewrite_directory
 
@@ -180,6 +180,15 @@ class TestTrainEvalGradcam:
         assert run(["eval", tmp_path, pre_dir / "spectra.crns",
                     "--out-dir", tmp_path / "out"]) == 3
 
+    def test_eval_mixed_heads_is_data_error(self, tiny_run, tmp_path):
+        _, _, pre_dir, train_dirs = tiny_run
+        copy = tmp_path / "copy"
+        shutil.copytree(train_dirs["type"], copy)
+        shutil.copy(train_dirs["subtype"] / "fold3_final.crnm", copy / "fold3_final.crnm")
+        assert run(["eval", copy, pre_dir / "spectra.crns",
+                    "--out-dir", tmp_path / "out"]) == 3
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
     def test_malformed_container_is_data_error(self, tmp_path):
         path = tmp_path / "spectra.crns"
         # "|O" keeps the byte length; ",f4" is one bit away from "<f4"
@@ -194,7 +203,8 @@ class TestTrainEvalGradcam:
         ("panel.json", lambda d: d.pop("h2o")),
         ("panel.json", lambda d: d["cores"].update(x=d["cores"].pop("0"))),
         ("split.json", lambda d: d.update(folds=5)),
-    ], ids=["cores_list", "missing_h2o", "core_key_x", "folds_int"])
+        ("split.json", lambda d: d.update(folds=[])),
+    ], ids=["cores_list", "missing_h2o", "core_key_x", "folds_int", "folds_empty"])
     def test_malformed_sidecar_is_data_error(self, tiny_run, tmp_path, sidecar, edit):
         _, synth_dir, pre_dir, train_dirs = tiny_run
         source = synth_dir if sidecar == "panel.json" else train_dirs["type"]
@@ -228,3 +238,16 @@ class TestTrainEvalGradcam:
 
     def test_usage_error_exit_code(self):
         assert run(["train"]) == 2  # missing required arguments
+
+
+def test_jobs_help_says_where_it_acts(capsys):
+    parser = build_parser()
+    for command in ("synth", "preprocess", "train", "eval", "gradcam"):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--jobs" in text
+        assert ("no effect yet" in text) == (command != "preprocess"), command
+    # accepted, not rejected, where it has no effect
+    args = parser.parse_args(["train", "spectra.crns", "--head", "type", "--jobs", "2"])
+    assert args.jobs == 2

@@ -256,6 +256,13 @@ def _entry(**fields):
     return lambda directory: directory["arrays"][0].update(fields)
 
 
+def _duplicate_name(path):
+    """Two arrays, both renamed "a" in the directory."""
+    write_container(path, {"a": np.arange(4), "b": np.arange(10, 14)}, {"kind": "test"})
+    rewrite_directory(path, lambda d: [e.update(name="a") for e in d["arrays"]])
+    return lambda: read_container(path)
+
+
 def _cube_with_core_id(path, core_id):
     write_cube(HyperCube(np.zeros((2, 2, RAW_AXIS.n_points), dtype=np.float32),
                          RAW_AXIS, 0, 1, "AT", "none"), path)
@@ -297,6 +304,7 @@ def _spectraset_as_checkpoint(path):
                  id="arrays-not-a-list"),
     pytest.param(lambda p: _edited_container(p, lambda d: d.update(arrays=[7])),
                  id="entry-not-an-object"),
+    pytest.param(_duplicate_name, id="duplicate-array-name"),
     pytest.param(lambda p: _cube_with_core_id(p, "seven"), id="non-integer-core-id"),
     pytest.param(_spectraset_as_checkpoint, id="checkpoint-from-spectraset"),
     pytest.param(lambda p: _edited_checkpoint(p, lambda a: a.popitem()),

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from carenet.errors import DataError
 from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, build_carenet
+from carenet.nn import bce_loss, cce_loss
 from carenet.pipeline import (
     PatientRecord,
     TrainConfig,
+    _batch_gradients,
     _epoch_batches,
     forward_chunked,
     head_mask,
@@ -316,6 +320,52 @@ class TestTrainFold:
         assert [r.epoch for r in res.history] == [1, 2, 3]
         assert all(r.lr <= 1e-3 for r in res.history)
         assert all(np.isfinite([r.train_loss, r.dev_loss]).all() for r in res.history)
+
+    @pytest.mark.parametrize("head", ["type", "subtype"])
+    def test_micro_batched_gradient_matches_one_pass(self, head):
+        # float64, three slices: FORWARD_CHUNK + FORWARD_CHUNK + 11 rows
+        rng = np.random.default_rng(6)
+        model = build_carenet(head, seed=3).astype(np.float64)
+        # a small live head: the zero head stops every trunk gradient, and a
+        # unit-scale one saturates the outputs, where the clamped loss has none
+        model.dense.w.value = rng.standard_normal(model.dense.w.value.shape) * 1e-3
+        n = 2 * FORWARD_CHUNK + 11
+        x = rng.random((n, INPUT_LENGTH))
+        if head == "type":
+            targets = (np.arange(n) % 2).astype(np.float64)
+            loss, grad = bce_loss(model.forward(x)[:, 0], targets)
+            model.backward(grad[:, None])
+        else:
+            targets = np.eye(4)[np.arange(n) % 4]
+            loss, grad = cce_loss(model.forward(x), targets)
+            model.backward(grad)
+        one_pass = [p.grad.copy() for p in model.parameters()]
+
+        sums = [np.empty_like(p.value) for p in model.parameters()]
+        assert _batch_gradients(model, x, targets, sums) == pytest.approx(loss, rel=1e-12)
+        for p, want in zip(model.parameters(), one_pass):
+            assert p.grad is not want and np.abs(want).max() > 0.0
+            np.testing.assert_allclose(p.grad, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_batch_size_does_not_set_activation_memory(self):
+        rng = np.random.default_rng(0)
+        x = rng.random((256, INPUT_LENGTH)).astype(np.float32)
+        labels = np.arange(256) % 2
+        targets = labels.astype(np.float32)
+
+        def peak_bytes(batch_size):
+            config = TrainConfig(head="type", epochs=1, batch_size=batch_size)
+            tracemalloc.start()
+            try:
+                train_fold(config, x, labels, targets, x[:8], labels[:8], targets[:8])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one_slice, eight_slices = peak_bytes(32), peak_bytes(256)
+        # only the gathered batch (256 x 467 float32, 0.5 MB) may grow
+        assert eight_slices - one_slice < 2e6, (one_slice, eight_slices)
 
     def test_empty_sets_rejected(self):
         config = TrainConfig(head="type", epochs=1)
