@@ -171,8 +171,8 @@ def scores_and_residuals(model: PcaModel, rows: np.ndarray):
     lam = model.explained_variance
     usable = lam >= _VARIANCE_TINY
     t2 = (scores[:, usable] ** 2 / lam[usable]).sum(axis=1)
-    residual = centered - scores @ model.loadings
-    q = (residual ** 2).sum(axis=1)
+    centered -= scores @ model.loadings  # the residual, in place
+    q = np.square(centered, out=centered).sum(axis=1)
     return scores, t2, q
 
 

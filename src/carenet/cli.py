@@ -21,7 +21,6 @@ from . import __version__
 from .clustering import PixelMask, write_masks_pgm
 from .dataset import (
     SUBTYPES,
-    read_cube,
     read_spectraset,
     write_cube,
     write_spectraset,
@@ -210,7 +209,8 @@ def _config_dict(config: SynthConfig) -> dict:
     return out
 
 
-def _load_panel_dir(panel_dir: Path):
+def _panel_paths(panel_dir: Path) -> tuple[list[Path], Path]:
+    """Core cube paths in core-id order and the H2O cube path, from panel.json."""
     index_path = panel_dir / "panel.json"
     if not index_path.exists():
         raise DataError(f"{panel_dir}: no panel.json found")
@@ -224,16 +224,14 @@ def _load_panel_dir(panel_dir: Path):
     names = list(cores.values()) + [h2o_name]
     if not all(isinstance(name, str) for name in names):
         raise DataError(f"{index_path}: cube file names must be strings")
-    cubes = [read_cube(panel_dir / cores[core_id])[0] for core_id in sorted(cores)]
-    h2o_cube, _ = read_cube(panel_dir / h2o_name)
-    return cubes, h2o_cube, index
+    return [panel_dir / cores[core_id] for core_id in sorted(cores)], panel_dir / h2o_name
 
 
 def cmd_preprocess(args) -> int:
     started = time.time()
     run_dir = _run_dir(args, "preprocess")
-    cubes, h2o_cube, index = _load_panel_dir(Path(args.input))
-    sset, results, skipped = preprocess_panel(cubes, h2o_cube, seed=args.seed,
+    core_paths, h2o_path = _panel_paths(Path(args.input))
+    sset, results, skipped = preprocess_panel(core_paths, h2o_path, seed=args.seed,
                                               jobs=args.jobs)
     out_path = run_dir / "spectra.crns"
     write_spectraset(sset, out_path)
@@ -540,7 +538,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(func=cmd_synth)
 
     p_pre = sub.add_parser("preprocess", help="cluster and preprocess a panel")
-    common(p_pre, "cores preprocessed in parallel (outputs do not depend on it)")
+    common(p_pre, "cores preprocessed in parallel, one cube in memory per worker "
+                  "(outputs do not depend on it)")
     p_pre.add_argument("input", help="panel directory from 'synth'")
     p_pre.set_defaults(func=cmd_preprocess)
 

@@ -14,12 +14,19 @@ shape, offset (relative to the 64-byte-aligned payload start), byte length,
 and a CRC32. Readers must reject mismatched magic/version, duplicate names,
 overlapping or short entries, and CRC failures. The meta "kind" names what a container
 holds: "hypercube" and "spectraset" here, "checkpoint" in model.py.
+
+Reading checks every directory entry (dtype, shape, extent against the file
+size) before it allocates anything, then fills one `np.empty` per array with
+`readinto` and takes the CRC over that array's own buffer: each array is one
+allocation, never a copy of the file. Writing takes the CRC of, and
+writes, each array's own buffer.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -203,24 +210,29 @@ def _le_dtype(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _bytes(arr: np.ndarray) -> np.ndarray:
+    """The buffer of a C-contiguous array as a flat uint8 view (no copy)."""
+    return arr.reshape(-1).view(np.uint8)
+
+
 def write_container(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     """Write named arrays plus a JSON metadata block to a CRNS file."""
     entries = []
-    blobs = []
+    payload = []
     rel = 0
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(_le_dtype(np.asarray(arr)))
-        blob = arr.tobytes()
+        view = _bytes(arr)
         entries.append({
             "name": name,
             "dtype": arr.dtype.str,
             "shape": list(arr.shape),
             "offset": rel,
-            "length": len(blob),
-            "crc32": zlib.crc32(blob),
+            "length": view.size,
+            "crc32": zlib.crc32(view),
         })
-        blobs.append((rel, blob))
-        rel = _align(rel + len(blob))
+        payload.append((rel, view))
+        rel = _align(rel + view.size)
 
     directory = json.dumps({"arrays": entries, "meta": meta},
                            separators=(",", ":"), sort_keys=True).encode("utf-8")
@@ -231,29 +243,34 @@ def write_container(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
         fh.write(header)
         fh.write(b"\x00" * (data_start - len(header)))
         pos = 0
-        for rel_off, blob in blobs:
+        for rel_off, view in payload:
             fh.write(b"\x00" * (rel_off - pos))
-            fh.write(blob)
-            pos = rel_off + len(blob)
+            fh.write(view)
+            pos = rel_off + view.size
 
 
 def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
     """Read a CRNS file back into (arrays, meta); validates structure and CRCs."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return _read_open_container(fh, path)
     except OSError as exc:
         raise DataError(f"{path}: cannot read container ({exc})") from exc
-    if len(raw) < 10 or raw[:4] != MAGIC:
+
+
+def _read_open_container(fh, path) -> tuple[dict[str, np.ndarray], dict]:
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(10)
+    if len(head) < 10 or head[:4] != MAGIC:
         raise DataError(f"{path}: not a CRNS container")
-    (version,) = struct.unpack_from("<H", raw, 4)
+    (version,) = struct.unpack_from("<H", head, 4)
     if version != VERSION:
         raise DataError(f"{path}: unsupported container version {version}")
-    (dir_len,) = struct.unpack_from("<I", raw, 6)
-    if 10 + dir_len > len(raw):
+    (dir_len,) = struct.unpack_from("<I", head, 6)
+    if 10 + dir_len > size:
         raise DataError(f"{path}: truncated directory")
     try:
-        directory = json.loads(raw[10:10 + dir_len].decode("utf-8"))
+        directory = json.loads(fh.read(dir_len).decode("utf-8"))
         entries = directory["arrays"]
         meta = directory["meta"]
     except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
@@ -275,30 +292,42 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
         if name in names:
             raise DataError(f"{path}: two arrays are named {name!r}")
         names.add(name)
+    parsed.sort(key=lambda e: e[0])
 
+    # every extent is checked against the file size before the first allocation
     data_start = _align(10 + dir_len)
-    arrays: dict[str, np.ndarray] = {}
     prev_end = -1
-    for offset, length, crc, name, dtype, shape in sorted(parsed, key=lambda e: e[0]):
+    for offset, length, _, name, dtype, shape in parsed:
+        # raw bytes read into object fields would be taken as PyObject pointers;
+        # zero-size and subarray dtypes would allocate other than declared
+        if dtype.hasobject or dtype.itemsize == 0 or dtype.subdtype is not None:
+            raise DataError(f"{path}: array {name!r} has dtype {dtype}, "
+                            "which cannot be read from raw bytes")
+        if any(s < 0 for s in shape):
+            raise DataError(f"{path}: array {name!r} has a negative dimension {shape}")
         # exact integer size: an int64 product could wrap round to the byte length
-        expected = dtype.itemsize * math.prod(shape)
-        if expected != length:
+        if dtype.itemsize * math.prod(shape) != length:
             raise DataError(f"{path}: array {name!r} declared shape disagrees with byte length")
         if offset < 0 or offset < prev_end:
             raise DataError(f"{path}: array {name!r} overlaps a previous array")
-        start = data_start + offset
-        end = start + length
-        if end > len(raw):
+        if data_start + offset + length > size:
             raise DataError(f"{path}: array {name!r} extends past end of file")
-        blob = raw[start:end]
-        if zlib.crc32(blob) != crc:
-            raise DataError(f"{path}: array {name!r} failed its CRC32 check")
+        prev_end = offset + length
+
+    arrays: dict[str, np.ndarray] = {}
+    for offset, length, crc, name, dtype, shape in parsed:
         try:
-            arrays[name] = np.frombuffer(blob, dtype=dtype).reshape(shape).copy()
-        except ValueError as exc:  # object dtypes, negative dimensions
+            arr = np.empty(shape, dtype=dtype)
+        except ValueError as exc:  # a zero-size shape with a dimension numpy cannot index
             raise DataError(f"{path}: array {name!r} cannot be read as {dtype} {shape} "
                             f"({exc})") from exc
-        prev_end = offset + length
+        view = _bytes(arr)
+        fh.seek(data_start + offset)
+        if fh.readinto(view) != length:
+            raise DataError(f"{path}: array {name!r} extends past end of file")
+        if zlib.crc32(view) != crc:
+            raise DataError(f"{path}: array {name!r} failed its CRC32 check")
+        arrays[name] = arr
     return arrays, meta
 
 

@@ -26,13 +26,21 @@ from .chemometrics import (
     remove_outliers,
 )
 from .clustering import select_paraffin, select_tissue
-from .dataset import SUBTYPE_NONE, SUBTYPES, HyperCube, SpectraSet, subtype_one_hot
+from .dataset import (
+    SUBTYPE_NONE,
+    SUBTYPES,
+    HyperCube,
+    SpectraSet,
+    read_cube,
+    subtype_one_hot,
+)
 from .errors import DataError, NumericalError
 from .evaluation import classify
 from .model import FORWARD_CHUNK, CarenetModel, build_carenet
 from .nn import Adam, PlateauScheduler, bce_loss, cce_loss, check_finite, make_rng
 from .spectral import (
     BIOFINGERPRINT_BAND,
+    WavenumberAxis,
     band_slice,
     minmax_normalize_rows,
     savgol_smooth,
@@ -219,6 +227,7 @@ class CoreResult:
     core_type: str
     subtype: str
     spectra: np.ndarray  # (n, 467) float32 in [0, 1]
+    axis: WavenumberAxis  # of the spectra: the cube's biofingerprint band
     rows: np.ndarray
     cols: np.ndarray
     counts: StageCounts
@@ -284,7 +293,8 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
     tissue = savgol_smooth(tissue)
     paraffin = savgol_smooth(paraffin)
 
-    emsc = emsc_build_model(tissue.mean(axis=0), paraffin, h2o_block, sub_axis(cube.axis, sel))
+    axis = sub_axis(cube.axis, sel)
+    emsc = emsc_build_model(tissue.mean(axis=0), paraffin, h2o_block, axis)
     corrected, _, usable = emsc_correct_rows(tissue, emsc)
     corrected = corrected[usable]
     tissue_idx = tissue_idx[usable]
@@ -314,6 +324,7 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
         core_type=cube.core_type,
         subtype=cube.subtype,
         spectra=normalized.astype(np.float32),
+        axis=axis,
         rows=(tissue_idx // cube.cols).astype(np.int32),
         cols=(tissue_idx % cube.cols).astype(np.int32),
         counts=counts,
@@ -324,34 +335,40 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
     )
 
 
-def preprocess_panel(cubes: list[HyperCube], h2o_cube: HyperCube, seed: int = 0, jobs: int = 1):
-    """Preprocess every core against one shared H2O block.
+def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
+    """Preprocess every core cube file against one shared H2O block.
 
-    Degenerate cores are reported and skipped, not fatal. Returns
-    (SpectraSet, per-core CoreResult dict, skipped list of (core_id, reason)).
+    Cubes stream: the H2O cube is read, reduced to its block and dropped
+    before any core is read, and each worker reads its own core, so at most
+    `jobs` core cubes are in memory at once. A cube that cannot be read is a
+    DataError for the whole panel; a core whose preprocessing fails is
+    reported and skipped. Returns (SpectraSet, per-core CoreResult dict,
+    skipped list of (core_id, reason)).
     """
-    h2o_block = preprocess_h2o(h2o_cube)
+    h2o_block = preprocess_h2o(read_cube(h2o_path)[0])
 
-    def run(cube: HyperCube) -> CoreResult | Exception:
+    def run(path) -> CoreResult | tuple[int, str]:
+        cube = read_cube(path)[0]
         try:
             return preprocess_core(cube, h2o_block, seed=seed)
         except (DataError, NumericalError) as exc:
-            return exc
+            # only the message: the traceback's frames would keep the cube alive
+            return cube.core_id, str(exc)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, cubes))
+            results = list(pool.map(run, core_paths))
     else:
         # no 1-worker pool: its thread's own glibc malloc arena adds ~15% peak RSS
-        results = [run(cube) for cube in cubes]
+        results = [run(path) for path in core_paths]
 
     kept: list[CoreResult] = []
     skipped: list[tuple[int, str]] = []
-    for cube, res in zip(cubes, results):
-        if isinstance(res, Exception):
-            skipped.append((cube.core_id, str(res)))
-        else:
+    for res in results:
+        if isinstance(res, CoreResult):
             kept.append(res)
+        else:
+            skipped.append(res)
     if not kept:
         raise DataError("every core failed preprocessing")
 
@@ -367,7 +384,7 @@ def preprocess_panel(cubes: list[HyperCube], h2o_cube: HyperCube, seed: int = 0,
             [np.full(len(r.rows),
                      SUBTYPES.index(r.subtype) if r.core_type == "CA" else SUBTYPE_NONE,
                      np.int8) for r in kept]),
-        axis=sub_axis(cubes[0].axis, band_slice(cubes[0].axis, BIOFINGERPRINT_BAND)),
+        axis=kept[0].axis,
     )
     return sset, {r.core_id: r for r in kept}, skipped
 

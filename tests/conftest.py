@@ -58,3 +58,16 @@ def rewrite_directory(path, edit):
     new_dir = json.dumps(directory, separators=(",", ":"), sort_keys=True).encode()
     header = raw[:6] + struct.pack("<I", len(new_dir)) + new_dir
     Path(path).write_bytes(header + b"\x00" * (-len(header) % 64) + payload)
+
+
+def write_panel(panel, directory):
+    """Write a generated panel's cubes; returns (core paths in core-id order, H2O path)."""
+    from carenet.dataset import write_cube
+
+    directory = Path(directory)
+    core_paths = []
+    for core_id in sorted(panel.cubes):
+        core_paths.append(directory / f"core_{core_id:04d}.crns")
+        write_cube(panel.cubes[core_id], core_paths[-1])
+    write_cube(panel.h2o_cube, directory / "h2o.crns")
+    return core_paths, directory / "h2o.crns"

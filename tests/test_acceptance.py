@@ -5,6 +5,7 @@ criterion. Several tests train real models; the whole module stays within
 its stated wall-clock budgets on a 2-core desktop.
 """
 
+import tempfile
 import time
 
 import numpy as np
@@ -54,7 +55,7 @@ from carenet.spectral import (
     savgol_smooth,
 )
 from carenet.synthgen import BandSpec, SynthConfig, gen_cube, gen_panel, gen_spectrum
-from tests.conftest import central_difference, count_params, relative_error
+from tests.conftest import central_difference, count_params, relative_error, write_panel
 
 AXIS467 = WavenumberAxis(1800.0, 900.0, 467)
 SUBTYPE_NAMES = ("LA", "LB", "HER2", "TNBC")
@@ -330,8 +331,8 @@ def _run_protocol(seed, head, epochs, batch, image_size, n_per, separation):
     config = SynthConfig(n_patients=(n_per,) * 4, image_size=image_size,
                          seed=seed, class_separation=separation)
     panel = gen_panel(config)
-    cubes = [panel.cubes[k] for k in sorted(panel.cubes)]
-    sset, _, _ = preprocess_panel(cubes, panel.h2o_cube, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        sset, _, _ = preprocess_panel(*write_panel(panel, tmp), seed=seed)
     plan = make_split(panel.patients, seed=seed)
     by_id = {p.patient_id: p for p in panel.patients}
     correct = total = 0

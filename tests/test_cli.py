@@ -124,6 +124,34 @@ class TestPreprocess:
         write_cube(cube, path)
         assert run(["preprocess", panel, "--out-dir", tmp_path / "out"]) == 3
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unreadable_last_core_is_data_error_not_skipped(self, tiny_run, tmp_path, capsys,
+                                                             jobs):
+        _, synth_dir, _, _ = tiny_run
+        panel = tmp_path / "panel"
+        shutil.copytree(synth_dir, panel)
+        cores = json.loads((panel / "panel.json").read_text())["cores"]
+        last = panel / cores[max(cores, key=int)]
+        data = bytearray(last.read_bytes())
+        data[-1] ^= 0xFF  # last payload byte: the array's CRC32 no longer matches
+        last.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        assert run(["preprocess", panel, "--jobs", jobs, "--out-dir", out]) == 3
+        assert not (out / "spectra.crns").exists()
+        err = capsys.readouterr().err
+        assert "CRC32" in err and "skipped" not in err
+
+    def test_jobs_do_not_change_outputs(self, tiny_run, tmp_path):
+        _, synth_dir, _, _ = tiny_run
+        outs = {jobs: tmp_path / f"jobs{jobs}" for jobs in (1, 2)}
+        for jobs, out in outs.items():
+            assert run(["preprocess", synth_dir, "--jobs", jobs, "--out-dir", out]) == 0
+        names = sorted(p.name for p in outs[1].iterdir() if p.name != "manifest.json")
+        assert "spectra.crns" in names and len(names) == 1 + 16  # one mask PGM per core
+        assert names == sorted(p.name for p in outs[2].iterdir() if p.name != "manifest.json")
+        for name in names:
+            assert (outs[1] / name).read_bytes() == (outs[2] / name).read_bytes(), name
+
 
 class TestTrainEvalGradcam:
     def test_train_outputs(self, tiny_run):

@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -320,6 +321,20 @@ def test_malformed_input_is_data_error(tmp_path, make):
     read = make(tmp_path / "bad.bin")
     with pytest.raises(DataError):
         read()
+
+
+def test_oversized_declared_shape_is_rejected_before_allocation(tmp_path):
+    # a 1e12-byte array whose length matches its shape, in a file of a few hundred bytes
+    read = _edited_container(tmp_path / "huge.bin",
+                             _entry(shape=[125_000_000_000], length=10**12))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="past end of file"):
+            read()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from carenet.dataset import HyperCube, read_cube, write_cube
 from carenet.errors import DataError
 from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, build_carenet
 from carenet.nn import bce_loss, cce_loss
@@ -23,6 +26,7 @@ from carenet.pipeline import (
     undersample_balance,
 )
 from carenet.synthgen import SynthConfig, gen_panel
+from tests.conftest import write_panel
 
 
 def patients_with_distribution(counts):
@@ -131,6 +135,12 @@ def small_panel():
     return gen_panel(SynthConfig(n_patients=(1, 1, 0, 0), image_size=16, seed=21))
 
 
+@pytest.fixture(scope="module")
+def small_panel_files(small_panel, tmp_path_factory):
+    """small_panel's cube files: (core paths in core-id order, H2O path)."""
+    return write_panel(small_panel, tmp_path_factory.mktemp("small_panel"))
+
+
 class TestPreprocessCore:
     def test_counts_monotone_and_plausible(self, small_panel):
         panel = small_panel
@@ -184,8 +194,6 @@ class TestPreprocessCore:
         # paraffin ring kept, tissue disc replaced by slide-like pixels
         tissue = panel.ground_truth[0].tissue_mask.ravel()
         flat[tissue] = slide_rows[rng.integers(0, slide_rows.shape[0], tissue.sum())]
-        from carenet.dataset import HyperCube
-
         no_tissue = HyperCube(flat.reshape(cube.intensities.shape), cube.axis,
                               0, 0, "AT", "none")
         h2o = preprocess_h2o(panel.h2o_cube)
@@ -197,28 +205,25 @@ class TestPreprocessCore:
         except DataError:
             pass
 
-    def test_panel_end_to_end(self, small_panel):
+    def test_panel_end_to_end(self, small_panel, small_panel_files):
         panel = small_panel
-        cubes = [panel.cubes[k] for k in sorted(panel.cubes)]
-        sset, results, skipped = preprocess_panel(cubes, panel.h2o_cube, seed=0)
+        sset, results, skipped = preprocess_panel(*small_panel_files, seed=0)
         assert skipped == []
-        assert len(results) == len(cubes)
+        assert len(results) == len(panel.cubes)
         assert len(sset) == sum(r.counts.after_outlier2 for r in results.values())
         assert sset.axis.n_points == 467
         assert all(not (r.tissue_mask & r.paraffin_mask).any() for r in results.values())
         records = patients_from_spectraset(sset)
         assert {r.patient_id for r in records} == {p.patient_id for p in panel.patients}
 
-    def test_panel_parallel_matches_serial(self, small_panel):
-        panel = small_panel
-        cubes = [panel.cubes[k] for k in sorted(panel.cubes)]
-        serial, _, _ = preprocess_panel(cubes, panel.h2o_cube, seed=0, jobs=1)
-        parallel, _, _ = preprocess_panel(cubes, panel.h2o_cube, seed=0, jobs=2)
+    def test_panel_parallel_matches_serial(self, small_panel_files):
+        serial, _, _ = preprocess_panel(*small_panel_files, seed=0, jobs=1)
+        parallel, _, _ = preprocess_panel(*small_panel_files, seed=0, jobs=2)
         for name in ("spectra", "patient_id", "core_id", "row", "col", "core_type", "subtype"):
             np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
         assert serial.axis == parallel.axis
 
-    def test_h2o_block_built_once_per_panel(self, small_panel, monkeypatch):
+    def test_h2o_block_built_once_per_panel(self, small_panel_files, monkeypatch):
         from carenet import chemometrics, pipeline
 
         h2o_builds = []
@@ -231,35 +236,73 @@ class TestPreprocessCore:
 
         for module in (chemometrics, pipeline):
             monkeypatch.setattr(module, "interferent_block", counting)
-        cubes = [small_panel.cubes[k] for k in sorted(small_panel.cubes)][:3]
-        _, results, skipped = preprocess_panel(cubes, small_panel.h2o_cube, seed=0)
+        core_paths, h2o_path = small_panel_files
+        _, results, skipped = preprocess_panel(core_paths[:3], h2o_path, seed=0)
         assert len(results) == 3 and skipped == []
         assert len(h2o_builds) == 1
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cubes_stream_one_per_worker(self, small_panel, small_panel_files, tmp_path,
+                                         monkeypatch, jobs):
+        from carenet import pipeline
+
+        core_paths, h2o_path = small_panel_files
+        assert len(core_paths) == 4
+        # a constant cube fails clustering, so its core is skipped; it goes first,
+        # so a skipped core's cube kept alive (say, by a stored traceback) shows
+        flat = small_panel.cubes[0]
+        write_cube(HyperCube(np.ones_like(flat.intensities), flat.axis, 99, 99, "AT", "none"),
+                   tmp_path / "flat.crns")
+        core_paths = [tmp_path / "flat.crns"] + core_paths
+        lock = threading.RLock()
+        live = {"core": 0, "h2o": 0}
+        most_cores = 0
+        h2o_live_at_core_reads = []
+
+        def freed(kind):
+            with lock:
+                live[kind] -= 1
+
+        def tracked_read(path):
+            nonlocal most_cores
+            cube, extras = read_cube(path)
+            kind = "h2o" if path == h2o_path else "core"
+            with lock:
+                if kind == "core":
+                    h2o_live_at_core_reads.append(live["h2o"])
+                live[kind] += 1
+                most_cores = max(most_cores, live["core"])
+            weakref.finalize(cube, freed, kind)
+            return cube, extras
+
+        monkeypatch.setattr(pipeline, "read_cube", tracked_read)
+        _, results, skipped = preprocess_panel(core_paths, h2o_path, seed=0, jobs=jobs)
+        assert len(results) == 4 and [core for core, _ in skipped] == [99]
+        assert 1 <= most_cores <= jobs
+        assert h2o_live_at_core_reads == [0] * 5
+        assert live == {"core": 0, "h2o": 0}
+
 
 class TestTargets:
-    def test_type_targets(self, small_panel):
+    def test_type_targets(self, small_panel, small_panel_files):
         panel = small_panel
-        cubes = [panel.cubes[k] for k in sorted(panel.cubes)]
-        sset, _, _ = preprocess_panel(cubes, panel.h2o_cube, seed=0)
+        sset, _, _ = preprocess_panel(*small_panel_files, seed=0)
         mask = head_mask(sset, "type", [p.patient_id for p in panel.patients])
         labels, targets = targets_for_head(sset, "type", mask)
         assert set(np.unique(labels)) == {0, 1}
         np.testing.assert_array_equal(labels.astype(np.float32), targets)
 
-    def test_subtype_targets_one_hot(self, small_panel):
+    def test_subtype_targets_one_hot(self, small_panel, small_panel_files):
         panel = small_panel
-        cubes = [panel.cubes[k] for k in sorted(panel.cubes)]
-        sset, _, _ = preprocess_panel(cubes, panel.h2o_cube, seed=0)
+        sset, _, _ = preprocess_panel(*small_panel_files, seed=0)
         mask = head_mask(sset, "subtype", [p.patient_id for p in panel.patients])
         labels, targets = targets_for_head(sset, "subtype", mask)
         assert targets.shape == (labels.size, 4)
         np.testing.assert_array_equal(targets.sum(axis=1), 1.0)
 
-    def test_subtype_on_at_only_rejected(self, small_panel):
+    def test_subtype_on_at_only_rejected(self, small_panel, small_panel_files):
         panel = small_panel
-        cubes = [panel.cubes[k] for k in sorted(panel.cubes)]
-        sset, _, _ = preprocess_panel(cubes, panel.h2o_cube, seed=0)
+        sset, _, _ = preprocess_panel(*small_panel_files, seed=0)
         at_only = sset.select(sset.core_type == 0)
         with pytest.raises(DataError):
             targets_for_head(at_only, "subtype", np.ones(len(at_only), dtype=bool))
