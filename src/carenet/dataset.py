@@ -116,7 +116,9 @@ class HyperCube:
             raise DataError("cube spectral dimension does not match axis")
         if self.intensities.shape[0] < 1 or self.intensities.shape[1] < 1:
             raise DataError("cube must have at least one pixel")
-        if not np.isfinite(self.intensities).all():
+        # NaN propagates through min and max and an infinity is one of them,
+        # so two reductions check finiteness with no cube-sized bool temporary
+        if not (np.isfinite(self.intensities.min()) and np.isfinite(self.intensities.max())):
             raise DataError("cube intensities must be finite")
         if self.core_type not in CORE_TYPES + ("H2O",):
             raise DataError(f"unknown core type {self.core_type!r}")
@@ -169,10 +171,12 @@ class SpectraSet:
         for name in ("patient_id", "core_id", "row", "col", "core_type", "subtype"):
             if getattr(self, name).shape != (n,):
                 raise DataError(f"{name} must have one entry per spectrum")
-        if not np.isfinite(self.spectra).all():
-            raise DataError("spectra must be finite")
-        if n and (self.spectra.min() < 0.0 or self.spectra.max() > 1.0):
-            raise DataError("spectra must lie in [0, 1] after min-max normalization")
+        if n:  # finiteness by min/max, as in HyperCube
+            lo, hi = self.spectra.min(), self.spectra.max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise DataError("spectra must be finite")
+            if lo < 0.0 or hi > 1.0:
+                raise DataError("spectra must lie in [0, 1] after min-max normalization")
         at = self.core_type == 0
         if np.any(self.subtype[at] != SUBTYPE_NONE) or np.any(self.subtype[~at] == SUBTYPE_NONE):
             raise DataError("subtype must be 'none' exactly for AT spectra")

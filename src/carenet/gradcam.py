@@ -59,8 +59,8 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
     head has a single output and target_class must be 1 (the CA activation).
     Gradients flow from the target class's pre-activation logit. Spectra go
     through the model FORWARD_CHUNK rows at a time, the same bound training
-    and evaluation use, so the layer caches (column buffers, ReLU outputs)
-    hold one chunk whatever the number of spectra.
+    and evaluation use. The trunk pass is forward-only (no trunk layer
+    caches); only the head, which the gradient flows back through, caches.
     """
     x = np.asarray(spectra, dtype=np.float32)
     if x.ndim == 1:
@@ -82,7 +82,7 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
 
 def _cam_rows(model: CarenetModel, x: np.ndarray, col: int) -> np.ndarray:
     """Rectified feature-length cams of one chunk: (batch, 30)."""
-    feats = model.trunk_forward(x)          # (B, C, L)
+    feats = model.trunk_forward(x, cache=False)  # (B, C, L)
     logits, probs = model.head_forward(feats)
     if not np.all(np.isfinite(probs)):
         raise NumericalError("model produced non-finite outputs; refusing to attribute")

@@ -48,12 +48,14 @@ STEM_KERNEL = 7
 STEM_STRIDE = 2
 # Most rows in one forward pass: training slices (pipeline.train_fold sums a
 # batch's gradients over slices of this many rows), evaluation and Grad-CAM.
-# Layer caches grow with the rows of a pass, so this, not the batch size,
-# sets the network's live activation memory (~1 MB per row). Small passes
-# cost no speed on one BLAS thread (2 vCPUs): forward ran at
-# 1559/1391/1490/1300/1266/1278 spectra/s in passes of 10/25/32/50/125/250
-# rows, and a b=250 training step at 518/586/597/581/535 spectra/s in slices
-# of 16/32/64/125/250.
+# Layer caches grow with the rows of a caching pass, so this, not the batch
+# size, sets training's live activation memory (~1 MB per row); changing it
+# changes training's float rounding, so it stays fixed. On one BLAS thread
+# (2 vCPUs) a b=250 training step ran at 518/586/597/581/535 spectra/s in
+# slices of 16/32/64/125/250, and forward-only passes (no caches, the conv
+# transients in one per-thread scratch) at 1504/1672/1498/1320 spectra/s in
+# passes of 10/32/64/250 rows (median of 5): at 32 rows the largest scratch
+# pair still fits in the 2 MiB L2.
 FORWARD_CHUNK = 32
 
 
@@ -96,11 +98,16 @@ class CarenetModel:
             raise DataError(f"model expects (batch, 1, {INPUT_LENGTH}) input, got {x.shape}")
         return x
 
-    def trunk_forward(self, x: np.ndarray) -> np.ndarray:
-        """Activation map after the last residual block: (batch, 128, 30)."""
-        h = self.stem_relu.forward(self.stem.forward(self._check_input(x)))
+    def trunk_forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
+        """Activation map after the last residual block: (batch, 128, 30).
+
+        cache=False is a forward-only pass: no trunk layer keeps what its
+        backward needs (see nn.py).
+        """
+        h = self.stem.forward(self._check_input(x), cache=cache)
+        h = self.stem_relu.forward(h, cache=cache)
         for block in self.blocks:
-            h = block.forward(h)
+            h = block.forward(h, cache=cache)
         return h
 
     def head_forward(self, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -108,9 +115,12 @@ class CarenetModel:
         logits = self.dense.forward(self.pool.forward(features))
         return logits, self.activation.forward(logits)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Class probabilities: (batch, 1) sigmoid or (batch, 4) softmax."""
-        _, probs = self.head_forward(self.trunk_forward(x))
+    def forward(self, x: np.ndarray, *, cache: bool = True) -> np.ndarray:
+        """Class probabilities: (batch, 1) sigmoid or (batch, 4) softmax.
+
+        cache=False is a forward-only pass, after which backward raises.
+        """
+        _, probs = self.head_forward(self.trunk_forward(x, cache=cache))
         return probs
 
     def backward(self, grad_probs: np.ndarray) -> np.ndarray:

@@ -5,13 +5,30 @@ dtype so a float64 replay of the same graph can back gradient verification.
 Backward passes write (not accumulate) parameter gradients, so no zero-grad
 step is needed between batches.
 
-Each layer caches what its backward needs from its last forward only: a
-convolution its column matrix (k times its input), Dense its input, ReLU,
-Sigmoid and Softmax their outputs. ReLU.backward takes its mask from the
-cached output, so a forward-only pass computes no mask. The caches grow with
-the rows of the last forward, and they dominate a step's memory; callers
-bound them by forwarding a fixed number of rows at a time (FORWARD_CHUNK in
-model.py).
+A caching forward (the default, and what training runs) keeps what the
+layer's backward needs: a convolution its column matrix (k times its input),
+Dense its input, ReLU, Sigmoid and Softmax their outputs. ReLU.backward takes
+its mask from the cached output. The caches grow with the rows of the last
+forward and dominate a training step's memory; callers bound them by
+forwarding a fixed number of rows at a time (FORWARD_CHUNK in model.py).
+
+A forward-only pass (cache=False on Conv1D, ReLU, ResidualBlock and the
+model's trunk_forward/forward) keeps none of that: each conv and ReLU sets
+its cache to None, so a later backward raises PipelineError instead of
+reading a stale cache. Dense, GlobalAvgPool, Sigmoid and Softmax cache on
+every pass; their caches are a few KB and Grad-CAM's head backward reads them.
+
+A forward-only conv pads its input into, and copies its column matrix into,
+this thread's scratch: two named flat byte buffers ("padded", "cols"), grown
+on demand, kept for the thread's life and viewed per dtype, which every conv
+of every model on the thread reuses. At FORWARD_CHUNK rows the largest pair
+(stage 1, ~1.9 MB in float32) stays in a 2 MiB L2, where fresh buffers are
+faulted in again on every pass. The scratch is per thread, so threads that
+forward different models never share it. One rule keeps it safe: no array a
+layer returns or caches may view the scratch, since the next conv overwrites
+it. The GEMM writes a fresh output array, and caching passes never use the
+scratch (their column matrix can be a reshape view of the padded input, as
+in the kernel-1, stride-2 projections).
 
 Every layer takes and returns (batch, channels, length) arrays, but the
 convolutions and GlobalAvgPool.backward produce them as transposed views of
@@ -25,6 +42,7 @@ input only costs a copy.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -50,6 +68,19 @@ __all__ = [
 ]
 
 PROB_EPS = 1e-7  # probability clamp for the cross-entropy losses
+
+_scratch = threading.local()
+
+
+def _scratch_array(name: str, shape: tuple, dtype) -> np.ndarray:
+    """Uninitialized array over this thread's scratch buffer `name`."""
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = getattr(_scratch, name, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_scratch, name, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -144,22 +175,33 @@ class Conv1D(Layer):
         pad_left = pad_total // 2
         return out_len, pad_left, pad_total - pad_left
 
-    def forward(self, x):
+    def forward(self, x, *, cache: bool = True):
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise DataError(
                 f"conv1d expected (batch, {self.in_channels}, length), got {x.shape}"
             )
         batch, _, length = x.shape
         out_len, pad_left, pad_right = self._geometry(length)
-        xp = np.zeros((batch, length + pad_left + pad_right, self.in_channels), dtype=x.dtype)
+        xp_shape = (batch, length + pad_left + pad_right, self.in_channels)
+        if cache:
+            xp = np.zeros(xp_shape, dtype=x.dtype)
+        else:
+            xp = _scratch_array("padded", xp_shape, x.dtype)
+            xp[:, :pad_left] = 0
+            xp[:, pad_left + length:] = 0
         xp[:, pad_left : pad_left + length] = x.transpose(0, 2, 1)
         span = self.kernel_size * self.in_channels
         windows = np.lib.stride_tricks.sliding_window_view(
             xp.reshape(batch, -1), span, axis=1)[:, :: self.stride * self.in_channels]
-        cols = windows[:, :out_len].reshape(batch * out_len, span)  # the one copy
+        if cache:
+            cols = windows[:, :out_len].reshape(batch * out_len, span)  # the one copy
+            self._cache = (cols, length, pad_left, xp_shape)
+        else:
+            cols = _scratch_array("cols", (batch * out_len, span), x.dtype)
+            cols.reshape(batch, out_len, span)[...] = windows[:, :out_len]
+            self._cache = None
         out = cols @ self.w.value.transpose(2, 1, 0).reshape(span, self.out_channels)
         out += self.b.value
-        self._cache = (cols, length, pad_left, xp.shape)
         return out.reshape(batch, out_len, self.out_channels).transpose(0, 2, 1)
 
     def backward(self, grad):
@@ -222,9 +264,9 @@ class ReLU(Layer):
     def spec(self):
         return {"kind": "relu"}
 
-    def forward(self, x):
+    def forward(self, x, *, cache: bool = True):
         out = np.maximum(x, x.dtype.type(0))
-        self._cache = out
+        self._cache = out if cache else None
         return out
 
     def backward(self, grad):
@@ -329,11 +371,12 @@ class ResidualBlock(Layer):
         return {"kind": "residual_block", "in": self.in_channels, "out": self.out_channels,
                 "stride": self.stride, "projection": self.projection is not None}
 
-    def forward(self, x):
-        shortcut = x if self.projection is None else self.projection.forward(x)
-        h = self.conv2.forward(self.relu1.forward(self.conv1.forward(x)))
+    def forward(self, x, *, cache: bool = True):
+        shortcut = x if self.projection is None else self.projection.forward(x, cache=cache)
+        h = self.conv1.forward(x, cache=cache)
+        h = self.conv2.forward(self.relu1.forward(h, cache=cache), cache=cache)
         h += shortcut  # conv2's output is a fresh buffer
-        return self.relu_out.forward(h)
+        return self.relu_out.forward(h, cache=cache)
 
     def backward(self, grad):
         gs = self.relu_out.backward(grad)

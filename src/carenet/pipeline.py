@@ -466,8 +466,11 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 def forward_chunked(model: CarenetModel, x: np.ndarray,
                     chunk: int = FORWARD_CHUNK) -> np.ndarray:
-    """Model outputs for every row of x, forwarded at most chunk rows at a time."""
-    outs = [model.forward(x[i:i + chunk]) for i in range(0, x.shape[0], chunk)]
+    """Model outputs for every row of x, forwarded at most chunk rows at a time.
+
+    The passes are forward-only: they leave no backward caches behind.
+    """
+    outs = [model.forward(x[i:i + chunk], cache=False) for i in range(0, x.shape[0], chunk)]
     return np.concatenate(outs) if outs else np.empty((0, model.n_classes), model.dtype)
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "gen_spectrum",
     "gen_cube",
     "gen_panel",
-    "tissue_profile",
-    "class_mean_separation",
     "DEFAULT_TISSUE_BANDS",
     "PARAFFIN_BANDS",
     "H2O_LINES",
@@ -178,24 +176,6 @@ def _band_profile(bands, class_label, separation, values) -> np.ndarray:
         if amp > 0.0:
             out += amp * np.exp(-0.5 * ((values - band.center) / band.sigma) ** 2)
     return out
-
-
-def tissue_profile(config: SynthConfig, class_label: str) -> np.ndarray:
-    """Noiseless tissue band sum for one class (no baseline, scale 1)."""
-    if class_label not in CLASS_LABELS:
-        raise DataError(f"unknown class label {class_label!r}")
-    return _band_profile(config.tissue_bands, class_label, config.class_separation,
-                         config.axis.values)
-
-
-def class_mean_separation(config: SynthConfig, class_a: str, class_b: str) -> float:
-    """Distance between two classes' noiseless tissue profiles.
-
-    This is what a linear discriminant can exploit at best, so it serves as
-    the separability oracle: it must never decrease when class_separation
-    grows.
-    """
-    return float(np.linalg.norm(tissue_profile(config, class_a) - tissue_profile(config, class_b)))
 
 
 def _baseline_rows(count: int, values: np.ndarray, rng, config: SynthConfig) -> np.ndarray:

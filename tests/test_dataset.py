@@ -211,6 +211,24 @@ class TestCubeIO:
         assert cube.n_spectra == 108
         assert cube.spectra_matrix().shape == (108, RAW_AXIS.n_points)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_intensity_rejected(self, bad):
+        data = np.ones((3, 4, RAW_AXIS.n_points), dtype=np.float32)
+        data[2, 1, 7] = bad
+        with pytest.raises(DataError, match="finite"):
+            HyperCube(data, RAW_AXIS, 0, 1, "AT", "none")
+
+    def test_validation_makes_no_cube_sized_temporary(self):
+        data = np.ones((36, 36, RAW_AXIS.n_points), dtype=np.float32)
+        assert data.nbytes > 8e6
+        tracemalloc.start()
+        try:
+            HyperCube(data, RAW_AXIS, 0, 1, "AT", "none")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000, peak  # an isfinite mask alone is a quarter of the cube
+
     def test_ca_requires_subtype(self):
         with pytest.raises(DataError):
             HyperCube(np.zeros((2, 2, RAW_AXIS.n_points)), RAW_AXIS, 0, 1, "CA", "none")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carenet.errors import DataError
+from carenet.errors import DataError, PipelineError
 from carenet.model import (
     BLOCKS_PER_STAGE,
     INPUT_LENGTH,
@@ -186,3 +186,16 @@ class TestReplayMode:
         p64 = replay.forward(x.astype(np.float64))
         assert replay.parameters()[0].value.dtype == np.float64
         np.testing.assert_allclose(p32, p64, atol=1e-4)
+
+
+class TestForwardOnlyPass:
+    @pytest.mark.parametrize("head", ["type", "subtype"])
+    def test_backward_after_forward_only_pass_raises(self, head, rng):
+        model = build_carenet(head, seed=3)
+        x = rng.standard_normal((3, 1, INPUT_LENGTH)).astype(np.float32)
+        grad = np.ones((3, model.n_classes), dtype=np.float32)
+        model.forward(x)
+        model.backward(grad)  # the caching pass leaves what backward needs
+        model.forward(x, cache=False)
+        with pytest.raises(PipelineError):
+            model.backward(grad)

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -8,7 +9,7 @@ import pytest
 from carenet.dataset import HyperCube, read_cube, write_cube
 from carenet.errors import DataError
 from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, build_carenet
-from carenet.nn import bce_loss, cce_loss
+from carenet.nn import Conv1D, ReLU, bce_loss, cce_loss
 from carenet.pipeline import (
     PatientRecord,
     TrainConfig,
@@ -436,3 +437,83 @@ class TestForwardChunked:
         model = build_carenet("subtype", seed=1)
         out = forward_chunked(model, np.empty((0, INPUT_LENGTH), np.float32))
         assert out.shape == (0, 4)
+
+
+def _with_random_head(head, dtype, seed):
+    """A model whose zero-initialized head is filled, so outputs vary by row."""
+    model = build_carenet(head, seed=seed).astype(dtype)
+    rng = np.random.default_rng(seed)
+    model.dense.w.value = rng.standard_normal(model.dense.w.value.shape).astype(dtype)
+    return model
+
+
+def _caching_forward(model, x):
+    return np.concatenate([model.forward(x[i:i + FORWARD_CHUNK])
+                           for i in range(0, x.shape[0], FORWARD_CHUNK)])
+
+
+class TestForwardOnly:
+    def test_leaves_no_backward_caches(self):
+        model = _with_random_head("type", np.float32, 2)
+        x = np.random.default_rng(0).random((FORWARD_CHUNK + 5, INPUT_LENGTH), np.float32)
+        model.forward(x[:4])  # a caching pass first, so stale caches would show
+        forward_chunked(model, x)
+        layers = [model.stem, model.stem_relu]
+        for block in model.blocks:
+            layers += [block.conv1, block.relu1, block.conv2, block.relu_out]
+            layers += [block.projection] if block.projection is not None else []
+        assert sum(isinstance(layer, Conv1D) for layer in layers) == 20
+        assert sum(isinstance(layer, ReLU) for layer in layers) == 17
+        assert all(layer._cache is None for layer in layers)
+
+    def test_memory_is_bounded_by_one_chunk(self):
+        model = _with_random_head("type", np.float32, 2)
+        x = np.random.default_rng(0).random((256, INPUT_LENGTH), np.float32)
+        forward_chunked(model, x)  # warm-up: grows this thread's scratch
+        tracemalloc.start()
+        try:
+            forward_chunked(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # caching passes held ~33.6 MB: every layer's columns and ReLU outputs
+        assert peak <= 8e6, peak
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("head", ["type", "subtype"])
+    def test_bitwise_equal_to_caching_forward(self, head, dtype):
+        model = _with_random_head(head, dtype, 3)
+        x = np.random.default_rng(5).random((2 * FORWARD_CHUNK + 11, INPUT_LENGTH))
+        expected = _caching_forward(model, x)
+        got = forward_chunked(model, x)
+        assert got.dtype == expected.dtype == dtype
+        np.testing.assert_array_equal(got, expected)
+
+    def test_threads_each_get_their_serial_result(self):
+        models = [_with_random_head("subtype", np.float32, 4),
+                  _with_random_head("type", np.float64, 6)]
+        rng = np.random.default_rng(7)
+        inputs = [rng.random((3 * FORWARD_CHUNK + 9, INPUT_LENGTH), np.float32)
+                  for _ in models]
+        serial = [forward_chunked(m, x) for m, x in zip(models, inputs)]
+        results = [[] for _ in models]
+
+        def run(i):
+            for _ in range(5):
+                results[i].append(forward_chunked(models[i], inputs[i]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(models))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for want, got in zip(serial, results):
+            assert len(got) == 5
+            for out in got:
+                np.testing.assert_array_equal(out, want)

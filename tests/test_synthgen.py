@@ -4,15 +4,33 @@ import pytest
 from carenet.errors import DataError
 from carenet.spectral import Band, integrate_band_rows
 from carenet.synthgen import (
+    CLASS_LABELS,
+    PARAFFIN_BANDS,
     ROLE_PARAFFIN,
     ROLE_SLIDE,
     ROLE_TISSUE,
     BandSpec,
     SynthConfig,
-    class_mean_separation,
+    _band_profile,
     gen_panel,
     gen_spectrum,
 )
+
+
+def tissue_profile(config: SynthConfig, class_label: str) -> np.ndarray:
+    """Oracle: noiseless tissue band sum for one class (no baseline, scale 1)."""
+    assert class_label in CLASS_LABELS
+    return _band_profile(config.tissue_bands, class_label, config.class_separation,
+                         config.axis.values)
+
+
+def class_mean_separation(config: SynthConfig, class_a: str, class_b: str) -> float:
+    """Oracle: distance between two classes' noiseless tissue profiles.
+
+    This is what a linear discriminant can exploit at best, so it must never
+    decrease when class_separation grows.
+    """
+    return float(np.linalg.norm(tissue_profile(config, class_a) - tissue_profile(config, class_b)))
 
 
 def noiseless_config(**kw):
@@ -38,8 +56,6 @@ class TestGenSpectrum:
         rng = np.random.default_rng(0)
         spec = gen_spectrum("HER2", "tissue", rng, config)
         assert spec.dtype == np.float64 and spec.shape == (config.axis.n_points,)
-
-        from carenet.synthgen import PARAFFIN_BANDS, _band_profile, tissue_profile
 
         values = config.axis.values
         expected = tissue_profile(config, "HER2")
