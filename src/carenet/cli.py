@@ -167,25 +167,22 @@ def cmd_synth(args) -> int:
     options = parse_config_file(args.config) if args.config else {}
     config = _synth_config(options, seed=args.seed)
     run_dir = _run_dir(args, "synth")
-    panel = gen_panel(config)
-
     outputs = []
-    index = {"seed": config.seed, "patients": [], "cores": {}, "h2o": "h2o.crns"}
-    for record in panel.patients:
-        index["patients"].append({
-            "patient_id": record.patient_id,
-            "subtype": record.subtype,
-            "ca_core_id": record.ca_core_id,
-            "at_core_id": record.at_core_id,
-        })
-    for core_id in sorted(panel.cubes):
-        name = f"core_{core_id:04d}.crns"
-        write_cube(panel.cubes[core_id], run_dir / name,
-                   ground_truth=panel.ground_truth[core_id])
-        index["cores"][str(core_id)] = name
+    cores = {}
+
+    def write(cube, truth) -> None:
+        # gen_panel hands over each cube as soon as it exists: one cube is live
+        name = "h2o.crns" if truth is None else f"core_{cube.core_id:04d}.crns"
+        write_cube(cube, run_dir / name, ground_truth=truth)
+        if truth is not None:
+            cores[str(cube.core_id)] = name
         outputs.append(run_dir / name)
-    write_cube(panel.h2o_cube, run_dir / "h2o.crns")
-    outputs.append(run_dir / "h2o.crns")
+
+    panel = gen_panel(config, emit=write)
+    index = {"seed": config.seed, "cores": cores, "h2o": "h2o.crns", "patients": [
+        {"patient_id": record.patient_id, "subtype": record.subtype,
+         "ca_core_id": record.ca_core_id, "at_core_id": record.at_core_id}
+        for record in panel.patients]}
     with open(run_dir / "panel.json", "w", encoding="utf-8") as fh:
         json.dump(index, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -194,7 +191,7 @@ def cmd_synth(args) -> int:
     _write_manifest(run_dir, "synth", args, _config_dict(config),
                     inputs=[args.config] if args.config else [],
                     outputs=outputs, started=started)
-    print(f"synth: {len(panel.cubes)} cores -> {run_dir}")
+    print(f"synth: {len(cores)} cores -> {run_dir}")
     return EXIT_OK
 
 

@@ -62,12 +62,14 @@ FORWARD_CHUNK = 32
 class CarenetModel:
     """Layer graph with explicit trunk/head split (Grad-CAM needs the seam)."""
 
-    def __init__(self, head: str, seed: int = 0, dtype=np.float32):
+    def __init__(self, head: str, seed: int | None = 0, dtype=np.float32):
+        """He-initialized from seed; seed=None gives zero weights and draws
+        nothing (for a model whose parameters are set right after)."""
         if head not in HEADS:
             raise DataError(f"head must be one of {HEADS}, got {head!r}")
         self.head = head
         self.dtype = np.dtype(dtype)
-        rng = make_rng(seed)
+        rng = None if seed is None else make_rng(seed)
 
         self.stem = Conv1D(1, STAGE_FILTERS[0], STEM_KERNEL, STEM_STRIDE, rng=rng, dtype=dtype)
         self.stem_relu = ReLU()
@@ -156,7 +158,7 @@ class CarenetModel:
 
     def astype(self, dtype) -> "CarenetModel":
         """Copy of this model with parameters cast (float64 replay mode)."""
-        clone = CarenetModel(self.head, seed=0, dtype=dtype)
+        clone = CarenetModel(self.head, seed=None, dtype=dtype)
         for dst, src in zip(clone.parameters(), self.parameters()):
             dst.value = src.value.astype(dtype)
             dst.grad = np.zeros_like(dst.value)
@@ -218,7 +220,7 @@ def load_checkpoint(path, expect_head: str | None = None) -> tuple[CarenetModel,
             f"{path}: architecture mismatch, checkpoint head is {head!r} "
             f"but {expect_head!r} was requested"
         )
-    model = CarenetModel(head, seed=0)
+    model = CarenetModel(head, seed=None)
     if (meta.get("input_length") != INPUT_LENGTH
             or meta.get("layers") != model.layer_specs()):
         raise DataError(f"{path}: checkpoint layer graph does not match this architecture")

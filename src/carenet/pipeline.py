@@ -562,7 +562,7 @@ def train_fold(config: TrainConfig, train_x: np.ndarray, train_labels: np.ndarra
             best_values = model.parameter_values()
             best_epoch = epoch
 
-    model_best = build_carenet(config.head, seed=config.init_seed)
+    model_best = CarenetModel(config.head, seed=None)
     model_best.set_parameter_values(best_values)
     return FoldResult(model_final=model, model_best=model_best,
                       history=history, best_epoch=best_epoch)

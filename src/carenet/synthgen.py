@@ -4,6 +4,31 @@ Produces hypercubes with known tissue/paraffin/slide composition,
 class-dependent band amplitudes, polynomial baselines, multiplicative
 scatter, and additive noise. Every end-to-end test uses this module as its
 ground truth, so generation must be a pure function of (config, seed).
+
+Stream contract. Each cube has its own rng (a SeedSequence child of
+config.seed: core c takes child c, the H2O image the last one). A core draws
+role by role (tissue, paraffin, slide), each role's pixels in row-major
+order in chunks of DRAW_CHUNK (4096) pixels; the H2O image is one chunk of
+all its pixels. Per chunk of n rows the draws are, in this order:
+
+1. tissue: n paraffin fractions, then n H2O fractions; H2O: (n, 6) line
+   factors; paraffin and slide: nothing;
+2. n scale factors, n baseline constants, (n, 4) baseline coefficients;
+3. the (n, n_points) standard normals of the noise, in C order (none when
+   noise_sigma is 0).
+
+A core then draws its spikes: the pixels, then their channels. The
+arithmetic walks each chunk in blocks of ROW_BLOCK rows and draws each
+block's normals into a reused buffer; normals fill in C order, so the blocks
+do not change the stream. Per row, in float64 and in this order, a
+spectrum is chem * scale + coefs @ powers + normals * noise_sigma, rounded
+once to the cube's float32; chem is base + par_f * paraffin + h2o_f * h2o
+for tissue, the paraffin profile, zero on slide, and factors @ lines for
+H2O. The two matrix products run per block, and a BLAS may round the last
+float64 bit of a product's edge rows differently for a different row count
+(or thread count); that has not survived the float32 rounding in any cube
+checked (tests/test_synthgen.py compares every role and class against a
+whole-chunk oracle).
 """
 
 from __future__ import annotations
@@ -32,6 +57,14 @@ __all__ = [
 ROLE_SLIDE = 0
 ROLE_TISSUE = 1
 ROLE_PARAFFIN = 2
+ROLE_H2O = 3
+
+# Pixels per draw chunk of one role (the H2O image is one chunk). The chunks
+# fix the rng stream, so this never changes.
+DRAW_CHUNK = 4096
+# Rows per arithmetic block: two float64 (ROW_BLOCK, n_points) buffers, 1.6 MB
+# each on the 1580-point raw axis, stay cache-resident. Not part of the stream.
+ROW_BLOCK = 128
 
 CLASS_LABELS = ("AT", "LA", "LB", "HER2", "TNBC")
 
@@ -125,8 +158,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        def is_count(value) -> bool:
+            return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+        if (not isinstance(self.n_patients, tuple) or len(self.n_patients) != len(SUBTYPES)
+                or not all(is_count(n) for n in self.n_patients)):
+            raise DataError(f"n_patients must be {len(SUBTYPES)} integer counts, "
+                            f"got {self.n_patients!r}")
         if any(n < 0 for n in self.n_patients):
             raise DataError("patient counts must be >= 0")
+        if not is_count(self.image_size):
+            raise DataError(f"image_size must be an integer, got {self.image_size!r}")
         if self.image_size < 4:
             raise DataError("image_size must be >= 4")
         for name in ("baseline_const_range", "baseline_coef_range", "scale_range",
@@ -160,13 +202,16 @@ class GroundTruth:
 
 @dataclass
 class Panel:
-    """One synthetic cohort: patient records, their cubes, and an H2O image."""
+    """One synthetic cohort: patient records, their cubes, and an H2O image.
+
+    gen_panel(config, emit) streams the cubes instead: its Panel has no cubes.
+    """
 
     config: SynthConfig
     patients: list[PatientRecord]
     cubes: dict[int, HyperCube]
     ground_truth: dict[int, GroundTruth]
-    h2o_cube: HyperCube
+    h2o_cube: HyperCube | None = None
 
 
 def _band_profile(bands, class_label, separation, values) -> np.ndarray:
@@ -178,47 +223,54 @@ def _band_profile(bands, class_label, separation, values) -> np.ndarray:
     return out
 
 
-def _baseline_rows(count: int, values: np.ndarray, rng, config: SynthConfig) -> np.ndarray:
-    mid = 0.5 * (values[0] + values[-1])
-    halfspan = 0.5 * abs(values[0] - values[-1])
-    t = (values - mid) / halfspan
-    powers = np.vander(t, 5, increasing=True).T  # (5, n_points)
+def _fill_rows(dest: np.ndarray, rows: np.ndarray, class_label: str, role: int, rng,
+               config: SynthConfig) -> None:
+    """Generate one draw chunk of spectra of one pixel role into dest[rows].
+
+    The chunk's per-row uniforms are drawn first, then its noise block by
+    block (see the module docstring); dest is float32 cube rows or float64.
+    """
+    values = config.axis.values
+    count = rows.size
+    if role == ROLE_TISSUE:
+        base = _band_profile(config.tissue_bands, class_label, config.class_separation, values)
+        par = _band_profile(PARAFFIN_BANDS, class_label, 0.0, values)
+        h2o = _band_profile(H2O_LINES, class_label, 0.0, values)
+        par_f = rng.uniform(*config.tissue_paraffin_range, count)[:, None]
+        h2o_f = rng.uniform(*config.tissue_h2o_range, count)[:, None]
+    elif role == ROLE_PARAFFIN:
+        par = _band_profile(PARAFFIN_BANDS, class_label, 0.0, values)
+    elif role == ROLE_H2O:  # water-vapor environment image: per-line amplitude jitter
+        lines = np.stack([_band_profile((b,), class_label, 0.0, values) for b in H2O_LINES])
+        factors = rng.uniform(0.7, 1.4, (count, len(H2O_LINES)))
+    scale = rng.uniform(*config.scale_range, count)[:, None]
     coefs = np.empty((count, 5))
     coefs[:, 0] = rng.uniform(*config.baseline_const_range, count)
     coefs[:, 1:] = rng.uniform(*config.baseline_coef_range, (count, 4))
-    return coefs @ powers
+    mid = 0.5 * (values[0] + values[-1])
+    halfspan = 0.5 * abs(values[0] - values[-1])
+    powers = np.vander((values - mid) / halfspan, 5, increasing=True).T  # (5, n_points)
 
-
-def _spectra_block(class_label: str, role: int, count: int, rng, config: SynthConfig) -> np.ndarray:
-    """(count, n_points) float64 spectra for one pixel role."""
-    values = config.axis.values
-    sep = config.class_separation
-
-    if role == ROLE_TISSUE:
-        base = _band_profile(config.tissue_bands, class_label, sep, values)
-        par = _band_profile(PARAFFIN_BANDS, class_label, 0.0, values)
-        h2o = _band_profile(H2O_LINES, class_label, 0.0, values)
-        par_f = rng.uniform(*config.tissue_paraffin_range, count)
-        h2o_f = rng.uniform(*config.tissue_h2o_range, count)
-        chem = base[None, :] + par_f[:, None] * par + h2o_f[:, None] * h2o
-    elif role == ROLE_PARAFFIN:
-        par = _band_profile(PARAFFIN_BANDS, class_label, 0.0, values)
-        chem = np.broadcast_to(par, (count, values.size)).copy()
-    elif role == ROLE_SLIDE:
-        chem = np.zeros((count, values.size))
-    else:  # water-vapor environment image: per-line amplitude jitter
-        lines = np.stack([_band_profile((b,), class_label, 0.0, values) for b in H2O_LINES])
-        factors = rng.uniform(0.7, 1.4, (count, len(H2O_LINES)))
-        chem = factors @ lines
-
-    scale = rng.uniform(*config.scale_range, count)
-    out = scale[:, None] * chem + _baseline_rows(count, values, rng, config)
-    if config.noise_sigma > 0.0:
-        out += rng.standard_normal((count, values.size)) * config.noise_sigma
-    return out
-
-
-ROLE_H2O = 3
+    block = np.empty((min(ROW_BLOCK, count), values.size))
+    term = np.empty_like(block)
+    for start in range(0, count, ROW_BLOCK):
+        part = slice(start, start + ROW_BLOCK)
+        out, tmp = block[:count - start], term[:count - start]
+        if role == ROLE_TISSUE:
+            np.multiply(par_f[part], par, out=out)
+            out += base
+            out += np.multiply(h2o_f[part], h2o, out=tmp)
+        elif role == ROLE_PARAFFIN:
+            out[...] = par
+        elif role == ROLE_SLIDE:
+            out[...] = 0.0
+        else:
+            np.matmul(factors[part], lines, out=out)
+        out *= scale[part]
+        out += np.matmul(coefs[part], powers, out=tmp)
+        if config.noise_sigma > 0.0:
+            out += np.multiply(rng.standard_normal(out=tmp), config.noise_sigma, out=tmp)
+        dest[rows[part]] = out
 
 
 def gen_spectrum(class_label: str, role: str, rng: np.random.Generator,
@@ -230,7 +282,20 @@ def gen_spectrum(class_label: str, role: str, rng: np.random.Generator,
         raise DataError(f"unknown role {role!r}")
     if class_label not in CLASS_LABELS:
         raise DataError(f"unknown class label {class_label!r}")
-    return _spectra_block(class_label, codes[role], 1, rng, config)[0]
+    out = np.empty((1, config.axis.n_points))
+    _fill_rows(out, np.arange(1), class_label, codes[role], rng, config)
+    return out[0]
+
+
+def _empty_cube(config: SynthConfig) -> np.ndarray:
+    """Uninitialized (pixels, n_points) float32 cube rows, or a DataError."""
+    size, n_points = config.image_size, config.axis.n_points
+    try:
+        return np.empty((size * size, n_points), dtype=np.float32)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index can hold
+        gib = size * size * n_points * 4 / 2**30
+        raise DataError(f"image_size {size}: a {size}x{size}x{n_points} float32 cube "
+                        f"({gib:.3g} GiB) cannot be allocated") from exc
 
 
 def _role_map(size: int) -> np.ndarray:
@@ -248,20 +313,13 @@ def gen_cube(class_label: str, core_type: str, patient_id: int, core_id: int,
              rng: np.random.Generator, config: SynthConfig) -> tuple[HyperCube, GroundTruth]:
     """One imaged core with its ground-truth role and spike masks."""
     size = config.image_size
-    n_points = config.axis.n_points
+    data = _empty_cube(config)
     role = _role_map(size)
     flat_role = role.ravel()
-
-    data = np.empty((size * size, n_points), dtype=np.float32)
-    # role blocks generated in fixed order (and fixed chunking) so the rng
-    # stream is reproducible; chunks bound the float64 temporaries on
-    # full-size 320x320 mosaics
-    chunk = 4096
     for code in (ROLE_TISSUE, ROLE_PARAFFIN, ROLE_SLIDE):
         idx = np.flatnonzero(flat_role == code)
-        for start in range(0, idx.size, chunk):
-            part = idx[start:start + chunk]
-            data[part] = _spectra_block(class_label, code, part.size, rng, config)
+        for start in range(0, idx.size, DRAW_CHUNK):
+            _fill_rows(data, idx[start:start + DRAW_CHUNK], class_label, code, rng, config)
 
     spike = np.zeros(size * size, dtype=bool)
     if config.spike_fraction > 0.0:
@@ -277,7 +335,7 @@ def gen_cube(class_label: str, core_type: str, patient_id: int, core_id: int,
             spike[chosen] = True
 
     cube = HyperCube(
-        intensities=data.reshape(size, size, n_points),
+        intensities=data.reshape(size, size, config.axis.n_points),
         axis=config.axis,
         core_id=core_id,
         patient_id=patient_id,
@@ -287,40 +345,51 @@ def gen_cube(class_label: str, core_type: str, patient_id: int, core_id: int,
     return cube, GroundTruth(role=role, spike=spike.reshape(size, size))
 
 
-def gen_panel(config: SynthConfig) -> Panel:
-    """Full synthetic cohort: one CA and one AT cube per patient, plus H2O."""
+def gen_panel(config: SynthConfig, emit=None) -> Panel:
+    """Full synthetic cohort: one CA and one AT cube per patient, plus H2O.
+
+    Cubes are made one at a time, in core-id order and then the H2O image,
+    each from its own SeedSequence child of config.seed. With emit, each one
+    goes to emit(cube, truth) (truth is None for the H2O image) as soon as it
+    exists and is not kept, so at most one cube is live and the Panel holds
+    the patient records only. Without emit, the Panel keeps every cube.
+    """
     if config.total_patients < 1:
         raise DataError("panel needs at least one patient")
     n_cubes = 2 * config.total_patients
     seeds = np.random.SeedSequence(config.seed).spawn(n_cubes + 1)
+    panel = Panel(config=config, patients=[], cubes={}, ground_truth={})
+    if emit is None:
+        def emit(cube: HyperCube, truth: GroundTruth | None) -> None:
+            if truth is None:
+                panel.h2o_cube = cube
+            else:
+                panel.cubes[cube.core_id] = cube
+                panel.ground_truth[cube.core_id] = truth
 
-    patients: list[PatientRecord] = []
-    cubes: dict[int, HyperCube] = {}
-    truth: dict[int, GroundTruth] = {}
+    def rng(index: int) -> np.random.Generator:
+        return np.random.Generator(np.random.PCG64(seeds[index]))
+
     core_id = 0
     patient_id = 0
     for subtype, count in zip(SUBTYPES, config.n_patients):
         for _ in range(count):
             patient_id += 1
-            ca_id, at_id = core_id, core_id + 1
-            rng_ca = np.random.Generator(np.random.PCG64(seeds[ca_id]))
-            rng_at = np.random.Generator(np.random.PCG64(seeds[at_id]))
-            cubes[ca_id], truth[ca_id] = gen_cube(subtype, "CA", patient_id, ca_id, rng_ca, config)
-            cubes[at_id], truth[at_id] = gen_cube("AT", "AT", patient_id, at_id, rng_at, config)
-            patients.append(PatientRecord(patient_id=patient_id, subtype=subtype,
-                                          ca_core_id=ca_id, at_core_id=at_id))
+            emit(*gen_cube(subtype, "CA", patient_id, core_id, rng(core_id), config))
+            emit(*gen_cube("AT", "AT", patient_id, core_id + 1, rng(core_id + 1), config))
+            panel.patients.append(PatientRecord(patient_id=patient_id, subtype=subtype,
+                                                ca_core_id=core_id, at_core_id=core_id + 1))
             core_id += 2
 
-    rng_h2o = np.random.Generator(np.random.PCG64(seeds[n_cubes]))
     size = config.image_size
-    h2o_data = _spectra_block("AT", ROLE_H2O, size * size, rng_h2o, config)
-    h2o_cube = HyperCube(
-        intensities=h2o_data.astype(np.float32).reshape(size, size, config.axis.n_points),
+    data = _empty_cube(config)
+    _fill_rows(data, np.arange(size * size), "AT", ROLE_H2O, rng(n_cubes), config)
+    emit(HyperCube(
+        intensities=data.reshape(size, size, config.axis.n_points),
         axis=config.axis,
         core_id=-1,
         patient_id=-1,
         core_type="H2O",
         subtype="none",
-    )
-    return Panel(config=config, patients=patients, cubes=cubes, ground_truth=truth,
-                 h2o_cube=h2o_cube)
+    ), None)
+    return panel

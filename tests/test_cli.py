@@ -1,5 +1,6 @@
 import json
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +91,74 @@ class TestSynth:
         assert run(["synth", "--seed", 7, "--config", config, "--out-dir", again]) == 0
         for name in json.loads((synth_dir / "panel.json").read_text())["cores"].values():
             assert (synth_dir / name).read_bytes() == (again / name).read_bytes()
+
+    def test_streams_one_cube_at_a_time(self, tmp_path, monkeypatch):
+        from carenet import synthgen
+        from carenet.cli import _synth_config
+
+        config_path = tmp_path / "c.cfg"
+        config_path.write_text("n_patients = 1, 1, 0, 0\nimage_size = 12\nspike_fraction = 0.05\n")
+        live = {"now": 0, "most": 0, "made": 0}
+
+        def freed():
+            live["now"] -= 1
+
+        def tracked_cube(*args, **kwargs):
+            cube = real_cube(*args, **kwargs)
+            live["now"] += 1
+            live["made"] += 1
+            live["most"] = max(live["most"], live["now"])
+            weakref.finalize(cube, freed)
+            return cube
+
+        real_cube = synthgen.HyperCube
+        monkeypatch.setattr(synthgen, "HyperCube", tracked_cube)
+        out = tmp_path / "panel"
+        assert run(["synth", "--seed", 4, "--config", config_path, "--out-dir", out]) == 0
+        assert live == {"now": 0, "most": 1, "made": 5}  # 4 cores + H2O
+        monkeypatch.undo()
+
+        # the same loop without a callback keeps the panel in memory
+        panel = synthgen.gen_panel(_synth_config(parse_config_file(config_path), seed=4))
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        for core_id, cube in panel.cubes.items():
+            write_cube(cube, expected / f"core_{core_id:04d}.crns",
+                       ground_truth=panel.ground_truth[core_id])
+        write_cube(panel.h2o_cube, expected / "h2o.crns")
+        written = sorted(p.name for p in out.iterdir())
+        assert written == sorted([p.name for p in expected.iterdir()]
+                                 + ["manifest.json", "panel.json"])
+        for path in expected.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+        index = json.loads((out / "panel.json").read_text())
+        assert index == {
+            "seed": 4, "h2o": "h2o.crns",
+            "cores": {str(c): f"core_{c:04d}.crns" for c in panel.cubes},
+            "patients": [{"patient_id": r.patient_id, "subtype": r.subtype,
+                          "ca_core_id": r.ca_core_id, "at_core_id": r.at_core_id}
+                         for r in panel.patients],
+        }
+
+    @pytest.mark.parametrize("line", [
+        "image_size = 8.5", "image_size = true", "n_patients = 1, 2.5, 0, 0",
+        "n_patients = 1, false, 0, 0",
+    ])
+    def test_non_integer_size_or_count_is_usage_error(self, tmp_path, capsys, line):
+        config = tmp_path / "c.cfg"
+        config.write_text(line + "\n")
+        out = tmp_path / "x"
+        assert run(["synth", "--config", config, "--out-dir", out]) == 2
+        assert "bad synth config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unallocatable_cube_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("n_patients = 1, 0, 0, 0\nimage_size = 3000000\n")
+        out = tmp_path / "x"
+        assert run(["synth", "--config", config, "--out-dir", out]) == 3
+        assert "cannot be allocated" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestPreprocess:

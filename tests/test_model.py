@@ -144,6 +144,31 @@ class TestCheckpoints:
         np.testing.assert_array_equal(loaded.forward(x), before)
         assert meta == {"seed": 7, "fold": 2, "epoch": 13}
 
+    @pytest.mark.parametrize("head", ["type", "subtype"])
+    def test_load_and_cast_draw_no_weights(self, tmp_path, rng, monkeypatch, head):
+        from carenet import nn
+
+        model = build_carenet(head, seed=5)
+        x = rng.standard_normal((3, 1, INPUT_LENGTH)).astype(np.float32)
+        before = model.forward(x)
+        path = tmp_path / "model.crnm"
+        save_checkpoint(model, path)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("he_normal called for weights that are overwritten")
+
+        monkeypatch.setattr(nn, "he_normal", no_draw)
+        loaded, _ = load_checkpoint(path, expect_head=head)
+        np.testing.assert_array_equal(loaded.forward(x), before)
+        for a, b in zip(loaded.parameters(), model.parameters()):
+            np.testing.assert_array_equal(a.value, b.value)
+        again = tmp_path / "again.crnm"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        replay = model.astype(np.float64)
+        for a, b in zip(replay.parameters(), model.parameters()):
+            np.testing.assert_array_equal(a.value, b.value.astype(np.float64))
+
     def test_truncated_file_rejected(self, tmp_path):
         model = build_carenet("type", seed=1)
         path = tmp_path / "model.crnm"

@@ -2,16 +2,22 @@ import numpy as np
 import pytest
 
 from carenet.errors import DataError
-from carenet.spectral import Band, integrate_band_rows
+from carenet.spectral import BIOFINGERPRINT_BAND, Band, band_slice, integrate_band_rows
 from carenet.synthgen import (
     CLASS_LABELS,
+    DRAW_CHUNK,
+    H2O_LINES,
     PARAFFIN_BANDS,
+    ROLE_H2O,
     ROLE_PARAFFIN,
     ROLE_SLIDE,
     ROLE_TISSUE,
+    ROW_BLOCK,
     BandSpec,
     SynthConfig,
     _band_profile,
+    _role_map,
+    gen_cube,
     gen_panel,
     gen_spectrum,
 )
@@ -31,6 +37,65 @@ def class_mean_separation(config: SynthConfig, class_a: str, class_b: str) -> fl
     decrease when class_separation grows.
     """
     return float(np.linalg.norm(tissue_profile(config, class_a) - tissue_profile(config, class_b)))
+
+
+def spectra_block_oracle(class_label: str, role: int, count: int, rng,
+                         config: SynthConfig) -> np.ndarray:
+    """Oracle: one draw chunk as (count, n_points) float64, built whole-block.
+
+    The same draws in the same order as the generator, but every term is a
+    full (count, n_points) temporary and the noise is one draw.
+    """
+    values = config.axis.values
+    if role == ROLE_TISSUE:
+        base = tissue_profile(config, class_label)
+        par = _band_profile(PARAFFIN_BANDS, class_label, 0.0, values)
+        h2o = _band_profile(H2O_LINES, class_label, 0.0, values)
+        par_f = rng.uniform(*config.tissue_paraffin_range, count)
+        h2o_f = rng.uniform(*config.tissue_h2o_range, count)
+        chem = base[None, :] + par_f[:, None] * par + h2o_f[:, None] * h2o
+    elif role == ROLE_PARAFFIN:
+        par = _band_profile(PARAFFIN_BANDS, class_label, 0.0, values)
+        chem = np.broadcast_to(par, (count, values.size)).copy()
+    elif role == ROLE_SLIDE:
+        chem = np.zeros((count, values.size))
+    else:
+        lines = np.stack([_band_profile((b,), class_label, 0.0, values) for b in H2O_LINES])
+        chem = rng.uniform(0.7, 1.4, (count, len(H2O_LINES))) @ lines
+    scale = rng.uniform(*config.scale_range, count)
+    mid = 0.5 * (values[0] + values[-1])
+    halfspan = 0.5 * abs(values[0] - values[-1])
+    powers = np.vander((values - mid) / halfspan, 5, increasing=True).T
+    coefs = np.empty((count, 5))
+    coefs[:, 0] = rng.uniform(*config.baseline_const_range, count)
+    coefs[:, 1:] = rng.uniform(*config.baseline_coef_range, (count, 4))
+    out = scale[:, None] * chem + coefs @ powers
+    if config.noise_sigma > 0.0:
+        out += rng.standard_normal((count, values.size)) * config.noise_sigma
+    return out
+
+
+def cube_oracle(class_label: str, rng, config: SynthConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle: (float32 (pixels, n_points) rows, spike mask) of one core."""
+    size = config.image_size
+    flat_role = _role_map(size).ravel()
+    data = np.empty((size * size, config.axis.n_points), dtype=np.float32)
+    for code in (ROLE_TISSUE, ROLE_PARAFFIN, ROLE_SLIDE):
+        idx = np.flatnonzero(flat_role == code)
+        for start in range(0, idx.size, 4096):
+            part = idx[start:start + 4096]
+            data[part] = spectra_block_oracle(class_label, code, part.size, rng, config)
+    spike = np.zeros(size * size, dtype=bool)
+    if config.spike_fraction > 0.0:
+        sel = band_slice(config.axis, BIOFINGERPRINT_BAND)
+        tissue_idx = np.flatnonzero(flat_role == ROLE_TISSUE)
+        n_spike = int(round(config.spike_fraction * tissue_idx.size))
+        if n_spike:
+            chosen = rng.choice(tissue_idx, size=n_spike, replace=False)
+            channels = rng.integers(sel.start, sel.stop, size=n_spike)
+            data[chosen, channels] += config.spike_amplitude
+            spike[chosen] = True
+    return data, spike
 
 
 def noiseless_config(**kw):
@@ -125,6 +190,66 @@ class TestGenPanel:
         config = SynthConfig(class_separation=0.0)
         assert class_mean_separation(config, "AT", "TNBC") == 0.0
         assert class_mean_separation(config, "LA", "LB") == 0.0
+
+
+class TestStreamOracle:
+    """The row-blocked generator against the whole-block oracle, bit for bit.
+
+    The cube is compared in float32, its stored dtype. Row blocking can move
+    the last float64 bit of a BLAS product at the edge tiles of the baseline
+    and H2O matrix products (so can the BLAS thread count); the cast to
+    float32 absorbs that at these seeds.
+    """
+
+    @pytest.mark.parametrize("kw", [
+        dict(image_size=20),
+        dict(image_size=33, spike_fraction=0.05),
+        dict(image_size=37, noise_sigma=0.0),
+        dict(image_size=29, class_separation=2.5),
+    ], ids=["plain", "spikes", "noiseless", "separation"])
+    def test_every_class_matches_oracle(self, kw):
+        config = SynthConfig(seed=3, **kw)
+        for i, label in enumerate(CLASS_LABELS):
+            core_type = "AT" if label == "AT" else "CA"
+            cube, truth = gen_cube(label, core_type, 1, 0, np.random.default_rng(i), config)
+            data, spike = cube_oracle(label, np.random.default_rng(i), config)
+            assert cube.intensities.dtype == np.float32
+            assert np.array_equal(cube.spectra_matrix(), data), label
+            assert np.array_equal(truth.spike.ravel(), spike), label
+            if config.spike_fraction > 0.0:
+                assert spike.any()
+
+    @pytest.mark.parametrize("size", [70, 120])
+    def test_panel_matches_oracle_past_one_chunk(self, size):
+        config = SynthConfig(n_patients=(0, 0, 1, 0), image_size=size, seed=9,
+                             spike_fraction=0.01, class_separation=1.5)
+        role_rows = np.bincount(_role_map(size).ravel())
+        if size == 120:  # tissue spans two draw chunks, the second partial
+            assert DRAW_CHUNK < role_rows[ROLE_TISSUE] < 2 * DRAW_CHUNK
+        assert any(n % ROW_BLOCK for n in role_rows)
+        assert size * size > DRAW_CHUNK and size * size % ROW_BLOCK  # H2O: one chunk
+        panel = gen_panel(config)
+        seeds = np.random.SeedSequence(config.seed).spawn(3)
+        for core_id, label in ((0, "HER2"), (1, "AT")):
+            rng = np.random.Generator(np.random.PCG64(seeds[core_id]))
+            data, spike = cube_oracle(label, rng, config)
+            assert np.array_equal(panel.cubes[core_id].spectra_matrix(), data)
+            assert np.array_equal(panel.ground_truth[core_id].spike.ravel(), spike)
+        rng = np.random.Generator(np.random.PCG64(seeds[2]))
+        h2o = spectra_block_oracle("AT", ROLE_H2O, size * size, rng, config).astype(np.float32)
+        assert panel.h2o_cube.intensities.dtype == np.float32
+        assert np.array_equal(panel.h2o_cube.spectra_matrix(), h2o)
+
+    def test_gen_spectrum_matches_oracle(self):
+        config = SynthConfig(class_separation=1.7)
+        roles = {"tissue": ROLE_TISSUE, "paraffin": ROLE_PARAFFIN,
+                 "slide": ROLE_SLIDE, "h2o": ROLE_H2O}
+        for i, label in enumerate(CLASS_LABELS):
+            for name, code in roles.items():
+                spec = gen_spectrum(label, name, np.random.default_rng(i), config)
+                expected = spectra_block_oracle(label, code, 1, np.random.default_rng(i), config)
+                assert spec.dtype == np.float64
+                assert np.array_equal(spec, expected[0]), (label, name)
 
 
 class TestBandSpec:
