@@ -42,6 +42,7 @@ _VARIANCE_TINY = 1e-12
 _BASELINE_ORDER = 4
 _REF_COEF_FLOOR = 1e-6
 _INTERFERENT_VARIANCE = 0.99  # explained-variance share kept per interferent block
+_RESIDUAL_ROWS = 1024  # rows per block of the Q residual: a (1024, p) product at a time
 
 
 @dataclass
@@ -74,17 +75,15 @@ class OutlierReport:
             raise DataError("keep flags inconsistent with thresholds")
 
 
-def _variance_spectrum(data: np.ndarray):
-    """(mean, variances, loadings) of all min(n, p) principal components.
+def _variance_spectrum(centered: np.ndarray):
+    """(variances, loadings) of all min(n, p) principal components of centred rows C.
 
-    One eigendecomposition of the smaller Gram matrix of the centred rows C,
-    sorted descending, with roundoff below zero clipped: C'C (p x p) for
-    n >= p; for fewer rows than columns C C' (n x n), whose eigenvectors u
-    give the loadings as the normalised C'u (the snapshot method).
+    One eigendecomposition of the smaller Gram matrix of C, sorted
+    descending, with roundoff below zero clipped: C'C (p x p) for n >= p;
+    for fewer rows than columns C C' (n x n), whose eigenvectors u give the
+    loadings as the normalised C'u (the snapshot method).
     """
-    mean = data.mean(axis=0)
-    centered = data - mean
-    wide = data.shape[0] < data.shape[1]
+    wide = centered.shape[0] < centered.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         gram = centered @ centered.T if wide else centered.T @ centered
     if not np.all(np.isfinite(gram)):
@@ -98,8 +97,8 @@ def _variance_spectrum(data: np.ndarray):
         eigvecs = centered.T @ eigvecs
         norms = np.linalg.norm(eigvecs, axis=0)
         eigvecs /= np.where(norms > 0.0, norms, 1.0)
-    variances = np.maximum(eigvals, 0.0) / (data.shape[0] - 1)
-    return mean, variances, eigvecs.T
+    variances = np.maximum(eigvals, 0.0) / (centered.shape[0] - 1)
+    return variances, eigvecs.T
 
 
 def _numerical_rank(variances: np.ndarray, shape: tuple[int, int]) -> int:
@@ -120,10 +119,17 @@ def pca_fit(data: np.ndarray, n_components: int | None = None,
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DataError("PCA needs a 2-D matrix with at least 2 rows")
+    mean = data.mean(axis=0)
+    return _fit_centered(mean, data - mean, n_components, variance_threshold)
+
+
+def _fit_centered(mean: np.ndarray, centered: np.ndarray, n_components: int | None = None,
+                  variance_threshold: float | None = None) -> PcaModel:
+    """`pca_fit` of rows already centred on their column mean; reads `centered` only."""
     if (n_components is None) == (variance_threshold is None):
         raise DataError("choose exactly one of n_components / variance_threshold")
 
-    mean, variances, loadings = _variance_spectrum(data)
+    variances, loadings = _variance_spectrum(centered)
     total = float(variances.sum())
     if total <= _VARIANCE_TINY:
         raise NumericalError("data has (numerically) zero variance; PCA is degenerate")
@@ -137,7 +143,7 @@ def pca_fit(data: np.ndarray, n_components: int | None = None,
         p = int(n_components)
         if p < 1 or p > variances.size:
             raise DataError(
-                f"cannot extract {p} components from {data.shape[0]}x{data.shape[1]} data"
+                f"cannot extract {p} components from {centered.shape[0]}x{centered.shape[1]} data"
             )
     return PcaModel(mean=mean, loadings=loadings[:p].copy(),
                     explained_variance=variances[:p].copy(), total_variance=total)
@@ -152,7 +158,7 @@ def rank_estimate(data: np.ndarray) -> int:
     relative level are roundoff and are not counted.
     """
     data = np.asarray(data, dtype=np.float64)
-    _, variances, _ = _variance_spectrum(data)
+    variances, _ = _variance_spectrum(data - data.mean(axis=0))
     return _numerical_rank(variances, data.shape)
 
 
@@ -165,26 +171,34 @@ def scores_and_residuals(model: PcaModel, rows: np.ndarray):
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.mean.shape[0]:
         raise DataError("spectra must be (n, p) rows matching the PCA model")
+    return _statistics(model, rows - model.mean)
 
-    centered = rows - model.mean
+
+def _statistics(model: PcaModel, centered: np.ndarray):
+    """`scores_and_residuals` of rows already centred on model.mean; overwrites them."""
     scores = centered @ model.loadings.T
     lam = model.explained_variance
     usable = lam >= _VARIANCE_TINY
     t2 = (scores[:, usable] ** 2 / lam[usable]).sum(axis=1)
-    centered -= scores @ model.loadings  # the residual, in place
+    # the residual, in place a block of rows at a time: no (n, p) product is held
+    for start in range(0, centered.shape[0], _RESIDUAL_ROWS):
+        block = slice(start, start + _RESIDUAL_ROWS)
+        centered[block] -= scores[block] @ model.loadings
     q = np.square(centered, out=centered).sum(axis=1)
     return scores, t2, q
 
 
 def remove_outliers(data: np.ndarray, n_pcs: int = 10,
-                    confidence: float = 0.95) -> tuple[np.ndarray, OutlierReport]:
+                    confidence: float = 0.95) -> tuple[PcaModel, OutlierReport]:
     """Single-pass T2-vs-Q rejection at empirical percentile thresholds.
 
-    The data is factored once: the model keeps the leading n_pcs components
-    that lie above the numerical rank cutoff of `rank_estimate` (identical
-    spectra leave none and raise NumericalError). Thresholds are the
-    `confidence` quantiles of T2 and Q over the data; a spectrum exceeding
-    either is rejected. Thresholds are not re-fit after rejection.
+    The data is centred once and factored once: the model keeps the leading
+    n_pcs components that lie above the numerical rank cutoff of
+    `rank_estimate` (identical spectra leave none and raise NumericalError).
+    Thresholds are the `confidence` quantiles of T2 and Q over the data; a
+    spectrum exceeding either is rejected. Thresholds are not re-fit after
+    rejection. Returns (model, report); the kept rows are
+    `data[report.kept]`, left to the caller to take, or not.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
@@ -192,11 +206,13 @@ def remove_outliers(data: np.ndarray, n_pcs: int = 10,
     if data.shape[0] <= n_pcs:
         raise DataError(f"need more than {n_pcs} rows, got {data.shape[0]}")
 
-    model = pca_fit(data, n_components=min(n_pcs, data.shape[1]))
-    rank = _numerical_rank(model.explained_variance, data.shape)  # >= 1: pca_fit passed
+    mean = data.mean(axis=0)
+    centered = data - mean  # the fit reads it, then the statistics overwrite it
+    model = _fit_centered(mean, centered, n_components=min(n_pcs, data.shape[1]))
+    rank = _numerical_rank(model.explained_variance, data.shape)  # >= 1: the fit passed
     model = replace(model, loadings=model.loadings[:rank],
                     explained_variance=model.explained_variance[:rank])
-    _, t2, q = scores_and_residuals(model, data)
+    _, t2, q = _statistics(model, centered)
     t2_thr = float(np.quantile(t2, confidence))
     q_thr = float(np.quantile(q, confidence))
     kept = (t2 <= t2_thr) & (q <= q_thr)
@@ -204,7 +220,7 @@ def remove_outliers(data: np.ndarray, n_pcs: int = 10,
         raise NumericalError("outlier removal rejected every spectrum")
     report = OutlierReport(t2=t2, q=q, kept=kept, t2_threshold=t2_thr,
                            q_threshold=q_thr, n_components=model.n_components)
-    return data[kept], report
+    return model, report
 
 
 # ---------------------------------------------------------------------------
@@ -318,6 +334,9 @@ def emsc_correct_rows(rows: np.ndarray, model: EmscModel):
     ref = coefs[:, 0]
     usable = np.abs(ref) >= _REF_COEF_FLOOR
     safe_ref = np.where(usable, ref, 1.0)
-    corrected = (rows - coefs[:, 1:] @ model.design[:, 1:].T) / safe_ref[:, None]
+    # (rows - fitted interferents) / reference, in the one (n, p) output
+    corrected = coefs[:, 1:] @ model.design[:, 1:].T
+    np.subtract(rows, corrected, out=corrected)
+    corrected /= safe_ref[:, None]
     corrected[~usable] = 0.0
     return corrected, coefs, usable

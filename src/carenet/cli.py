@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -150,6 +151,8 @@ def _write_manifest(run_dir: Path, command: str, args, config_snapshot: dict,
         "outputs": sorted(str(p) for p in outputs),
         "started_unix": started,
         "elapsed_s": time.time() - started,
+        # this process's peak so far: on Linux ru_maxrss counts KiB
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
     if extra:
         manifest.update(extra)
@@ -512,6 +515,12 @@ def cmd_gradcam(args) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    if not (text.isdecimal() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="carenet",
@@ -523,14 +532,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     unused_jobs = "accepted, no effect yet: this command runs on one thread"
 
-    def common(p, jobs_help):
+    def common(p, jobs_help=None):
         p.add_argument("--seed", type=int, default=0, help="master seed for this run")
-        p.add_argument("--jobs", type=int, default=1, help=jobs_help)
+        if jobs_help is not None:
+            p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
         p.add_argument("--out-dir", default=None,
                        help="run directory (default: runs/<timestamp>-seed<seed>-<cmd>)")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic panel of cores")
-    common(p_synth, unused_jobs)
+    common(p_synth)
     p_synth.add_argument("--config", default=None, help="key = value config file")
     p_synth.set_defaults(func=cmd_synth)
 

@@ -16,10 +16,20 @@ overlapping or short entries, and CRC failures. The meta "kind" names what a con
 holds: "hypercube" and "spectraset" here, "checkpoint" in model.py.
 
 Reading checks every directory entry (dtype, shape, extent against the file
-size) before it allocates anything, then fills one `np.empty` per array with
-`readinto` and takes the CRC over that array's own buffer: each array is one
-allocation, never a copy of the file. Writing takes the CRC of, and
-writes, each array's own buffer.
+size) before it allocates anything. Each array then streams in blocks of
+whole rows (its last axis) of about 1 MiB, and every block's bytes feed a
+running CRC32. A full read fills the array's own `np.empty` buffer in place,
+so each array is one allocation, never a copy of the file. A cut read keeps
+only a slice of the last axis: blocks land in one reused buffer, their values
+are checked finite there, and the slice is copied out. Writing takes the CRC
+of, and writes, each array's own buffer.
+
+Band reads: `read_cube(path, band)` is a cut read of `intensities` that
+keeps the band's points, on the sub-axis `sub_axis(axis, band_slice(axis,
+band))`. Preprocessing only looks at the 1800-900 cm^-1 biofingerprint (467
+of the 1580 raw points), so it reads cubes this way and never holds a whole
+cube. The dropped points still pass the CRC and finiteness checks: a damaged
+or non-finite value outside the band is a DataError, as in a full read.
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .spectral import WavenumberAxis
+from .spectral import Band, WavenumberAxis, band_slice, sub_axis
 
 __all__ = [
     "CORE_TYPES",
@@ -57,6 +67,7 @@ __all__ = [
 MAGIC = b"CRNS"
 VERSION = 1
 _ALIGN = 64
+_BLOCK_BYTES = 1 << 20  # a streamed read's block: about 1 MiB of whole rows
 
 CORE_TYPES = ("AT", "CA")
 SUBTYPES = ("LA", "LB", "HER2", "TNBC")
@@ -253,16 +264,21 @@ def write_container(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
             pos = rel_off + view.size
 
 
-def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a CRNS file back into (arrays, meta); validates structure and CRCs."""
+def read_container(path, cut=None) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a CRNS file back into (arrays, meta); validates structure and CRCs.
+
+    `cut(meta, shapes)`, when given, is called once the directory has passed
+    its checks, with each array's declared shape by name. It returns
+    {name: slice}: each named array keeps only that slice of its last axis.
+    """
     try:
         with open(path, "rb") as fh:
-            return _read_open_container(fh, path)
+            return _read_open_container(fh, path, cut)
     except OSError as exc:
         raise DataError(f"{path}: cannot read container ({exc})") from exc
 
 
-def _read_open_container(fh, path) -> tuple[dict[str, np.ndarray], dict]:
+def _read_open_container(fh, path, cut) -> tuple[dict[str, np.ndarray], dict]:
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(10)
     if len(head) < 10 or head[:4] != MAGIC:
@@ -318,21 +334,52 @@ def _read_open_container(fh, path) -> tuple[dict[str, np.ndarray], dict]:
             raise DataError(f"{path}: array {name!r} extends past end of file")
         prev_end = offset + length
 
+    cuts = cut(meta, {e[3]: e[5] for e in parsed}) if cut else {}
     arrays: dict[str, np.ndarray] = {}
     for offset, length, crc, name, dtype, shape in parsed:
-        try:
-            arr = np.empty(shape, dtype=dtype)
-        except ValueError as exc:  # a zero-size shape with a dimension numpy cannot index
-            raise DataError(f"{path}: array {name!r} cannot be read as {dtype} {shape} "
-                            f"({exc})") from exc
-        view = _bytes(arr)
         fh.seek(data_start + offset)
-        if fh.readinto(view) != length:
-            raise DataError(f"{path}: array {name!r} extends past end of file")
-        if zlib.crc32(view) != crc:
-            raise DataError(f"{path}: array {name!r} failed its CRC32 check")
-        arrays[name] = arr
+        arrays[name] = _read_array(fh, path, name, dtype, shape, crc, cuts.get(name))
     return arrays, meta
+
+
+def _read_array(fh, path, name, dtype, shape, crc, keep) -> np.ndarray:
+    """One array from the file position, in blocks of whole rows of its last axis.
+
+    Without `keep` each block is read straight into the result. With it, each
+    block goes into one reused buffer, is checked finite (a dropped value
+    meets no later check), and only its `keep` columns are copied out.
+    """
+    width = shape[-1] if shape else 1
+    n_rows = math.prod(shape) // width if width else 0
+    if keep is not None:
+        if dtype.kind != "f":
+            raise DataError(f"{path}: array {name!r} has dtype {dtype}, "
+                            "but only a floating-point array can be cut")
+        shape = shape[:-1] + (len(range(width)[keep]),)
+    try:
+        out = np.empty(shape, dtype=dtype)
+    except ValueError as exc:  # a zero-size shape with a dimension numpy cannot index
+        raise DataError(f"{path}: array {name!r} cannot be read as {dtype} {shape} "
+                        f"({exc})") from exc
+    rows = out.reshape(n_rows, out.shape[-1] if shape else 1)
+    step = max(1, _BLOCK_BYTES // max(1, width * dtype.itemsize))
+    buffer = None if keep is None else np.empty((min(step, n_rows), width), dtype=dtype)
+    running = 0
+    for start in range(0, n_rows, step):
+        stop = min(start + step, n_rows)
+        block = rows[start:stop] if keep is None else buffer[:stop - start]
+        view = _bytes(block)
+        if fh.readinto(view) != view.size:
+            raise DataError(f"{path}: array {name!r} extends past end of file")
+        running = zlib.crc32(view, running)
+        if keep is not None:
+            # NaN propagates through min and max and an infinity is one of them
+            if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+                raise DataError(f"{path}: array {name!r} holds non-finite values")
+            rows[start:stop] = block[:, keep]
+    if running != crc:
+        raise DataError(f"{path}: array {name!r} failed its CRC32 check")
+    return out
 
 
 def _axis_meta(axis: WavenumberAxis) -> dict:
@@ -405,15 +452,30 @@ def write_cube(cube: HyperCube, path, ground_truth=None) -> None:
     write_container(path, arrays, meta)
 
 
-def read_cube(path) -> tuple[HyperCube, dict[str, np.ndarray]]:
-    """Read a hypercube; returns (cube, extras) with any gt_* arrays in extras."""
-    arrays, meta = read_container(path)
+def read_cube(path, band: Band | None = None) -> tuple[HyperCube, dict[str, np.ndarray]]:
+    """Read a hypercube; returns (cube, extras) with any gt_* arrays in extras.
+
+    Given a band, this is a band read (see the module docstring): the cube
+    holds only the band's points, on the band's sub-axis.
+    """
+    def cut(meta, shapes):
+        if band is None or meta.get("kind") != "hypercube" or "intensities" not in shapes:
+            return {}  # read whole; the checks below reject what is not a cube
+        axis = _axis_from_meta(meta.get("axis"))
+        shape = shapes["intensities"]
+        # a zero-size cube could declare any point count, and band_slice spans the axis
+        if len(shape) != 3 or shape[2] != axis.n_points or 0 in shape:
+            raise DataError(f"{path}: cube intensities {shape} do not fit the axis")
+        return {"intensities": band_slice(axis, band)}
+
+    arrays, meta = read_container(path, cut)
     if meta.get("kind") != "hypercube":
         raise DataError(f"{path}: container does not hold a hypercube")
     try:
+        axis = _axis_from_meta(meta["axis"])
         cube = HyperCube(
             intensities=arrays["intensities"],
-            axis=_axis_from_meta(meta["axis"]),
+            axis=axis if band is None else sub_axis(axis, band_slice(axis, band)),
             core_id=int(meta["core_id"]),
             patient_id=int(meta["patient_id"]),
             core_type=meta["core_type"],

@@ -110,8 +110,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.head not in ("type", "subtype"):
             raise DataError(f"unknown head {self.head!r}")
-        if self.epochs < 1 or self.batch_size < 1 or self.lr <= 0:
-            raise DataError("epochs, batch_size, and lr must be positive")
+        # NaN fails both comparisons, so it is rejected with the infinities
+        if self.epochs < 1 or self.batch_size < 1 or not 0.0 < self.lr < float("inf"):
+            raise DataError("epochs and batch_size must be positive, lr positive and finite")
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +255,17 @@ def preprocess_h2o(h2o_cube: HyperCube) -> np.ndarray:
     """The panel's EMSC water-vapour block from its environment image.
 
     Truncate, outlier pass, smooth, then `interferent_block` over the H2O
-    band: built once per panel and shared by every core's EMSC model.
+    band: built once per panel and shared by every core's EMSC model. Each
+    stage's input is dropped once the next stage has its own rows, the cube
+    included when the caller hands over its only reference.
     """
     sel = band_slice(h2o_cube.axis, BIOFINGERPRINT_BAND)
+    axis = sub_axis(h2o_cube.axis, sel)
     rows = h2o_cube.spectra_matrix()[:, sel].astype(np.float64)
-    rows = savgol_smooth(rows[_outlier_pass(rows)])
-    return interferent_block(rows, sub_axis(h2o_cube.axis, sel), H2O_MASK_BAND)
+    del h2o_cube
+    rows = rows[_outlier_pass(rows)]
+    rows = savgol_smooth(rows)
+    return interferent_block(rows, axis, H2O_MASK_BAND)
 
 
 def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> CoreResult:
@@ -276,43 +282,42 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
 
     # cut to the biofingerprint in float32; only the selected pixels are upcast
     sel = band_slice(cube.axis, BIOFINGERPRINT_BAND)
+    axis = sub_axis(cube.axis, sel)
     flat = cube.spectra_matrix()[:, sel]
     tissue_idx = np.flatnonzero(tissue_mask.mask.ravel())
-    tissue = flat[tissue_idx].astype(np.float64)
+    spectra = flat[tissue_idx].astype(np.float64)
     paraffin = flat[paraffin_mask.mask.ravel()].astype(np.float64)
-    n0 = tissue.shape[0]
+    n0 = spectra.shape[0]
 
-    keep1 = _outlier_pass(tissue)
-    tissue = tissue[keep1]
-    tissue_idx = tissue_idx[keep1]
+    # one float64 working copy per stage: each rebinding of `spectra` frees its input
+    keep = _outlier_pass(spectra)
+    spectra, tissue_idx = spectra[keep], tissue_idx[keep]
     paraffin = paraffin[_outlier_pass(paraffin)]
-    n1 = tissue.shape[0]
+    n1 = spectra.shape[0]
     if n1 == 0:
         raise DataError(f"core {cube.core_id}: no tissue spectra survived outlier removal")
 
-    tissue = savgol_smooth(tissue)
+    spectra = savgol_smooth(spectra)
     paraffin = savgol_smooth(paraffin)
 
-    axis = sub_axis(cube.axis, sel)
-    emsc = emsc_build_model(tissue.mean(axis=0), paraffin, h2o_block, axis)
-    corrected, _, usable = emsc_correct_rows(tissue, emsc)
-    corrected = corrected[usable]
-    tissue_idx = tissue_idx[usable]
-    n2 = corrected.shape[0]
+    emsc = emsc_build_model(spectra.mean(axis=0), paraffin, h2o_block, axis)
+    del paraffin
+    spectra, coefs, keep = emsc_correct_rows(spectra, emsc)
+    del coefs, emsc  # (n, m) coefficients and an (m, p) design: not needed again
+    spectra, tissue_idx = spectra[keep], tissue_idx[keep]
+    n2 = spectra.shape[0]
     if n2 == 0:
         raise DataError(f"core {cube.core_id}: EMSC flagged every spectrum as non-tissue")
 
-    normalized, keep_norm = minmax_normalize_rows(corrected)
-    normalized = normalized[keep_norm]
-    tissue_idx = tissue_idx[keep_norm]
-    n3 = normalized.shape[0]
+    spectra, keep = minmax_normalize_rows(spectra)
+    spectra, tissue_idx = spectra[keep], tissue_idx[keep]
+    n3 = spectra.shape[0]
     if n3 == 0:
         raise DataError(f"core {cube.core_id}: all spectra degenerate after normalization")
 
-    keep2 = _outlier_pass(normalized)
-    normalized = normalized[keep2]
-    tissue_idx = tissue_idx[keep2]
-    n4 = normalized.shape[0]
+    keep = _outlier_pass(spectra)
+    spectra, tissue_idx = spectra[keep], tissue_idx[keep]
+    n4 = spectra.shape[0]
     if n4 == 0:
         raise DataError(f"core {cube.core_id}: second outlier pass rejected everything")
 
@@ -323,7 +328,7 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
         patient_id=cube.patient_id,
         core_type=cube.core_type,
         subtype=cube.subtype,
-        spectra=normalized.astype(np.float32),
+        spectra=spectra.astype(np.float32),
         axis=axis,
         rows=(tissue_idx // cube.cols).astype(np.int32),
         cols=(tissue_idx % cube.cols).astype(np.int32),
@@ -340,15 +345,17 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
 
     Cubes stream: the H2O cube is read, reduced to its block and dropped
     before any core is read, and each worker reads its own core, so at most
-    `jobs` core cubes are in memory at once. A cube that cannot be read is a
-    DataError for the whole panel; a core whose preprocessing fails is
-    reported and skipped. Returns (SpectraSet, per-core CoreResult dict,
+    `jobs` core cubes are in memory at once. Each is a band read of the
+    biofingerprint, the only part of a spectrum preprocessing looks at, so a
+    cube in memory holds 467 of its 1580 points per pixel. A cube that cannot
+    be read is a DataError for the whole panel; a core whose preprocessing
+    fails is reported and skipped. Returns (SpectraSet, per-core CoreResult dict,
     skipped list of (core_id, reason)).
     """
-    h2o_block = preprocess_h2o(read_cube(h2o_path)[0])
+    h2o_block = preprocess_h2o(read_cube(h2o_path, BIOFINGERPRINT_BAND)[0])
 
     def run(path) -> CoreResult | tuple[int, str]:
-        cube = read_cube(path)[0]
+        cube = read_cube(path, BIOFINGERPRINT_BAND)[0]
         try:
             return preprocess_core(cube, h2o_block, seed=seed)
         except (DataError, NumericalError) as exc:

@@ -141,10 +141,11 @@ def savgol_smooth(y: np.ndarray, window: int = 11, poly_order: int = 2) -> np.nd
     vand = np.vander(offsets, poly_order + 1, increasing=True)
     hat = vand @ np.linalg.pinv(vand)  # fitted values at every in-window offset
 
-    interior = sliding_window_view(y, window, axis=1) @ hat[half]
-    head = y[:, :window] @ hat[:half].T
-    tail = y[:, -window:] @ hat[half + 1 :].T
-    return np.concatenate([head, interior, tail], axis=1)
+    out = np.empty(y.shape)  # head, interior and tail are written straight into it
+    np.matmul(y[:, :window], hat[:half].T, out=out[:, :half])
+    np.matmul(sliding_window_view(y, window, axis=1), hat[half], out=out[:, half:n - half])
+    np.matmul(y[:, -window:], hat[half + 1 :].T, out=out[:, n - half:])
+    return out
 
 
 def minmax_normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,6 +161,7 @@ def minmax_normalize_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     span = hi - lo
     keep = span[:, 0] > 0.0
     safe = np.where(span > 0.0, span, 1.0)
-    out = (rows - lo) / safe
+    out = rows - lo
+    out /= safe
     out[~keep] = 0.0
     return out, keep

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,7 +150,8 @@ class TestRemoveOutliers:
     def test_clean_gaussian_rejection_fraction(self):
         rng = np.random.default_rng(2024)
         data = rng.standard_normal((500, 40))
-        kept, report = remove_outliers(data, n_pcs=10, confidence=0.95)
+        report = remove_outliers(data, n_pcs=10, confidence=0.95)[1]
+        kept = data[report.kept]
         frac = 1.0 - report.kept.mean()
         assert 0.05 <= frac <= 0.12
         assert kept.shape[0] == report.kept.sum()
@@ -165,7 +168,8 @@ class TestRemoveOutliers:
 
     def test_threshold_idempotence(self, rng):
         data = rng.standard_normal((300, 30))
-        kept, report = remove_outliers(data)
+        report = remove_outliers(data)[1]
+        kept = data[report.kept]
         _, t2, q = scores_and_residuals(
             pca_fit(data, n_components=report.n_components), kept
         )
@@ -178,6 +182,40 @@ class TestRemoveOutliers:
         _, r1 = remove_outliers(data)
         _, r2 = remove_outliers(data)
         np.testing.assert_array_equal(r1.kept, r2.kept)
+
+    def test_statistics_bitwise_equal_to_fit_then_score(self, rng):
+        # one shared centring gives the values of a separate fit and scoring
+        data = rng.standard_normal((2500, 60)).cumsum(axis=1)  # > one residual block
+        model, report = remove_outliers(data, n_pcs=6)
+        fitted = pca_fit(data, n_components=6)
+        for name in ("mean", "loadings", "explained_variance"):
+            assert getattr(model, name).tobytes() == getattr(fitted, name).tobytes(), name
+        _, t2, q = scores_and_residuals(fitted, data)
+        assert report.t2.tobytes() == t2.tobytes()
+        assert report.q.tobytes() == q.tobytes()
+
+    def test_holds_one_centred_copy_and_no_kept_copy(self, rng):
+        data = rng.standard_normal((6000, 200))
+        tracemalloc.start()
+        try:
+            remove_outliers(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the centred rows, plus one residual block, the Gram matrix and the statistics
+        assert peak < 1.3 * data.nbytes, peak / data.nbytes
+
+
+def test_residual_is_formed_a_block_at_a_time(rng):
+    data = rng.standard_normal((6000, 200))
+    model = pca_fit(data, n_components=10)
+    tracemalloc.start()
+    try:
+        scores_and_residuals(model, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * data.nbytes, peak / data.nbytes  # centred rows, no (n, p) product
 
 
 def h2o_block(spectra):

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from carenet.cli import build_parser, main, parse_config_file
-from carenet.dataset import SUBTYPES, read_cube, read_spectraset, write_container, write_cube
+from carenet.dataset import (
+    SUBTYPES,
+    read_container,
+    read_cube,
+    read_spectraset,
+    write_container,
+    write_cube,
+)
 from tests.conftest import rewrite_directory
 
 TINY_CONFIG = """
@@ -193,6 +200,31 @@ class TestPreprocess:
         write_cube(cube, path)
         assert run(["preprocess", panel, "--out-dir", tmp_path / "out"]) == 3
 
+    @pytest.mark.parametrize("damage", ["crc", "inf", "truncated"])
+    def test_damage_outside_the_band_is_data_error(self, tiny_run, tmp_path, damage):
+        # preprocess reads only the biofingerprint; 3950 cm^-1 is far outside it
+        _, synth_dir, _, _ = tiny_run
+        panel = tmp_path / "panel"
+        shutil.copytree(synth_dir, panel)
+        path = panel / json.loads((panel / "panel.json").read_text())["cores"]["0"]
+        raw = bytearray(path.read_bytes())
+        dir_len = int.from_bytes(raw[6:10], "little")
+        entries = json.loads(raw[10:10 + dir_len])["arrays"]
+        start = (10 + dir_len + 63) // 64 * 64 + next(
+            e["offset"] for e in entries if e["name"] == "intensities")
+        if damage == "crc":
+            raw[start] ^= 0x01  # pixel 0, 3950 cm^-1
+            path.write_bytes(bytes(raw))
+        elif damage == "truncated":
+            path.write_bytes(bytes(raw[:start + 4]))
+        else:
+            arrays, meta = read_container(path)
+            arrays["intensities"][0, 0, 0] = np.inf
+            write_container(path, arrays, meta)
+        out = tmp_path / "out"
+        assert run(["preprocess", panel, "--out-dir", out]) == 3
+        assert not (out / "spectra.crns").exists()
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unreadable_last_core_is_data_error_not_skipped(self, tiny_run, tmp_path, capsys,
                                                              jobs):
@@ -336,10 +368,31 @@ class TestTrainEvalGradcam:
     def test_usage_error_exit_code(self):
         assert run(["train"]) == 2  # missing required arguments
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_data_error_before_training(self, tiny_run, tmp_path,
+                                                        monkeypatch, lr):
+        from carenet import cli
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("a fold trained")
+
+        monkeypatch.setattr(cli, "train_fold", no_training)
+        _, _, pre_dir, _ = tiny_run
+        out = tmp_path / "out"
+        assert run(["train", pre_dir / "spectra.crns", "--head", "type", "--lr", lr,
+                    "--out-dir", out]) == 3
+        assert not list(out.glob("*.crnm"))
+
+    def test_every_manifest_records_peak_rss(self, tiny_run):
+        root, synth_dir, pre_dir, train_dirs = tiny_run
+        for run_dir in [synth_dir, pre_dir, *train_dirs.values()]:
+            peak = json.loads((run_dir / "manifest.json").read_text())["peak_rss_mb"]
+            assert isinstance(peak, float) and 1.0 < peak < 1e6, (run_dir, peak)
+
 
 def test_jobs_help_says_where_it_acts(capsys):
     parser = build_parser()
-    for command in ("synth", "preprocess", "train", "eval", "gradcam"):
+    for command in ("preprocess", "train", "eval", "gradcam"):
         with pytest.raises(SystemExit):
             parser.parse_args([command, "--help"])
         text = " ".join(capsys.readouterr().out.split())
@@ -348,3 +401,18 @@ def test_jobs_help_says_where_it_acts(capsys):
     # accepted, not rejected, where it has no effect
     args = parser.parse_args(["train", "spectra.crns", "--head", "type", "--jobs", "2"])
     assert args.jobs == 2
+
+
+@pytest.mark.parametrize("command", ["preprocess", "train", "eval", "gradcam"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "two"])
+def test_jobs_below_one_is_usage_error(tmp_path, command, jobs):
+    positional = {"preprocess": ["panel"], "train": ["spectra.crns", "--head", "type"],
+                  "eval": ["train", "spectra.crns"], "gradcam": ["train", "spectra.crns"]}
+    out = tmp_path / "out"
+    assert run([command, *positional[command], "--jobs", jobs, "--out-dir", out]) == 2
+    assert not out.exists()
+
+
+def test_synth_takes_no_jobs(tmp_path):
+    assert run(["synth", "--jobs", 1, "--out-dir", tmp_path / "out"]) == 2
+    assert not (tmp_path / "out").exists()

@@ -1,3 +1,4 @@
+import json
 import time
 import tracemalloc
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ from carenet.dataset import (
 )
 from carenet.errors import DataError
 from carenet.model import build_carenet, load_checkpoint, save_checkpoint
-from carenet.spectral import RAW_AXIS, WavenumberAxis
+from carenet.spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice, sub_axis
 from tests.conftest import rewrite_directory
 
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
@@ -234,6 +235,86 @@ class TestCubeIO:
             HyperCube(np.zeros((2, 2, RAW_AXIS.n_points)), RAW_AXIS, 0, 1, "CA", "none")
 
 
+def _payload_start(path, name):
+    """File offset of an array's first byte in a CRNS file."""
+    raw = path.read_bytes()
+    dir_len = int.from_bytes(raw[6:10], "little")
+    entry = next(e for e in json.loads(raw[10:10 + dir_len])["arrays"] if e["name"] == name)
+    return (10 + dir_len + 63) // 64 * 64 + entry["offset"]
+
+
+class TestBandRead:
+    # 31 x 29 pixels of 6320 bytes: five 1 MiB blocks, the last one partial
+    @pytest.fixture
+    def cube_path(self, tmp_path):
+        rng = np.random.default_rng(5)
+        cube = HyperCube(rng.random((31, 29, RAW_AXIS.n_points), dtype=np.float32),
+                         RAW_AXIS, 3, 2, "CA", "HER2")
+        truth = SimpleNamespace(role=rng.integers(0, 3, (31, 29)),
+                                spike=rng.integers(0, 2, (31, 29)))
+        write_cube(cube, tmp_path / "cube.crns", ground_truth=truth)
+        return tmp_path / "cube.crns"
+
+    def test_equals_full_read_sliced_bitwise(self, cube_path):
+        full, full_extras = read_cube(cube_path)
+        band, band_extras = read_cube(cube_path, BIOFINGERPRINT_BAND)
+        sel = band_slice(RAW_AXIS, BIOFINGERPRINT_BAND)
+        assert band.intensities.shape == (31, 29, 467)
+        assert band.intensities.tobytes() == full.intensities[..., sel].tobytes()
+        assert band.axis == sub_axis(full.axis, sel)
+        identity = (band.core_id, band.patient_id, band.core_type, band.subtype)
+        assert identity == (3, 2, "CA", "HER2")
+        assert band_extras.keys() == full_extras.keys()
+        for name, value in full_extras.items():
+            assert band_extras[name].tobytes() == value.tobytes()
+
+    def test_holds_the_band_and_one_block(self, cube_path):
+        tracemalloc.start()
+        try:
+            band = read_cube(cube_path, BIOFINGERPRINT_BAND)[0]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 2.9 MB: the band's 1.7 MB plus the block buffer, never the cube's 5.7 MB
+        assert peak < band.intensities.nbytes + (1 << 20) + 200_000, peak
+
+    @pytest.mark.parametrize("damage", ["crc", "nan", "inf", "-inf", "truncated"])
+    def test_damage_outside_the_band_is_data_error(self, cube_path, damage):
+        # pixel 0, point 0: 3950 cm^-1, far outside the biofingerprint
+        if damage == "crc":
+            raw = bytearray(cube_path.read_bytes())
+            raw[_payload_start(cube_path, "intensities")] ^= 0x01
+            cube_path.write_bytes(bytes(raw))
+        elif damage == "truncated":
+            raw = cube_path.read_bytes()
+            cube_path.write_bytes(raw[:_payload_start(cube_path, "intensities") + 4])
+        else:
+            arrays, meta = read_container(cube_path)
+            arrays["intensities"][0, 0, 0] = float(damage)
+            write_container(cube_path, arrays, meta)  # with the CRC of the new bytes
+        for band in (None, BIOFINGERPRINT_BAND):
+            with pytest.raises(DataError):
+                read_cube(cube_path, band)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["arrays"][0].update(shape=[31 * 29, RAW_AXIS.n_points]),
+        lambda d: d["meta"]["axis"].update(n_points=467),
+        lambda d: d["meta"].pop("axis"),
+        lambda d: d["meta"]["axis"].update(start_wn=1500.0),
+    ], ids=["two-dimensional", "axis-disagrees", "no-axis", "band-off-axis"])
+    def test_cube_that_does_not_fit_its_axis_is_data_error(self, cube_path, edit):
+        rewrite_directory(cube_path, edit)
+        with pytest.raises(DataError):
+            read_cube(cube_path, BIOFINGERPRINT_BAND)
+
+    def test_only_a_float_array_can_be_cut(self, tmp_path):
+        path = tmp_path / "ints.crns"
+        write_container(path, {"x": np.arange(12).reshape(3, 4)}, {"kind": "test"})
+        with pytest.raises(DataError, match="floating-point"):
+            read_container(path, lambda meta, shapes: {"x": slice(1, 3)})
+        assert read_container(path)[0]["x"].tobytes() == np.arange(12).reshape(3, 4).tobytes()
+
+
 class TestCsv:
     def test_round_trip_exact_float32(self, tmp_path, rng):
         sset = small_spectraset(rng=rng)
@@ -358,7 +439,8 @@ def test_oversized_declared_shape_is_rejected_before_allocation(tmp_path):
 # ---------------------------------------------------------------------------
 # damaged files: every read either succeeds or raises DataError
 
-READERS = {"cube": read_cube, "spectraset": read_spectraset, "checkpoint": load_checkpoint}
+READERS = {"cube": read_cube, "spectraset": read_spectraset, "checkpoint": load_checkpoint,
+           "cube-band": lambda path: read_cube(path, BIOFINGERPRINT_BAND)}
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +451,7 @@ def pristine_files(tmp_path_factory):
                      RAW_AXIS, 4, 2, "CA", "LB")
     truth = SimpleNamespace(role=np.ones((2, 3)), spike=np.zeros((2, 3)))
     write_cube(cube, root / "cube", ground_truth=truth)
+    write_cube(cube, root / "cube-band", ground_truth=truth)
     write_spectraset(small_spectraset(), root / "spectraset")
     save_checkpoint(build_carenet("subtype", seed=1), root / "checkpoint")
     return root, {kind: (root / kind).read_bytes() for kind in READERS}

@@ -26,6 +26,7 @@ from carenet.pipeline import (
     train_fold,
     undersample_balance,
 )
+from carenet.spectral import BIOFINGERPRINT_BAND
 from carenet.synthgen import SynthConfig, gen_panel
 from tests.conftest import write_panel
 
@@ -264,9 +265,9 @@ class TestPreprocessCore:
             with lock:
                 live[kind] -= 1
 
-        def tracked_read(path):
+        def tracked_read(path, *band):
             nonlocal most_cores
-            cube, extras = read_cube(path)
+            cube, extras = read_cube(path, *band)
             kind = "h2o" if path == h2o_path else "core"
             with lock:
                 if kind == "core":
@@ -282,6 +283,44 @@ class TestPreprocessCore:
         assert 1 <= most_cores <= jobs
         assert h2o_live_at_core_reads == [0] * 5
         assert live == {"core": 0, "h2o": 0}
+
+    def test_cubes_are_read_as_the_biofingerprint_band(self, small_panel_files, monkeypatch):
+        from carenet import pipeline
+
+        bands = []
+
+        def recording_read(path, *band):
+            bands.append(band)
+            return read_cube(path, *band)
+
+        monkeypatch.setattr(pipeline, "read_cube", recording_read)
+        core_paths, h2o_path = small_panel_files
+        preprocess_panel(core_paths[:2], h2o_path, seed=0)
+        assert bands == [(BIOFINGERPRINT_BAND,)] * 3
+
+    def test_chain_holds_a_bounded_number_of_row_copies(self, tmp_path):
+        # peaks are in units of the cube's band upcast to float64, over every pixel
+        panel = gen_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=64, seed=21))
+        core_paths, h2o_path = write_panel(panel, tmp_path)
+        h2o = read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]
+        band_rows = h2o.n_spectra * h2o.axis.n_points * 8
+
+        def peak_of(fn, *args):
+            tracemalloc.start()
+            try:
+                result = fn(*args)
+                return result, tracemalloc.get_traced_memory()[1] / band_rows
+            finally:
+                tracemalloc.stop()
+
+        # the rows and their centred copy, plus one residual block
+        h2o_block, peak = peak_of(preprocess_h2o, h2o)
+        assert peak < 2.6, peak
+        # tissue and paraffin rows (~0.3 and ~0.35 of the pixels), one working copy each
+        for path in core_paths:
+            _, peak = peak_of(preprocess_core, read_cube(path, BIOFINGERPRINT_BAND)[0],
+                              h2o_block)
+            assert peak < 1.6, peak
 
 
 class TestTargets:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,31 @@ class TestSavitzkyGolay:
         batch = savgol_smooth(rows)
         for i in range(4):
             np.testing.assert_allclose(batch[i], savgol_smooth(rows[i:i + 1])[0], atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(1, 11), (3, 12), (700, 467)])
+    def test_bitwise_equal_to_three_concatenated_products(self, rng, shape):
+        y = rng.standard_normal(shape).cumsum(axis=1)
+        window, half = 11, 5
+        offsets = np.arange(window, dtype=np.float64) - half
+        vand = np.vander(offsets, 3, increasing=True)
+        hat = vand @ np.linalg.pinv(vand)
+        expected = np.concatenate([
+            y[:, :window] @ hat[:half].T,
+            np.lib.stride_tricks.sliding_window_view(y, window, axis=1) @ hat[half],
+            y[:, -window:] @ hat[half + 1:].T,
+        ], axis=1)
+        assert savgol_smooth(y).tobytes() == expected.tobytes()
+
+    def test_output_is_the_only_row_sized_allocation(self, rng):
+        y = rng.standard_normal((3000, 467))
+        tracemalloc.start()
+        try:
+            out = savgol_smooth(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == y.shape
+        assert peak < 1.2 * y.nbytes, peak / y.nbytes
 
     @settings(max_examples=30, deadline=None)
     @given(
