@@ -52,7 +52,6 @@ __all__ = [
     "SUBTYPE_NONE",
     "HyperCube",
     "SpectraSet",
-    "encode_labels",
     "subtype_one_hot",
     "write_container",
     "read_container",
@@ -72,28 +71,6 @@ _BLOCK_BYTES = 1 << 20  # a streamed read's block: about 1 MiB of whole rows
 CORE_TYPES = ("AT", "CA")
 SUBTYPES = ("LA", "LB", "HER2", "TNBC")
 SUBTYPE_NONE = -1
-
-
-def encode_labels(core_type: str, subtype: str | None) -> tuple[int, np.ndarray | None]:
-    """Binary type code plus the subtype one-hot row (None for AT).
-
-    CA maps to 1 and AT to 0; the one-hot ordering is (LA, LB, HER2, TNBC).
-    """
-    if core_type not in CORE_TYPES:
-        raise DataError(f"unknown core type {core_type!r}")
-    if subtype in (None, "none"):
-        subtype = None
-    if core_type == "CA":
-        if subtype is None:
-            raise DataError("CA cores must carry a subtype")
-        if subtype not in SUBTYPES:
-            raise DataError(f"unknown subtype {subtype!r}")
-        one_hot = np.zeros(len(SUBTYPES), dtype=np.float32)
-        one_hot[SUBTYPES.index(subtype)] = 1.0
-        return 1, one_hot
-    if subtype is not None:
-        raise DataError("AT cores cannot carry a subtype")
-    return 0, None
 
 
 def subtype_one_hot(codes: np.ndarray) -> np.ndarray:

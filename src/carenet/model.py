@@ -49,7 +49,8 @@ STEM_STRIDE = 2
 # Most rows in one forward pass: training slices (pipeline.train_fold sums a
 # batch's gradients over slices of this many rows), evaluation and Grad-CAM.
 # Layer caches grow with the rows of a caching pass, so this, not the batch
-# size, sets training's live activation memory (~1 MB per row); changing it
+# size, sets training's live activation memory (~0.36 MB per float32 row: the
+# ReLU outputs, which the convs share as their cached inputs); changing it
 # changes training's float rounding, so it stays fixed. On one BLAS thread
 # (2 vCPUs) a b=250 training step ran at 518/586/597/581/535 spectra/s in
 # slices of 16/32/64/125/250, and forward-only passes (no caches, the conv

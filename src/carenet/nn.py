@@ -6,10 +6,12 @@ Backward passes write (not accumulate) parameter gradients, so no zero-grad
 step is needed between batches.
 
 A caching forward (the default, and what training runs) keeps what the
-layer's backward needs: a convolution its column matrix (k times its input),
-Dense its input, ReLU, Sigmoid and Softmax their outputs. ReLU.backward takes
-its mask from the cached output. The caches grow with the rows of the last
-forward and dominate a training step's memory; callers bound them by
+layer's backward needs: a convolution a reference to its input array, Dense
+its input, ReLU, Sigmoid and Softmax their outputs. ReLU.backward takes its
+mask from the cached output. So each activation is stored once: a block's
+input is the previous ReLU's output, shared by the block's conv1, its
+projection and the identity shortcut. The caches grow with the rows of the
+last forward and dominate a training step's memory; callers bound them by
 forwarding a fixed number of rows at a time (FORWARD_CHUNK in model.py).
 
 A forward-only pass (cache=False on Conv1D, ReLU, ResidualBlock and the
@@ -18,17 +20,22 @@ its cache to None, so a later backward raises PipelineError instead of
 reading a stale cache. Dense, GlobalAvgPool, Sigmoid and Softmax cache on
 every pass; their caches are a few KB and Grad-CAM's head backward reads them.
 
-A forward-only conv pads its input into, and copies its column matrix into,
-this thread's scratch: two named flat byte buffers ("padded", "cols"), grown
-on demand, kept for the thread's life and viewed per dtype, which every conv
-of every model on the thread reuses. At FORWARD_CHUNK rows the largest pair
+Every conv pass, caching or not, pads its input into, and copies its column
+matrix into, this thread's scratch: two named flat byte buffers ("padded",
+"cols"), grown on demand to the largest pass on the thread so far, kept for
+the thread's life and viewed per dtype, which every conv of every model on
+the thread reuses. Conv1D.backward rebuilds the same columns there from the
+cached input and runs the same GEMMs, so its gradients are bitwise those of
+a kept column matrix. At FORWARD_CHUNK rows the largest pair
 (stage 1, ~1.9 MB in float32) stays in a 2 MiB L2, where fresh buffers are
 faulted in again on every pass. The scratch is per thread, so threads that
-forward different models never share it. One rule keeps it safe: no array a
-layer returns or caches may view the scratch, since the next conv overwrites
-it. The GEMM writes a fresh output array, and caching passes never use the
-scratch (their column matrix can be a reshape view of the padded input, as
-in the kernel-1, stride-2 projections).
+run different models never share it. Two rules keep this safe:
+- no array a layer returns or caches may view the scratch, since the next
+  conv overwrites it (the GEMMs write fresh outputs);
+- nothing may write into an array handed to a caching conv until that conv's
+  backward has run, since backward reads it again. The in-place writes here
+  (`h += shortcut`, `g_main += g_short`, the training loop's `grad *= share`)
+  hit only conv outputs and gradients.
 
 Every layer takes and returns (batch, channels, length) arrays, but the
 convolutions and GlobalAvgPool.backward produce them as transposed views of
@@ -132,12 +139,13 @@ class Conv1D(Layer):
     ceil(length/stride), padded as evenly as possible with the extra zero on
     the right.
 
-    The engine is a channels-last im2col. Forward pads the input once into a
-    (batch, length + pad, in) buffer, where each k-tap window is k*in
+    The engine is a channels-last im2col. Each pass pads the input into a
+    (batch, length + pad, in) scratch buffer, where each k-tap window is k*in
     contiguous floats, so the column matrix is a row copy and the output is
     one GEMM against the weights laid out as (k*in, out). That output is
     (batch, out_len, out) memory returned as a (batch, out, out_len) view.
-    Backward reads its gradient in the same memory without a copy and
+    A caching pass keeps only its input; backward rebuilds the columns from
+    it, reads its gradient in the output's memory without a copy and
     scatters the k tap slabs of d(columns) back into a channels-last input
     gradient.
     """
@@ -175,37 +183,35 @@ class Conv1D(Layer):
         pad_left = pad_total // 2
         return out_len, pad_left, pad_total - pad_left
 
-    def forward(self, x, *, cache: bool = True):
-        if x.ndim != 3 or x.shape[1] != self.in_channels:
-            raise DataError(
-                f"conv1d expected (batch, {self.in_channels}, length), got {x.shape}"
-            )
+    def _columns(self, x):
+        """x's (batch*out_len, k*in) columns in this thread's scratch, padded shape, left pad."""
         batch, _, length = x.shape
         out_len, pad_left, pad_right = self._geometry(length)
-        xp_shape = (batch, length + pad_left + pad_right, self.in_channels)
-        if cache:
-            xp = np.zeros(xp_shape, dtype=x.dtype)
-        else:
-            xp = _scratch_array("padded", xp_shape, x.dtype)
-            xp[:, :pad_left] = 0
-            xp[:, pad_left + length:] = 0
+        xp = _scratch_array("padded", (batch, length + pad_left + pad_right, self.in_channels),
+                            x.dtype)
+        xp[:, :pad_left] = 0
+        xp[:, pad_left + length:] = 0
         xp[:, pad_left : pad_left + length] = x.transpose(0, 2, 1)
         span = self.kernel_size * self.in_channels
         windows = np.lib.stride_tricks.sliding_window_view(
             xp.reshape(batch, -1), span, axis=1)[:, :: self.stride * self.in_channels]
-        if cache:
-            cols = windows[:, :out_len].reshape(batch * out_len, span)  # the one copy
-            self._cache = (cols, length, pad_left, xp_shape)
-        else:
-            cols = _scratch_array("cols", (batch * out_len, span), x.dtype)
-            cols.reshape(batch, out_len, span)[...] = windows[:, :out_len]
-            self._cache = None
-        out = cols @ self.w.value.transpose(2, 1, 0).reshape(span, self.out_channels)
+        cols = _scratch_array("cols", (batch * out_len, span), x.dtype)
+        cols.reshape(batch, out_len, span)[...] = windows[:, :out_len]
+        return cols, xp.shape, pad_left
+
+    def forward(self, x, *, cache: bool = True):
+        if x.ndim != 3 or x.shape[1] != self.in_channels:
+            raise DataError(f"conv1d expected (batch, {self.in_channels}, length), "
+                            f"got {x.shape}")
+        cols, _, _ = self._columns(x)
+        self._cache = x if cache else None  # backward rebuilds cols from x
+        out = cols @ self.w.value.transpose(2, 1, 0).reshape(cols.shape[1], self.out_channels)
         out += self.b.value
-        return out.reshape(batch, out_len, self.out_channels).transpose(0, 2, 1)
+        return out.reshape(x.shape[0], -1, self.out_channels).transpose(0, 2, 1)
 
     def backward(self, grad):
-        cols, length, pad_left, xp_shape = self._need_cache(self._cache)
+        x = self._need_cache(self._cache)
+        cols, xp_shape, pad_left = self._columns(x)
         batch, _, out_len = grad.shape
         g2 = grad.transpose(0, 2, 1).reshape(batch * out_len, self.out_channels)
         self.w.grad = np.ascontiguousarray(
@@ -222,7 +228,7 @@ class Conv1D(Layer):
         dxp = np.zeros(xp_shape, dtype=grad.dtype)
         for j in range(self.kernel_size):
             dxp[:, j : j + self.stride * out_len : self.stride] += dcols[j]
-        return dxp[:, pad_left : pad_left + length].transpose(0, 2, 1)
+        return dxp[:, pad_left : pad_left + x.shape[2]].transpose(0, 2, 1)
 
 
 class Dense(Layer):

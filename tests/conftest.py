@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,16 @@ def central_difference(f, x, h=1e-3):
         flat[i] = orig
         gflat[i] = (up - down) / (2.0 * h)
     return grad
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak of traced Python allocations while it ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def relative_error(approx, exact):

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from carenet.chemometrics import (
 )
 from carenet.errors import DataError, NumericalError
 from carenet.spectral import WavenumberAxis, band_slice
+from tests.conftest import traced_peak
 
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
 
@@ -196,12 +195,7 @@ class TestRemoveOutliers:
 
     def test_holds_one_centred_copy_and_no_kept_copy(self, rng):
         data = rng.standard_normal((6000, 200))
-        tracemalloc.start()
-        try:
-            remove_outliers(data)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(remove_outliers, data)
         # the centred rows, plus one residual block, the Gram matrix and the statistics
         assert peak < 1.3 * data.nbytes, peak / data.nbytes
 
@@ -209,12 +203,7 @@ class TestRemoveOutliers:
 def test_residual_is_formed_a_block_at_a_time(rng):
     data = rng.standard_normal((6000, 200))
     model = pca_fit(data, n_components=10)
-    tracemalloc.start()
-    try:
-        scores_and_residuals(model, data)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(scores_and_residuals, model, data)
     assert peak < 1.3 * data.nbytes, peak / data.nbytes  # centred rows, no (n, p) product
 
 

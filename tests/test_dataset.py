@@ -1,6 +1,5 @@
 import json
 import time
-import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carenet.dataset import (
+    SUBTYPES,
     HyperCube,
     SpectraSet,
-    encode_labels,
     read_container,
     read_cube,
     read_spectraset,
@@ -25,7 +24,7 @@ from carenet.dataset import (
 from carenet.errors import DataError
 from carenet.model import build_carenet, load_checkpoint, save_checkpoint
 from carenet.spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice, sub_axis
-from tests.conftest import rewrite_directory
+from tests.conftest import rewrite_directory, traced_peak
 
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
 
@@ -45,28 +44,9 @@ def small_spectraset(n=3, rng=None):
 
 
 class TestEncodeLabels:
-    def test_ca_her2(self):
-        binary, one_hot = encode_labels("CA", "HER2")
-        assert binary == 1
-        np.testing.assert_array_equal(one_hot, [0, 0, 1, 0])
-
-    def test_at_none(self):
-        binary, one_hot = encode_labels("AT", None)
-        assert binary == 0
-        assert one_hot is None
-        assert encode_labels("AT", "none")[1] is None
-
-    def test_ca_without_subtype_rejected(self):
-        with pytest.raises(DataError):
-            encode_labels("CA", None)
-
-    def test_at_with_subtype_rejected(self):
-        with pytest.raises(DataError):
-            encode_labels("AT", "LA")
-
     def test_one_hot_order(self):
         for i, name in enumerate(("LA", "LB", "HER2", "TNBC")):
-            _, one_hot = encode_labels("CA", name)
+            one_hot = subtype_one_hot(np.array([SUBTYPES.index(name)]))[0]
             assert one_hot[i] == 1.0 and one_hot.sum() == 1.0
 
     def test_one_hot_matrix_rejects_at_codes(self):
@@ -222,12 +202,7 @@ class TestCubeIO:
     def test_validation_makes_no_cube_sized_temporary(self):
         data = np.ones((36, 36, RAW_AXIS.n_points), dtype=np.float32)
         assert data.nbytes > 8e6
-        tracemalloc.start()
-        try:
-            HyperCube(data, RAW_AXIS, 0, 1, "AT", "none")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(HyperCube, data, RAW_AXIS, 0, 1, "AT", "none")
         assert peak < 500_000, peak  # an isfinite mask alone is a quarter of the cube
 
     def test_ca_requires_subtype(self):
@@ -269,12 +244,7 @@ class TestBandRead:
             assert band_extras[name].tobytes() == value.tobytes()
 
     def test_holds_the_band_and_one_block(self, cube_path):
-        tracemalloc.start()
-        try:
-            band = read_cube(cube_path, BIOFINGERPRINT_BAND)[0]
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (band, _), peak = traced_peak(read_cube, cube_path, BIOFINGERPRINT_BAND)
         # 2.9 MB: the band's 1.7 MB plus the block buffer, never the cube's 5.7 MB
         assert peak < band.intensities.nbytes + (1 << 20) + 200_000, peak
 
@@ -426,13 +396,12 @@ def test_oversized_declared_shape_is_rejected_before_allocation(tmp_path):
     # a 1e12-byte array whose length matches its shape, in a file of a few hundred bytes
     read = _edited_container(tmp_path / "huge.bin",
                              _entry(shape=[125_000_000_000], length=10**12))
-    tracemalloc.start()
-    try:
+
+    def rejected():
         with pytest.raises(DataError, match="past end of file"):
             read()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+
+    _, peak = traced_peak(rejected)
     assert peak < 1_000_000
 
 

@@ -10,6 +10,7 @@ from carenet.model import (
     load_checkpoint,
     save_checkpoint,
 )
+from carenet.nn import Conv1D, make_rng
 from tests.conftest import count_params
 
 
@@ -224,3 +225,37 @@ class TestForwardOnlyPass:
         model.forward(x, cache=False)
         with pytest.raises(PipelineError):
             model.backward(grad)
+
+
+class TestCachingPass:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_is_bitwise_after_other_passes_reuse_the_scratch(self, dtype):
+        rng = np.random.default_rng(8)
+        x = rng.random((6, INPUT_LENGTH)).astype(dtype)
+        grad = rng.standard_normal((6, 1)).astype(dtype)
+        head = rng.standard_normal((STAGE_FILTERS[-1], 1)).astype(dtype) * 1e-2
+
+        def model_a():
+            model = build_carenet("type", seed=3).astype(dtype)
+            model.dense.w.value = head.copy()  # a zero head stops every trunk gradient
+            return model
+
+        alone = model_a()
+        alone.forward(x)
+        dx_alone = alone.backward(grad)
+
+        a = model_a()
+        a.forward(x)
+        # between a's forward and backward, another model's forward-only pass
+        # and a differently shaped conv's caching pass overwrite this thread's scratch
+        build_carenet("subtype", seed=4).astype(dtype).forward(
+            rng.random((9, INPUT_LENGTH)), cache=False)
+        conv = Conv1D(3, 5, 7, 2, rng=make_rng(5), dtype=dtype)
+        out = conv.forward(rng.random((4, 3, 50)).astype(dtype))
+        conv.backward(np.ones_like(out))
+        dx = a.backward(grad)
+
+        assert dx.dtype == dtype and dx.tobytes() == dx_alone.tobytes()
+        assert np.abs(a.stem.w.grad).max() > 0.0
+        for got, want in zip(a.parameters(), alone.parameters()):
+            assert got.grad.tobytes() == want.grad.tobytes()

@@ -114,6 +114,13 @@ class TestConv1D:
         with pytest.raises(PipelineError):
             conv.backward(np.zeros((1, 1, 4)))
 
+    @pytest.mark.parametrize("kernel,stride", [(7, 2), (3, 1), (1, 2)])
+    def test_caching_pass_keeps_only_its_input(self, kernel, stride, rng):
+        conv = Conv1D(2, 3, kernel, stride, rng=make_rng(0), dtype=np.float64)
+        x = rng.standard_normal((2, 2, 12))
+        conv.forward(x)
+        assert conv._cache is x  # no column matrix: backward rebuilds it from x
+
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_gradients(self, stride, rng):
         for case in range(5):
@@ -232,6 +239,16 @@ class TestResidualBlock:
         for case in range(3):
             block = ResidualBlock(in_ch, out_ch, stride, rng=make_rng(case), dtype=np.float64)
             layer_grad_check(block, rng.standard_normal((2, in_ch, 7)), rng)
+
+    @pytest.mark.parametrize("in_ch,out_ch,stride", [(4, 4, 1), (4, 8, 2)])
+    def test_each_activation_is_cached_once(self, in_ch, out_ch, stride, rng):
+        block = ResidualBlock(in_ch, out_ch, stride, rng=make_rng(0), dtype=np.float64)
+        x = rng.standard_normal((2, in_ch, 9))
+        out = block.forward(x)
+        assert block.conv1._cache is x
+        assert block.projection is None or block.projection._cache is x
+        assert block.conv2._cache is block.relu1._cache
+        assert block.relu_out._cache is out
 
     def test_zero_weights_kill_main_path(self, rng):
         block = ResidualBlock(4, 4, 1, dtype=np.float64)  # zero-initialized convs

@@ -1,6 +1,5 @@
 import sys
 import threading
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -28,7 +27,7 @@ from carenet.pipeline import (
 )
 from carenet.spectral import BIOFINGERPRINT_BAND
 from carenet.synthgen import SynthConfig, gen_panel
-from tests.conftest import write_panel
+from tests.conftest import traced_peak, write_panel
 
 
 def patients_with_distribution(counts):
@@ -305,22 +304,14 @@ class TestPreprocessCore:
         h2o = read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]
         band_rows = h2o.n_spectra * h2o.axis.n_points * 8
 
-        def peak_of(fn, *args):
-            tracemalloc.start()
-            try:
-                result = fn(*args)
-                return result, tracemalloc.get_traced_memory()[1] / band_rows
-            finally:
-                tracemalloc.stop()
-
         # the rows and their centred copy, plus one residual block
-        h2o_block, peak = peak_of(preprocess_h2o, h2o)
-        assert peak < 2.6, peak
+        h2o_block, peak = traced_peak(preprocess_h2o, h2o)
+        assert peak / band_rows < 2.6, peak / band_rows
         # tissue and paraffin rows (~0.3 and ~0.35 of the pixels), one working copy each
         for path in core_paths:
-            _, peak = peak_of(preprocess_core, read_cube(path, BIOFINGERPRINT_BAND)[0],
-                              h2o_block)
-            assert peak < 1.6, peak
+            _, peak = traced_peak(preprocess_core, read_cube(path, BIOFINGERPRINT_BAND)[0],
+                                  h2o_block)
+            assert peak / band_rows < 1.6, peak / band_rows
 
 
 class TestTargets:
@@ -431,6 +422,18 @@ class TestTrainFold:
             np.testing.assert_allclose(p.grad, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
+    def test_training_batch_holds_one_slice_of_activations(self):
+        # each conv caches its input, the ReLU output the next layers share;
+        # a kept column matrix per conv (3x or 7x its input) peaked at 35.1 MB
+        model = build_carenet("type", seed=1)
+        rng = np.random.default_rng(0)
+        x = rng.random((250, INPUT_LENGTH)).astype(np.float32)
+        targets = (np.arange(250) % 2).astype(np.float32)
+        sums = [np.empty_like(p.value) for p in model.parameters()]
+        _batch_gradients(model, x, targets, sums)  # warm-up: grows this thread's scratch
+        _, peak = traced_peak(_batch_gradients, model, x, targets, sums)
+        assert peak <= 16e6, peak
+
     def test_batch_size_does_not_set_activation_memory(self):
         rng = np.random.default_rng(0)
         x = rng.random((256, INPUT_LENGTH)).astype(np.float32)
@@ -439,12 +442,8 @@ class TestTrainFold:
 
         def peak_bytes(batch_size):
             config = TrainConfig(head="type", epochs=1, batch_size=batch_size)
-            tracemalloc.start()
-            try:
-                train_fold(config, x, labels, targets, x[:8], labels[:8], targets[:8])
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(train_fold, config, x, labels, targets,
+                               x[:8], labels[:8], targets[:8])[1]
 
         one_slice, eight_slices = peak_bytes(32), peak_bytes(256)
         # only the gathered batch (256 x 467 float32, 0.5 MB) may grow
@@ -509,13 +508,9 @@ class TestForwardOnly:
         model = _with_random_head("type", np.float32, 2)
         x = np.random.default_rng(0).random((256, INPUT_LENGTH), np.float32)
         forward_chunked(model, x)  # warm-up: grows this thread's scratch
-        tracemalloc.start()
-        try:
-            forward_chunked(model, x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # caching passes held ~33.6 MB: every layer's columns and ReLU outputs
+        _, peak = traced_peak(forward_chunked, model, x)
+        # caching passes hold ~9.9 MB: every ReLU output, which the convs
+        # cache as their inputs
         assert peak <= 8e6, peak
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

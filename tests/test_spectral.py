@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +15,7 @@ from carenet.spectral import (
     savgol_smooth,
     sub_axis,
 )
+from tests.conftest import traced_peak
 
 
 class TestBuildAxis:
@@ -193,12 +192,7 @@ class TestSavitzkyGolay:
 
     def test_output_is_the_only_row_sized_allocation(self, rng):
         y = rng.standard_normal((3000, 467))
-        tracemalloc.start()
-        try:
-            out = savgol_smooth(y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, peak = traced_peak(savgol_smooth, y)
         assert out.shape == y.shape
         assert peak < 1.2 * y.nbytes, peak / y.nbytes
 
