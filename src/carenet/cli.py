@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import resource
 import sys
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__
 from .clustering import PixelMask, write_masks_pgm
 from .dataset import (
+    CORE_TYPES,
     SUBTYPES,
     read_spectraset,
     write_cube,
@@ -44,13 +46,12 @@ from .pipeline import (
     SplitPlan,
     TrainConfig,
     forward_chunked,
+    head_labels,
     head_mask,
     make_split,
     patients_from_spectraset,
     preprocess_panel,
-    targets_for_head,
-    train_fold,
-    undersample_balance,
+    train_folds,
 )
 from .synthgen import SynthConfig, gen_panel
 
@@ -237,14 +238,13 @@ def cmd_preprocess(args) -> int:
     write_spectraset(sset, out_path)
     outputs = [out_path]
     for core_id, result in sorted(results.items()):
-        if result.tissue_mask is not None:
-            pgm_path = run_dir / f"masks_core_{core_id:04d}.pgm"
-            write_masks_pgm(pgm_path, PixelMask(result.tissue_mask, "tissue"),
-                            PixelMask(result.paraffin_mask, "paraffin"))
-            outputs.append(pgm_path)
+        pgm_path = run_dir / f"masks_core_{core_id:04d}.pgm"
+        write_masks_pgm(pgm_path, PixelMask(result.tissue_mask, "tissue"),
+                        PixelMask(result.paraffin_mask, "paraffin"))
+        outputs.append(pgm_path)
     for core_id, reason in skipped:
         print(f"preprocess: skipped core {core_id}: {reason}", file=sys.stderr)
-    stage_log = {str(cid): r.counts.as_dict() for cid, r in sorted(results.items())}
+    stage_log = {str(cid): dataclasses.asdict(r.counts) for cid, r in sorted(results.items())}
     flagged = sorted(cid for cid, r in results.items()
                      if not (r.tissue_plausible and r.paraffin_plausible))
     _write_manifest(run_dir, "preprocess", args, {"jobs": args.jobs},
@@ -296,30 +296,12 @@ def cmd_train(args) -> int:
     patients = patients_from_spectraset(sset)
     plan = make_split(patients, seed=args.seed)
 
-    config = TrainConfig(
-        head=args.head,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        lr=args.lr,
-        init_seed=args.seed,
-        shuffle_seed=args.seed + 1,
-        undersample_seed=args.seed + 2,
-    )
+    config = TrainConfig(head=args.head, epochs=args.epochs, batch_size=args.batch_size,
+                         lr=args.lr, seed=args.seed)
 
     outputs = []
     history_all = {}
-    for fold_index, fold in enumerate(plan.folds, start=1):
-        train_sel = head_mask(sset, config.head, fold.train_patients)
-        dev_sel = head_mask(sset, config.head, fold.dev_patients)
-        train_labels, train_targets = targets_for_head(sset, config.head, train_sel)
-        dev_labels, dev_targets = targets_for_head(sset, config.head, dev_sel)
-        balanced = undersample_balance(train_labels, seed=config.undersample_seed)
-
-        train_x = sset.spectra[train_sel][balanced]
-        result = train_fold(
-            config, train_x, train_labels[balanced], train_targets[balanced],
-            sset.spectra[dev_sel], dev_labels, dev_targets,
-        )
+    for fold_index, result in enumerate(train_folds(sset, plan, config), start=1):
         for kind, model in (("final", result.model_final), ("best", result.model_best)):
             path = run_dir / f"fold{fold_index}_{kind}.crnm"
             save_checkpoint(model, path, metadata={
@@ -407,10 +389,10 @@ def _evaluate(checkpoints, sset, plan, patients_by_id):
 def _test_cores(sset, plan, patients_by_id, head: str):
     """(class names, per-spectrum labels, [(patient, "CA"|"AT", row mask)], truth)."""
     if head == "type":
-        class_names, labels, test_pairs = ("AT", "CA"), sset.core_type, plan.test_type_cores
+        class_names, test_pairs = CORE_TYPES, plan.test_type_cores
     else:
-        class_names, labels = SUBTYPES, sset.subtype
-        test_pairs = [(pid, "CA") for pid in plan.test_patients]
+        class_names, test_pairs = SUBTYPES, [(pid, "CA") for pid in plan.test_patients]
+    labels = head_labels(sset, head)
     test_cores = []
     for pid, kind in test_pairs:
         record = patients_by_id[pid]

@@ -39,6 +39,10 @@ COVERAGE_FLOOR = 0.005
 # its middle), so 4 separates the two regimes.
 AREA_CONTRAST_FLOOR = 4.0
 
+# Lloyd iterations stop at this many, or once no centroid moves this far
+KMEANS_MAX_ITER = 300
+KMEANS_TOL = 1e-6
+
 
 @dataclass
 class KmeansResult:
@@ -100,8 +104,7 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
-           tol: float = 1e-6) -> KmeansResult:
+def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KmeansResult:
     """Lloyd's algorithm with k-means++ seeding; deterministic for a fixed seed."""
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -114,7 +117,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
     assignments = np.zeros(points.shape[0], dtype=np.int64)
     wcss_path = []
     n_iter = 0
-    for n_iter in range(1, max_iter + 1):
+    for n_iter in range(1, KMEANS_MAX_ITER + 1):
         d2 = _squared_distances(points, centroids)
         assignments = d2.argmin(axis=1)
         point_d2 = d2[np.arange(points.shape[0]), assignments]
@@ -134,7 +137,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iter: int = 300,
 
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         centroids = new_centroids
-        if shift < tol:
+        if shift < KMEANS_TOL:
             break
 
     return KmeansResult(assignments=assignments, centroids=centroids,

@@ -150,11 +150,16 @@ def write_heatmap_csv(heatmap: Heatmap1D, axis: WavenumberAxis, path) -> None:
             fh.write(f"{wn:.6f},{v:.9g}\n")
 
 
-def write_heatmap_svg(heatmap: Heatmap1D, axis: WavenumberAxis, path,
-                      threshold: float = 0.7, width: int = 900, height: int = 260) -> None:
+# heatmap SVGs: canvas size in px, and the importance from which a band is shaded
+SVG_WIDTH = 900
+SVG_HEIGHT = 260
+SVG_SHADE_THRESHOLD = 0.7
+
+
+def write_heatmap_svg(heatmap: Heatmap1D, axis: WavenumberAxis, path) -> None:
     """Line plot with the above-threshold bands shaded; no plotting stack needed."""
     values = axis.values
-    pad = 40
+    width, height, pad = SVG_WIDTH, SVG_HEIGHT, 40
     span = values[0] - values[-1]
 
     def sx(wn: float) -> float:
@@ -168,7 +173,7 @@ def write_heatmap_svg(heatmap: Heatmap1D, axis: WavenumberAxis, path,
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for high, low, _peak in top_bands(heatmap, axis, threshold):
+    for high, low, _peak in top_bands(heatmap, axis, SVG_SHADE_THRESHOLD):
         x0, x1 = sx(high), sx(low)
         parts.append(
             f'<rect x="{x0:.2f}" y="{pad}" width="{max(x1 - x0, 1.0):.2f}" '
@@ -179,7 +184,7 @@ def write_heatmap_svg(heatmap: Heatmap1D, axis: WavenumberAxis, path,
     parts.append(
         f'<text x="{pad}" y="{height - 8}" font-size="12" font-family="sans-serif">'
         f"{heatmap.class_label}: importance vs wavenumber (cm-1, descending), "
-        f"shaded &#8805; {threshold:g}</text>"
+        f"shaded &#8805; {SVG_SHADE_THRESHOLD:g}</text>"
     )
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:

@@ -30,7 +30,6 @@ from .nn import (
 
 __all__ = [
     "CarenetModel",
-    "build_carenet",
     "save_checkpoint",
     "load_checkpoint",
     "INPUT_LENGTH",
@@ -177,11 +176,6 @@ class CarenetModel:
 
     def parameter_values(self) -> list[np.ndarray]:
         return [p.value.copy() for p in self.parameters()]
-
-
-def build_carenet(head: str, seed: int = 0, dtype=np.float32) -> CarenetModel:
-    """He-initialized model for the requested head; deterministic per seed."""
-    return CarenetModel(head, seed=seed, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

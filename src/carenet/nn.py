@@ -438,62 +438,64 @@ def cce_loss(probs: np.ndarray, one_hot: np.ndarray) -> tuple[float, np.ndarray]
 # optimization
 
 
+ADAM_BETA1 = 0.9  # decay of the first-moment estimate
+ADAM_BETA2 = 0.999  # decay of the second-moment estimate
+ADAM_EPS = 1e-8  # keeps the step finite where the second moment is zero
+
+
 class Adam:
     """Standard bias-corrected Adam over a fixed parameter list."""
 
-    def __init__(self, params: list[Param], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Param], lr: float = 1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.value) for p in self.params]
         self.v = [np.zeros_like(p.value) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
-        correction1 = 1.0 - self.beta1 ** self.t
-        correction2 = 1.0 - self.beta2 ** self.t
+        correction1 = 1.0 - ADAM_BETA1 ** self.t
+        correction2 = 1.0 - ADAM_BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g.shape != p.value.shape:
                 raise DataError("gradient shape does not match parameter")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             m_hat = m / correction1
             v_hat = v / correction2
-            p.value -= (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.value.dtype)
+            p.value -= (self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)).astype(p.value.dtype)
+
+
+PLATEAU_PATIENCE = 4  # epochs without improvement before the rate drops
+PLATEAU_FACTOR = 0.5
+PLATEAU_MIN_LR = 1e-4
+PLATEAU_MIN_DELTA = 1e-8  # a smaller drop in the loss is no improvement
 
 
 class PlateauScheduler:
-    """Halve the learning rate after `patience` epochs without improvement.
+    """Halve the learning rate after PLATEAU_PATIENCE epochs without improvement.
 
     Improvement means the monitored loss dropped below the best seen by more
-    than min_delta. The rate never falls below min_lr.
+    than PLATEAU_MIN_DELTA. The rate never falls below PLATEAU_MIN_LR.
     """
 
-    def __init__(self, lr: float = 1e-3, patience: int = 4, factor: float = 0.5,
-                 min_lr: float = 1e-4, min_delta: float = 1e-8):
+    def __init__(self, lr: float = 1e-3):
         self.lr = lr
-        self.patience = patience
-        self.factor = factor
-        self.min_lr = min_lr
-        self.min_delta = min_delta
         self.best = math.inf
         self.wait = 0
 
     def step(self, monitored_loss: float) -> float:
-        if monitored_loss < self.best - self.min_delta:
+        if monitored_loss < self.best - PLATEAU_MIN_DELTA:
             self.best = monitored_loss
             self.wait = 0
         else:
             self.wait += 1
-            if self.wait > self.patience:
-                self.lr = max(self.lr * self.factor, self.min_lr)
+            if self.wait > PLATEAU_PATIENCE:
+                self.lr = max(self.lr * PLATEAU_FACTOR, PLATEAU_MIN_LR)
                 self.wait = 0
         return self.lr
 

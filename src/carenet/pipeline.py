@@ -36,7 +36,7 @@ from .dataset import (
 )
 from .errors import DataError, NumericalError
 from .evaluation import classify
-from .model import FORWARD_CHUNK, CarenetModel, build_carenet
+from .model import FORWARD_CHUNK, CarenetModel
 from .nn import Adam, PlateauScheduler, bce_loss, cce_loss, check_finite, make_rng
 from .spectral import (
     BIOFINGERPRINT_BAND,
@@ -61,7 +61,9 @@ __all__ = [
     "preprocess_core",
     "preprocess_panel",
     "train_fold",
+    "train_folds",
     "forward_chunked",
+    "head_labels",
     "targets_for_head",
     "patients_from_spectraset",
 ]
@@ -99,13 +101,13 @@ class SplitPlan:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """seed draws the weights, seed + 1 shuffles batches, seed + 2 undersamples."""
+
     head: str
     epochs: int = 50
     batch_size: int = 250
     lr: float = 1e-3
-    init_seed: int = 0
-    shuffle_seed: int = 1
-    undersample_seed: int = 2
+    seed: int = 0
 
     def __post_init__(self):
         if self.head not in ("type", "subtype"):
@@ -209,15 +211,6 @@ class StageCounts:
     after_normalize: int
     after_outlier2: int
 
-    def as_dict(self) -> dict:
-        return {
-            "tissue_pixels": self.tissue_pixels,
-            "after_outlier1": self.after_outlier1,
-            "after_emsc": self.after_emsc,
-            "after_normalize": self.after_normalize,
-            "after_outlier2": self.after_outlier2,
-        }
-
 
 @dataclass
 class CoreResult:
@@ -234,8 +227,8 @@ class CoreResult:
     counts: StageCounts
     tissue_plausible: bool
     paraffin_plausible: bool
-    tissue_mask: np.ndarray | None = None    # (rows, cols) bool, for PGM export
-    paraffin_mask: np.ndarray | None = None
+    tissue_mask: np.ndarray    # (rows, cols) bool, for PGM export
+    paraffin_mask: np.ndarray
 
 
 def _outlier_pass(rows: np.ndarray) -> np.ndarray:
@@ -444,6 +437,11 @@ def head_mask(sset: SpectraSet, head: str, patient_ids) -> np.ndarray:
     return mask
 
 
+def head_labels(sset: SpectraSet, head: str) -> np.ndarray:
+    """Every row's class under the head: core type (AT 0, CA 1) or subtype (AT: -1)."""
+    return sset.core_type if head == "type" else sset.subtype
+
+
 @dataclass
 class EpochRecord:
     epoch: int
@@ -481,15 +479,16 @@ def forward_chunked(model: CarenetModel, x: np.ndarray,
     return np.concatenate(outs) if outs else np.empty((0, model.n_classes), model.dtype)
 
 
-def _loss(probs: np.ndarray, targets: np.ndarray, head: str) -> tuple[float, np.ndarray]:
-    """The head's mean loss and its gradient, shaped like probs."""
+def _loss(probs: np.ndarray, labels: np.ndarray, head: str) -> tuple[float, np.ndarray]:
+    """The head's mean loss and its gradient, shaped like probs: BCE on 0/1
+    labels for the type head, CCE on one-hot subtype labels."""
     if head == "type":
-        loss, grad = bce_loss(probs[:, 0], targets)
+        loss, grad = bce_loss(probs[:, 0], labels)
         return loss, grad[:, None]
-    return cce_loss(probs, targets)
+    return cce_loss(probs, subtype_one_hot(labels))
 
 
-def _batch_gradients(model: CarenetModel, x: np.ndarray, targets: np.ndarray,
+def _batch_gradients(model: CarenetModel, x: np.ndarray, labels: np.ndarray,
                      sums: list[np.ndarray]) -> float:
     """Mean loss over the rows of x; leaves its gradient in every Param.grad.
 
@@ -508,7 +507,7 @@ def _batch_gradients(model: CarenetModel, x: np.ndarray, targets: np.ndarray,
         probs = model.forward(x[rows])
         check_finite("training forward pass", probs)
         share = probs.shape[0] / n
-        part, grad = _loss(probs, targets[rows], model.head)
+        part, grad = _loss(probs, labels[rows], model.head)
         check_finite("training loss", part)
         grad *= share
         model.backward(grad)
@@ -523,26 +522,23 @@ def _batch_gradients(model: CarenetModel, x: np.ndarray, targets: np.ndarray,
     return loss
 
 
-def _loss_and_accuracy(probs: np.ndarray, labels: np.ndarray, targets, head: str):
-    loss, _ = _loss(probs, targets, head)
-    return loss, float((classify(probs, head) == labels).mean())
+def train_fold(config: TrainConfig, train_rows: np.ndarray, spectra: np.ndarray,
+               labels: np.ndarray, dev_rows: np.ndarray) -> FoldResult:
+    """Train one fold on rows of spectra; deterministic for a fixed config.
 
-
-def train_fold(config: TrainConfig, train_x: np.ndarray, train_labels: np.ndarray,
-               train_targets: np.ndarray, dev_x: np.ndarray, dev_labels: np.ndarray,
-               dev_targets: np.ndarray) -> FoldResult:
-    """Train one fold; deterministic for fixed seeds.
-
-    train_x/dev_x are (n, 467) float32 spectra; targets are 0/1 floats for
-    the type head and one-hot rows for the subtype head.
+    spectra is the (n, 467) float32 container matrix and labels every row's
+    class under the head (head_labels). Each batch gathers its own rows and
+    the dev pass gathers dev_rows, so no other row is read and no copy of
+    the training set is made.
     """
-    if train_x.shape[0] == 0 or dev_x.shape[0] == 0:
+    if train_rows.size == 0 or dev_rows.size == 0:
         raise DataError("train and dev sets must be non-empty")
-    model = build_carenet(config.head, seed=config.init_seed)
+    model = CarenetModel(config.head, seed=config.seed)
     optimizer = Adam(model.parameters(), lr=config.lr)
     scheduler = PlateauScheduler(lr=config.lr)
-    rng = make_rng(config.shuffle_seed)
+    rng = make_rng(config.seed + 1)
     sums = [np.empty_like(p.value) for p in model.parameters()]
+    dev_labels = labels[dev_rows]
 
     history: list[EpochRecord] = []
     best_loss = np.inf
@@ -551,15 +547,17 @@ def train_fold(config: TrainConfig, train_x: np.ndarray, train_labels: np.ndarra
     for epoch in range(1, config.epochs + 1):
         losses = []
         weights = []
-        for idx in _epoch_batches(train_x.shape[0], config.batch_size, rng):
-            losses.append(_batch_gradients(model, train_x[idx], train_targets[idx], sums))
+        for idx in _epoch_batches(train_rows.size, config.batch_size, rng):
+            rows = train_rows[idx]
+            losses.append(_batch_gradients(model, spectra[rows], labels[rows], sums))
             weights.append(idx.size)
             optimizer.step()
         train_loss = float(np.average(losses, weights=weights))
 
-        dev_probs = forward_chunked(model, dev_x)
+        dev_probs = forward_chunked(model, spectra[dev_rows])
         check_finite("dev forward pass", dev_probs)
-        dev_loss, dev_acc = _loss_and_accuracy(dev_probs, dev_labels, dev_targets, config.head)
+        dev_loss, _ = _loss(dev_probs, dev_labels, config.head)
+        dev_acc = float((classify(dev_probs, config.head) == dev_labels).mean())
         lr = scheduler.step(dev_loss)
         optimizer.lr = lr
         history.append(EpochRecord(epoch=epoch, train_loss=train_loss,
@@ -573,3 +571,15 @@ def train_fold(config: TrainConfig, train_x: np.ndarray, train_labels: np.ndarra
     model_best.set_parameter_values(best_values)
     return FoldResult(model_final=model, model_best=model_best,
                       history=history, best_epoch=best_epoch)
+
+
+def train_folds(sset: SpectraSet, plan: SplitPlan, config: TrainConfig):
+    """Each fold's FoldResult in fold order, yielded as it is trained and not
+    kept here, so a caller that writes and drops each holds no list of models.
+    A fold trains on its training patients' rows, undersampled to balance."""
+    labels = head_labels(sset, config.head)
+    for fold in plan.folds:
+        train = np.flatnonzero(head_mask(sset, config.head, fold.train_patients))
+        dev = np.flatnonzero(head_mask(sset, config.head, fold.dev_patients))
+        train = train[undersample_balance(labels[train], seed=config.seed + 2)]
+        yield train_fold(config, train, sset.spectra, labels, dev)

@@ -21,7 +21,7 @@ from carenet.chemometrics import (
 from carenet.clustering import kmeans, select_paraffin, select_tissue
 from carenet.evaluation import classify, patient_vote
 from carenet.gradcam import class_average, gradcam_spectrum
-from carenet.model import INPUT_LENGTH, build_carenet
+from carenet.model import INPUT_LENGTH, CarenetModel
 from carenet.nn import (
     Adam,
     Conv1D,
@@ -39,12 +39,10 @@ from carenet.nn import (
 from carenet.pipeline import (
     PatientRecord,
     TrainConfig,
-    head_mask,
     make_split,
     preprocess_panel,
-    targets_for_head,
     train_fold,
-    undersample_balance,
+    train_folds,
 )
 from carenet.spectral import (
     BIOFINGERPRINT_BAND,
@@ -124,7 +122,7 @@ def test_criterion_1_gradient_correctness():
         assert _fd_ok(gradm, lambda pv: cce_loss(pv, oh)[0], pm, h=1e-6, tol=1e-5)
 
     # full model on a 3-spectrum batch, float64 replay, sampled entries per tensor
-    model = build_carenet("type", seed=11).astype(np.float64)
+    model = CarenetModel("type", seed=11).astype(np.float64)
     x = np.random.default_rng(3).random((3, INPUT_LENGTH))
     targets = np.array([1.0, 0.0, 1.0])
 
@@ -336,16 +334,8 @@ def _run_protocol(seed, head, epochs, batch, image_size, n_per, separation):
     plan = make_split(panel.patients, seed=seed)
     by_id = {p.patient_id: p for p in panel.patients}
     correct = total = 0
-    for fold in plan.folds:
-        tm = head_mask(sset, head, fold.train_patients)
-        dm = head_mask(sset, head, fold.dev_patients)
-        tl, tt = targets_for_head(sset, head, tm)
-        dl, dt = targets_for_head(sset, head, dm)
-        balanced = undersample_balance(tl, seed=seed + 2)
-        cfg = TrainConfig(head=head, epochs=epochs, batch_size=batch,
-                          init_seed=seed, shuffle_seed=seed + 1)
-        res = train_fold(cfg, sset.spectra[tm][balanced], tl[balanced], tt[balanced],
-                         sset.spectra[dm], dl, dt)
+    cfg = TrainConfig(head=head, epochs=epochs, batch_size=batch, seed=seed)
+    for res in train_folds(sset, plan, cfg):
         model = res.model_best
         if head == "type":
             items = [(by_id[p].ca_core_id if k == "CA" else by_id[p].at_core_id,
@@ -436,12 +426,10 @@ def test_criterion_8_gradcam_localization():
         spectra = spectra[keep].astype(np.float32)
         perm = np.random.default_rng(1).permutation(labels.size)
         spectra, labels = spectra[perm], labels[perm]
-        tx, ty = spectra[:-120], labels[:-120]
+        rows = np.arange(labels.size)
         dx, dy = spectra[-120:], labels[-120:]
-        cfg = TrainConfig(head="type", epochs=12, batch_size=64,
-                          init_seed=5, shuffle_seed=6)
-        res = train_fold(cfg, tx, ty, ty.astype(np.float32),
-                         dx, dy, dy.astype(np.float32))
+        cfg = TrainConfig(head="type", epochs=12, batch_size=64, seed=5)
+        res = train_fold(cfg, rows[:-120], spectra, labels, rows[-120:])
         maps = gradcam_spectrum(res.model_best, dx[dy == 1], target_class=1)
         heatmap = class_average({name: maps})[name]
         assert heatmap.values.shape == (467,)
@@ -461,7 +449,7 @@ def test_criterion_8_gradcam_localization():
 
 
 def test_criterion_9_scheduler_sequence():
-    sched = PlateauScheduler(lr=1e-3, patience=4, factor=0.5, min_lr=1e-4)
+    sched = PlateauScheduler(lr=1e-3)
     rates = [sched.step(1.0) for _ in range(40)]
     distinct = []
     for r in rates:
@@ -531,8 +519,8 @@ def test_criterion_11_scale_anchors():
     n_raw = cube.n_spectra
     del cube
 
-    type_params = count_params(build_carenet("type"))
-    subtype_params = count_params(build_carenet("subtype"))
+    type_params = count_params(CarenetModel("type"))
+    subtype_params = count_params(CarenetModel("subtype"))
     reported_reference = 277_236  # published figure for the original architecture
     print(f"ACCEPTANCE 11 info: parameter counts type={type_params} "
           f"subtype={subtype_params} vs reported {reported_reference}")

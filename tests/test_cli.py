@@ -371,12 +371,12 @@ class TestTrainEvalGradcam:
     @pytest.mark.parametrize("lr", ["nan", "inf"])
     def test_non_finite_lr_is_data_error_before_training(self, tiny_run, tmp_path,
                                                         monkeypatch, lr):
-        from carenet import cli
+        from carenet import pipeline
 
         def no_training(*args, **kwargs):
             raise AssertionError("a fold trained")
 
-        monkeypatch.setattr(cli, "train_fold", no_training)
+        monkeypatch.setattr(pipeline, "train_fold", no_training)
         _, _, pre_dir, _ = tiny_run
         out = tmp_path / "out"
         assert run(["train", pre_dir / "spectra.crns", "--head", "type", "--lr", lr,

@@ -22,7 +22,7 @@ from carenet.dataset import (
     write_spectraset,
 )
 from carenet.errors import DataError
-from carenet.model import build_carenet, load_checkpoint, save_checkpoint
+from carenet.model import CarenetModel, load_checkpoint, save_checkpoint
 from carenet.spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice, sub_axis
 from tests.conftest import rewrite_directory, traced_peak
 
@@ -342,7 +342,7 @@ def _cube_with_core_id(path, core_id):
 
 def _edited_checkpoint(path, edit):
     """A well-formed container whose checkpoint arrays edit(arrays) has changed."""
-    save_checkpoint(build_carenet("type"), path)
+    save_checkpoint(CarenetModel("type"), path)
     arrays, meta = read_container(path)
     edit(arrays)
     write_container(path, arrays, meta)
@@ -422,7 +422,7 @@ def pristine_files(tmp_path_factory):
     write_cube(cube, root / "cube", ground_truth=truth)
     write_cube(cube, root / "cube-band", ground_truth=truth)
     write_spectraset(small_spectraset(), root / "spectraset")
-    save_checkpoint(build_carenet("subtype", seed=1), root / "checkpoint")
+    save_checkpoint(CarenetModel("subtype", seed=1), root / "checkpoint")
     return root, {kind: (root / kind).read_bytes() for kind in READERS}
 
 

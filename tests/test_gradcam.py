@@ -11,7 +11,7 @@ from carenet.gradcam import (
     write_heatmap_csv,
     write_heatmap_svg,
 )
-from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, build_carenet
+from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, CarenetModel
 from carenet.spectral import WavenumberAxis
 
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
@@ -20,7 +20,7 @@ AXIS = WavenumberAxis(1800.0, 900.0, 467)
 def live_head(model, rng):
     """A non-zero dense head, so the pooled gradients (and the maps) are non-zero.
 
-    build_carenet zero-initializes the head, which makes every map 0. A random
+    CarenetModel zero-initializes the head, which makes every map 0. A random
     head still gives an all-zero (rectified) map for a class whose weights
     oppose the pooled features; the generator of seed 9 gives every class of
     both heads a positive map on the `spectra` fixture.
@@ -31,12 +31,12 @@ def live_head(model, rng):
 
 @pytest.fixture(scope="module")
 def type_model():
-    return live_head(build_carenet("type", seed=5), np.random.default_rng(9))
+    return live_head(CarenetModel("type", seed=5), np.random.default_rng(9))
 
 
 @pytest.fixture(scope="module")
 def subtype_model():
-    return live_head(build_carenet("subtype", seed=5), np.random.default_rng(9))
+    return live_head(CarenetModel("subtype", seed=5), np.random.default_rng(9))
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ class TestGradcamSpectrum:
     @pytest.mark.parametrize("head,target", [("type", 1), ("subtype", 2)])
     def test_chunked_maps_equal_one_shot(self, head, target, monkeypatch):
         rng = np.random.default_rng(9)
-        model = live_head(build_carenet(head, seed=5), rng)
+        model = live_head(CarenetModel(head, seed=5), rng)
         x = rng.random((FORWARD_CHUNK + 5, INPUT_LENGTH)).astype(np.float32)
         chunked = gradcam_spectrum(model, x, target_class=target)
         monkeypatch.setattr(gradcam, "FORWARD_CHUNK", x.shape[0])

@@ -6,7 +6,7 @@ from carenet.model import (
     BLOCKS_PER_STAGE,
     INPUT_LENGTH,
     STAGE_FILTERS,
-    build_carenet,
+    CarenetModel,
     load_checkpoint,
     save_checkpoint,
 )
@@ -40,18 +40,18 @@ def architecture_param_count_oracle(head_units: int) -> int:
 
 class TestArchitecture:
     def test_binary_parameter_count(self):
-        model = build_carenet("type")
+        model = CarenetModel("type")
         assert count_params(model) == architecture_param_count_oracle(1)
         assert count_params(model) == 241_057
 
     def test_subtype_parameter_count(self):
-        model = build_carenet("subtype")
+        model = CarenetModel("subtype")
         assert count_params(model) == architecture_param_count_oracle(4)
         assert count_params(model) == 241_444
 
     def test_trunks_identical_across_heads(self):
-        type_model = build_carenet("type")
-        subtype_model = build_carenet("subtype")
+        type_model = CarenetModel("type")
+        subtype_model = CarenetModel("subtype")
         n_type = sum(p.value.size for p in type_model.trunk_parameters())
         n_subtype = sum(p.value.size for p in subtype_model.trunk_parameters())
         assert n_type == n_subtype
@@ -63,7 +63,7 @@ class TestArchitecture:
         assert sum(p.value.size for p in layer.params()) == 129
 
     def test_length_propagation(self):
-        model = build_carenet("type", seed=1)
+        model = CarenetModel("type", seed=1)
         x = np.zeros((1, 1, INPUT_LENGTH), dtype=np.float32)
         h = model.stem_relu.forward(model.stem.forward(x))
         lengths = [h.shape[2]]
@@ -74,7 +74,7 @@ class TestArchitecture:
         assert lengths == [234, 234, 234, 117, 117, 59, 59, 30, 30]
 
     def test_zero_init_binary_output_is_half(self):
-        model = build_carenet("type", seed=0)
+        model = CarenetModel("type", seed=0)
         for p in model.parameters():
             p.value = np.zeros_like(p.value)
         out = model.forward(np.zeros((2, 1, INPUT_LENGTH), dtype=np.float32))
@@ -82,7 +82,7 @@ class TestArchitecture:
 
     def test_zero_weight_network_gradients_stop_at_head_bias(self, rng):
         # dead ReLU activations: only the head bias can receive gradient
-        model = build_carenet("type", seed=0)
+        model = CarenetModel("type", seed=0)
         for p in model.parameters():
             p.value = np.zeros_like(p.value)
         x = rng.random((3, 1, INPUT_LENGTH)).astype(np.float32)
@@ -97,46 +97,46 @@ class TestArchitecture:
         np.testing.assert_array_equal(model.dense.w.grad, 0.0)
 
     def test_same_seed_same_parameters(self):
-        a = build_carenet("subtype", seed=9)
-        b = build_carenet("subtype", seed=9)
+        a = CarenetModel("subtype", seed=9)
+        b = CarenetModel("subtype", seed=9)
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa.value, pb.value)
 
     def test_different_seed_differs(self):
-        a = build_carenet("type", seed=1)
-        b = build_carenet("type", seed=2)
+        a = CarenetModel("type", seed=1)
+        b = CarenetModel("type", seed=2)
         assert any(not np.array_equal(pa.value, pb.value)
                    for pa, pb in zip(a.parameters(), b.parameters()))
 
     def test_forward_deterministic(self, rng):
-        model = build_carenet("type", seed=4)
+        model = CarenetModel("type", seed=4)
         x = rng.standard_normal((3, 1, INPUT_LENGTH)).astype(np.float32)
         np.testing.assert_array_equal(model.forward(x), model.forward(x))
 
     def test_unknown_head_rejected(self):
         with pytest.raises(DataError):
-            build_carenet("both")
+            CarenetModel("both")
 
     def test_trunk_output_is_channels_last_memory(self, rng):
         # every layer hands on a (batch, channels, length) view of
         # (batch, length, channels) memory; a C-ordered map here would mean
         # some layer copies or transposes between convolutions
-        model = build_carenet("type", seed=0)
+        model = CarenetModel("type", seed=0)
         feats = model.trunk_forward(rng.random((3, INPUT_LENGTH)).astype(np.float32))
         assert feats.shape == (3, 128, 30)
         assert feats.transpose(0, 2, 1).flags.c_contiguous
 
     def test_probability_shapes(self, rng):
         x = rng.standard_normal((5, 1, INPUT_LENGTH)).astype(np.float32)
-        assert build_carenet("type", seed=0).forward(x).shape == (5, 1)
-        probs = build_carenet("subtype", seed=0).forward(x)
+        assert CarenetModel("type", seed=0).forward(x).shape == (5, 1)
+        probs = CarenetModel("subtype", seed=0).forward(x)
         assert probs.shape == (5, 4)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
 
 
 class TestCheckpoints:
     def test_round_trip_forward_bit_identical(self, tmp_path, rng):
-        model = build_carenet("subtype", seed=7)
+        model = CarenetModel("subtype", seed=7)
         x = rng.standard_normal((4, 1, INPUT_LENGTH)).astype(np.float32)
         before = model.forward(x)
         path = tmp_path / "model.crnm"
@@ -149,7 +149,7 @@ class TestCheckpoints:
     def test_load_and_cast_draw_no_weights(self, tmp_path, rng, monkeypatch, head):
         from carenet import nn
 
-        model = build_carenet(head, seed=5)
+        model = CarenetModel(head, seed=5)
         x = rng.standard_normal((3, 1, INPUT_LENGTH)).astype(np.float32)
         before = model.forward(x)
         path = tmp_path / "model.crnm"
@@ -171,7 +171,7 @@ class TestCheckpoints:
             np.testing.assert_array_equal(a.value, b.value.astype(np.float64))
 
     def test_truncated_file_rejected(self, tmp_path):
-        model = build_carenet("type", seed=1)
+        model = CarenetModel("type", seed=1)
         path = tmp_path / "model.crnm"
         save_checkpoint(model, path)
         raw = path.read_bytes()
@@ -180,7 +180,7 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_corrupt_blob_fails_crc(self, tmp_path):
-        model = build_carenet("type", seed=1)
+        model = CarenetModel("type", seed=1)
         path = tmp_path / "model.crnm"
         save_checkpoint(model, path)
         raw = bytearray(path.read_bytes())
@@ -190,7 +190,7 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     def test_head_mismatch_rejected(self, tmp_path):
-        model = build_carenet("type", seed=1)
+        model = CarenetModel("type", seed=1)
         path = tmp_path / "model.crnm"
         save_checkpoint(model, path)
         with pytest.raises(DataError):
@@ -205,7 +205,7 @@ class TestCheckpoints:
 
 class TestReplayMode:
     def test_float64_replay_matches_float32_closely(self, rng):
-        model = build_carenet("type", seed=3)
+        model = CarenetModel("type", seed=3)
         replay = model.astype(np.float64)
         x = rng.standard_normal((2, 1, INPUT_LENGTH)).astype(np.float32)
         p32 = model.forward(x)
@@ -217,7 +217,7 @@ class TestReplayMode:
 class TestForwardOnlyPass:
     @pytest.mark.parametrize("head", ["type", "subtype"])
     def test_backward_after_forward_only_pass_raises(self, head, rng):
-        model = build_carenet(head, seed=3)
+        model = CarenetModel(head, seed=3)
         x = rng.standard_normal((3, 1, INPUT_LENGTH)).astype(np.float32)
         grad = np.ones((3, model.n_classes), dtype=np.float32)
         model.forward(x)
@@ -236,7 +236,7 @@ class TestCachingPass:
         head = rng.standard_normal((STAGE_FILTERS[-1], 1)).astype(dtype) * 1e-2
 
         def model_a():
-            model = build_carenet("type", seed=3).astype(dtype)
+            model = CarenetModel("type", seed=3).astype(dtype)
             model.dense.w.value = head.copy()  # a zero head stops every trunk gradient
             return model
 
@@ -248,7 +248,7 @@ class TestCachingPass:
         a.forward(x)
         # between a's forward and backward, another model's forward-only pass
         # and a differently shaped conv's caching pass overwrite this thread's scratch
-        build_carenet("subtype", seed=4).astype(dtype).forward(
+        CarenetModel("subtype", seed=4).astype(dtype).forward(
             rng.random((9, INPUT_LENGTH)), cache=False)
         conv = Conv1D(3, 5, 7, 2, rng=make_rng(5), dtype=dtype)
         out = conv.forward(rng.random((4, 3, 50)).astype(dtype))

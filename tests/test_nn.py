@@ -353,12 +353,12 @@ class TestPlateauScheduler:
             assert sched.step(loss) == 1e-3
 
     def test_flat_losses_halve_on_sixth_call(self):
-        sched = PlateauScheduler(lr=1e-3, patience=4, factor=0.5)
+        sched = PlateauScheduler(lr=1e-3)
         rates = [sched.step(1.0) for _ in range(6)]
         assert rates == [1e-3] * 5 + [5e-4]
 
     def test_lr_floors_exactly(self):
-        sched = PlateauScheduler(lr=1e-3, patience=4, factor=0.5, min_lr=1e-4)
+        sched = PlateauScheduler(lr=1e-3)
         rates = [sched.step(1.0) for _ in range(40)]
         distinct = []
         for r in rates:
@@ -368,7 +368,7 @@ class TestPlateauScheduler:
         assert rates[-1] == 1e-4
 
     def test_improvement_resets_wait(self):
-        sched = PlateauScheduler(lr=1e-3, patience=4)
+        sched = PlateauScheduler(lr=1e-3)
         for loss in [1.0, 1.0, 1.0, 1.0, 0.5, 1.0, 1.0, 1.0, 1.0]:
             sched.step(loss)
         assert sched.lr == 1e-3  # wait reached exactly patience, never exceeded it

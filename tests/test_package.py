@@ -1,9 +1,15 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import carenet
+from carenet import pipeline
+from carenet.dataset import SpectraSet
+from carenet.model import INPUT_LENGTH
+from carenet.spectral import WavenumberAxis
 
 MODULES = ["carenet"] + [f"carenet.{m.name}" for m in pkgutil.iter_modules(carenet.__path__)]
 
@@ -14,3 +20,32 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in getattr(mod, "__all__", []) if not hasattr(mod, name)]
     assert missing == []
+
+
+def test_benchmark_tracer_counts_training_spectra(monkeypatch):
+    # perfbench/spans.py wraps carenet functions by name and reads the
+    # arguments of train_fold: a renamed function or reordered parameters
+    # must fail here, not only in the benchmark's own smoke test
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from spans import Tracer
+
+    # patient 1 trains on 4 AT and 4 CA rows (balanced: all 8), patient 2 is dev
+    patient = np.array([1] * 8 + [2] * 2)
+    core_type = np.array([0, 1] * 5)
+    sset = SpectraSet(
+        spectra=np.random.default_rng(0).random((10, INPUT_LENGTH)),
+        patient_id=patient, core_id=2 * patient + core_type, row=np.arange(10),
+        col=np.zeros(10), core_type=core_type, subtype=np.where(core_type == 1, 0, -1),
+        axis=WavenumberAxis(1800.0, 900.0, INPUT_LENGTH))
+    plan = pipeline.SplitPlan(seed=0, test_patients=(), test_type_cores=(),
+                              folds=(pipeline.Fold(train_patients=(1,), dev_patients=(2,)),))
+    config = pipeline.TrainConfig(head="type", epochs=1, batch_size=8)
+
+    tracer = Tracer()
+    try:
+        tracer.install()  # looks up every wrapped name
+        results = list(pipeline.train_folds(sset, plan, config))
+    finally:
+        tracer.uninstall()
+    assert len(results) == 1
+    assert tracer.counts["pipeline.train_fold.n"] == 8 * config.epochs

@@ -7,7 +7,7 @@ import pytest
 
 from carenet.dataset import HyperCube, read_cube, write_cube
 from carenet.errors import DataError
-from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, build_carenet
+from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, CarenetModel
 from carenet.nn import Conv1D, ReLU, bce_loss, cce_loss
 from carenet.pipeline import (
     PatientRecord,
@@ -357,18 +357,15 @@ class TestTrainFold:
         base = rng.random((n, 467)).astype(np.float32) * 0.2
         labels = (np.arange(n) % 2).astype(np.int64)
         base[labels == 1, 150:170] += 0.6  # separable bump
-        dev = base[:40].copy()
-        dev_labels = labels[:40]
-        return base, labels, dev, dev_labels
+        # spectra, labels, training rows (all) and dev rows (the first 40)
+        return base, labels, np.arange(n), np.arange(40)
 
     def test_bit_identical_history_and_model(self, tiny_fold_data):
-        x, labels, dev, dev_labels = tiny_fold_data
-        config = TrainConfig(head="type", epochs=2, batch_size=64,
-                             init_seed=1, shuffle_seed=2)
+        x, labels, train_rows, dev_rows = tiny_fold_data
+        config = TrainConfig(head="type", epochs=2, batch_size=64, seed=1)
         runs = []
         for _ in range(2):
-            res = train_fold(config, x, labels, labels.astype(np.float32),
-                             dev, dev_labels, dev_labels.astype(np.float32))
+            res = train_fold(config, train_rows, x, labels, dev_rows)
             runs.append(res)
         assert runs[0].history_dicts() == runs[1].history_dicts()
         for pa, pb in zip(runs[0].model_final.parameters(),
@@ -376,10 +373,9 @@ class TestTrainFold:
             np.testing.assert_array_equal(pa.value, pb.value)
 
     def test_learns_separable_data(self, tiny_fold_data):
-        x, labels, dev, dev_labels = tiny_fold_data
+        x, labels, train_rows, dev_rows = tiny_fold_data
         config = TrainConfig(head="type", epochs=10, batch_size=64)
-        res = train_fold(config, x, labels, labels.astype(np.float32),
-                         dev, dev_labels, dev_labels.astype(np.float32))
+        res = train_fold(config, train_rows, x, labels, dev_rows)
         assert res.history[-1].dev_accuracy >= 0.99
         assert res.best_epoch >= 1
         # best model must reproduce the best recorded dev loss
@@ -387,36 +383,59 @@ class TestTrainFold:
         assert min(best_losses) == res.history[res.best_epoch - 1].dev_loss
 
     def test_history_records_lr_and_losses(self, tiny_fold_data):
-        x, labels, dev, dev_labels = tiny_fold_data
+        x, labels, train_rows, dev_rows = tiny_fold_data
         config = TrainConfig(head="type", epochs=3, batch_size=64)
-        res = train_fold(config, x, labels, labels.astype(np.float32),
-                         dev, dev_labels, dev_labels.astype(np.float32))
+        res = train_fold(config, train_rows, x, labels, dev_rows)
         assert [r.epoch for r in res.history] == [1, 2, 3]
         assert all(r.lr <= 1e-3 for r in res.history)
         assert all(np.isfinite([r.train_loss, r.dev_loss]).all() for r in res.history)
 
     @pytest.mark.parametrize("head", ["type", "subtype"])
+    def test_reads_only_its_rows(self, tiny_fold_data, head):
+        x, labels, _, _ = tiny_fold_data
+        train_rows, dev_rows = np.arange(40, 120), np.arange(40)
+        config = TrainConfig(head=head, epochs=2, batch_size=32, seed=3)
+        compact = train_fold(config, train_rows, x, labels, dev_rows)
+
+        # the same rows scattered through a container whose other rows are NaN
+        # and carry a label no head accepts, so reading one fails the run
+        n = 3 * x.shape[0]
+        where = np.sort(np.random.default_rng(1).choice(n, x.shape[0], replace=False))
+        spectra = np.full((n, INPUT_LENGTH), np.nan, np.float32)
+        spectra[where] = x
+        every_label = np.full(n, -1)
+        every_label[where] = labels
+        scattered = train_fold(config, where[train_rows], spectra, every_label, where[dev_rows])
+
+        assert scattered.history_dicts() == compact.history_dicts()
+        assert scattered.best_epoch == compact.best_epoch
+        for model in ("model_final", "model_best"):
+            for pa, pb in zip(getattr(scattered, model).parameters(),
+                              getattr(compact, model).parameters()):
+                np.testing.assert_array_equal(pa.value, pb.value)
+
+    @pytest.mark.parametrize("head", ["type", "subtype"])
     def test_micro_batched_gradient_matches_one_pass(self, head):
         # float64, three slices: FORWARD_CHUNK + FORWARD_CHUNK + 11 rows
         rng = np.random.default_rng(6)
-        model = build_carenet(head, seed=3).astype(np.float64)
+        model = CarenetModel(head, seed=3).astype(np.float64)
         # a small live head: the zero head stops every trunk gradient, and a
         # unit-scale one saturates the outputs, where the clamped loss has none
         model.dense.w.value = rng.standard_normal(model.dense.w.value.shape) * 1e-3
         n = 2 * FORWARD_CHUNK + 11
         x = rng.random((n, INPUT_LENGTH))
         if head == "type":
-            targets = (np.arange(n) % 2).astype(np.float64)
-            loss, grad = bce_loss(model.forward(x)[:, 0], targets)
+            labels = np.arange(n) % 2
+            loss, grad = bce_loss(model.forward(x)[:, 0], labels.astype(np.float64))
             model.backward(grad[:, None])
         else:
-            targets = np.eye(4)[np.arange(n) % 4]
-            loss, grad = cce_loss(model.forward(x), targets)
+            labels = np.arange(n) % 4
+            loss, grad = cce_loss(model.forward(x), np.eye(4)[labels])
             model.backward(grad)
         one_pass = [p.grad.copy() for p in model.parameters()]
 
         sums = [np.empty_like(p.value) for p in model.parameters()]
-        assert _batch_gradients(model, x, targets, sums) == pytest.approx(loss, rel=1e-12)
+        assert _batch_gradients(model, x, labels, sums) == pytest.approx(loss, rel=1e-12)
         for p, want in zip(model.parameters(), one_pass):
             assert p.grad is not want and np.abs(want).max() > 0.0
             np.testing.assert_allclose(p.grad, want, rtol=1e-12,
@@ -425,25 +444,23 @@ class TestTrainFold:
     def test_training_batch_holds_one_slice_of_activations(self):
         # each conv caches its input, the ReLU output the next layers share;
         # a kept column matrix per conv (3x or 7x its input) peaked at 35.1 MB
-        model = build_carenet("type", seed=1)
+        model = CarenetModel("type", seed=1)
         rng = np.random.default_rng(0)
         x = rng.random((250, INPUT_LENGTH)).astype(np.float32)
-        targets = (np.arange(250) % 2).astype(np.float32)
+        labels = np.arange(250) % 2
         sums = [np.empty_like(p.value) for p in model.parameters()]
-        _batch_gradients(model, x, targets, sums)  # warm-up: grows this thread's scratch
-        _, peak = traced_peak(_batch_gradients, model, x, targets, sums)
+        _batch_gradients(model, x, labels, sums)  # warm-up: grows this thread's scratch
+        _, peak = traced_peak(_batch_gradients, model, x, labels, sums)
         assert peak <= 16e6, peak
 
     def test_batch_size_does_not_set_activation_memory(self):
         rng = np.random.default_rng(0)
         x = rng.random((256, INPUT_LENGTH)).astype(np.float32)
         labels = np.arange(256) % 2
-        targets = labels.astype(np.float32)
 
         def peak_bytes(batch_size):
             config = TrainConfig(head="type", epochs=1, batch_size=batch_size)
-            return traced_peak(train_fold, config, x, labels, targets,
-                               x[:8], labels[:8], targets[:8])[1]
+            return traced_peak(train_fold, config, np.arange(256), x, labels, np.arange(8))[1]
 
         one_slice, eight_slices = peak_bytes(32), peak_bytes(256)
         # only the gathered batch (256 x 467 float32, 0.5 MB) may grow
@@ -451,17 +468,20 @@ class TestTrainFold:
 
     def test_empty_sets_rejected(self):
         config = TrainConfig(head="type", epochs=1)
-        empty = np.empty((0, 467), dtype=np.float32)
+        x = np.zeros((4, 467), dtype=np.float32)
+        labels = np.arange(4) % 2
+        no_rows = np.empty(0, dtype=np.int64)
         with pytest.raises(DataError):
-            train_fold(config, empty, np.empty(0, dtype=np.int64), np.empty(0),
-                       empty, np.empty(0, dtype=np.int64), np.empty(0))
+            train_fold(config, no_rows, x, labels, np.arange(2))
+        with pytest.raises(DataError):
+            train_fold(config, np.arange(2), x, labels, no_rows)
 
 
 class TestForwardChunked:
     @pytest.mark.parametrize("head", ["type", "subtype"])
     def test_outputs_do_not_depend_on_chunk_size(self, head):
         rng = np.random.default_rng(4)
-        model = build_carenet(head, seed=1)
+        model = CarenetModel(head, seed=1)
         model.dense.w.value = rng.standard_normal(model.dense.w.value.shape).astype(np.float32)
         x = rng.random((FORWARD_CHUNK + 37, INPUT_LENGTH)).astype(np.float32)
         one_shot = model.forward(x)
@@ -472,14 +492,14 @@ class TestForwardChunked:
                                        rtol=1e-6, atol=1e-7)
 
     def test_no_rows(self):
-        model = build_carenet("subtype", seed=1)
+        model = CarenetModel("subtype", seed=1)
         out = forward_chunked(model, np.empty((0, INPUT_LENGTH), np.float32))
         assert out.shape == (0, 4)
 
 
 def _with_random_head(head, dtype, seed):
     """A model whose zero-initialized head is filled, so outputs vary by row."""
-    model = build_carenet(head, seed=seed).astype(dtype)
+    model = CarenetModel(head, seed=seed).astype(dtype)
     rng = np.random.default_rng(seed)
     model.dense.w.value = rng.standard_normal(model.dense.w.value.shape).astype(dtype)
     return model
