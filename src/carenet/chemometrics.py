@@ -2,7 +2,11 @@
 
 PCA factors the Gram matrix of the centred rows (p x p, or n x n for fewer
 rows than columns) with one symmetric eigendecomposition; the n x p left
-singular factor is never formed.
+singular factor is never formed. The p x p Gram is summed over row blocks,
+each centred into one reused block buffer, and scores, T2 and Q are formed
+a row block at a time from the uncentred rows, so no (n, p) centred copy is
+held. Only the snapshot path for fewer rows than columns centres the whole
+matrix, a copy smaller than the p x p Gram it replaces.
 
 The EMSC design matrix stacks the tissue reference, a polynomial baseline
 evaluated on the axis rescaled to [-1, 1], and masked interferent blocks
@@ -42,7 +46,12 @@ _VARIANCE_TINY = 1e-12
 _BASELINE_ORDER = 4
 _REF_COEF_FLOOR = 1e-6
 _INTERFERENT_VARIANCE = 0.99  # explained-variance share kept per interferent block
-_RESIDUAL_ROWS = 1024  # rows per block of the Q residual: a (1024, p) product at a time
+OUTLIER_PCS = 10  # components of the T2/Q outlier model
+OUTLIER_CONFIDENCE = 0.95  # quantile of T2 and of Q above which a spectrum is rejected
+# rows centred at a time, into one (1024, p) buffer, for the Gram sum and for
+# scores, T2 and Q. A 9216 x 467 Gram takes as long at 1024-4096-row blocks as
+# in one product, and longer at 256 (one BLAS thread)
+_RESIDUAL_ROWS = 1024
 
 
 @dataclass
@@ -75,17 +84,41 @@ class OutlierReport:
             raise DataError("keep flags inconsistent with thresholds")
 
 
-def _variance_spectrum(centered: np.ndarray):
-    """(variances, loadings) of all min(n, p) principal components of centred rows C.
+def _row_blocks(data: np.ndarray, mean: np.ndarray):
+    """(rows slice, data[rows] - mean) per block of _RESIDUAL_ROWS rows.
+
+    Every block is centred into the same buffer, so a block is valid only
+    until the next one is drawn.
+    """
+    n = data.shape[0]
+    buf = np.empty((min(n, _RESIDUAL_ROWS), data.shape[1]))
+    for start in range(0, n, _RESIDUAL_ROWS):
+        rows = slice(start, min(start + _RESIDUAL_ROWS, n))
+        block = buf[:rows.stop - start]
+        np.subtract(data[rows], mean, out=block)
+        yield rows, block
+
+
+def _variance_spectrum(data: np.ndarray, mean: np.ndarray):
+    """(variances, loadings) of all min(n, p) principal components of the rows
+    of data centred on mean, C = data - mean.
 
     One eigendecomposition of the smaller Gram matrix of C, sorted
-    descending, with roundoff below zero clipped: C'C (p x p) for n >= p;
-    for fewer rows than columns C C' (n x n), whose eigenvectors u give the
-    loadings as the normalised C'u (the snapshot method).
+    descending, with roundoff below zero clipped: C'C (p x p) for n >= p,
+    summed a row block at a time; for fewer rows than columns C C' (n x n),
+    whose eigenvectors u give the loadings as the normalised C'u (the
+    snapshot method).
     """
-    wide = centered.shape[0] < centered.shape[1]
+    n, p = data.shape
+    wide = n < p
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = centered @ centered.T if wide else centered.T @ centered
+        if wide:
+            centered = data - mean
+            gram = centered @ centered.T
+        else:
+            gram = np.zeros((p, p))
+            for _, block in _row_blocks(data, mean):
+                gram += block.T @ block
     if not np.all(np.isfinite(gram)):
         raise NumericalError("PCA Gram matrix overflows float64")
     try:
@@ -97,7 +130,7 @@ def _variance_spectrum(centered: np.ndarray):
         eigvecs = centered.T @ eigvecs
         norms = np.linalg.norm(eigvecs, axis=0)
         eigvecs /= np.where(norms > 0.0, norms, 1.0)
-    variances = np.maximum(eigvals, 0.0) / (centered.shape[0] - 1)
+    variances = np.maximum(eigvals, 0.0) / (n - 1)
     return variances, eigvecs.T
 
 
@@ -119,17 +152,17 @@ def pca_fit(data: np.ndarray, n_components: int | None = None,
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DataError("PCA needs a 2-D matrix with at least 2 rows")
-    mean = data.mean(axis=0)
-    return _fit_centered(mean, data - mean, n_components, variance_threshold)
+    return _fit(data, n_components, variance_threshold)
 
 
-def _fit_centered(mean: np.ndarray, centered: np.ndarray, n_components: int | None = None,
-                  variance_threshold: float | None = None) -> PcaModel:
-    """`pca_fit` of rows already centred on their column mean; reads `centered` only."""
+def _fit(data: np.ndarray, n_components: int | None = None,
+         variance_threshold: float | None = None) -> PcaModel:
+    """`pca_fit` of a float64 matrix already checked to have at least 2 rows."""
     if (n_components is None) == (variance_threshold is None):
         raise DataError("choose exactly one of n_components / variance_threshold")
 
-    variances, loadings = _variance_spectrum(centered)
+    mean = data.mean(axis=0)
+    variances, loadings = _variance_spectrum(data, mean)
     total = float(variances.sum())
     if total <= _VARIANCE_TINY:
         raise NumericalError("data has (numerically) zero variance; PCA is degenerate")
@@ -143,7 +176,7 @@ def _fit_centered(mean: np.ndarray, centered: np.ndarray, n_components: int | No
         p = int(n_components)
         if p < 1 or p > variances.size:
             raise DataError(
-                f"cannot extract {p} components from {centered.shape[0]}x{centered.shape[1]} data"
+                f"cannot extract {p} components from {data.shape[0]}x{data.shape[1]} data"
             )
     return PcaModel(mean=mean, loadings=loadings[:p].copy(),
                     explained_variance=variances[:p].copy(), total_variance=total)
@@ -158,7 +191,7 @@ def rank_estimate(data: np.ndarray) -> int:
     relative level are roundoff and are not counted.
     """
     data = np.asarray(data, dtype=np.float64)
-    variances, _ = _variance_spectrum(data - data.mean(axis=0))
+    variances, _ = _variance_spectrum(data, data.mean(axis=0))
     return _numerical_rank(variances, data.shape)
 
 
@@ -166,55 +199,48 @@ def scores_and_residuals(model: PcaModel, rows: np.ndarray):
     """Scores, Hotelling T2, and Q residual for each row of an (n, p) matrix.
 
     Components with vanishing variance are excluded from T2
-    since dividing by them would make the statistic meaningless.
+    since dividing by them would make the statistic meaningless. The rows
+    are centred and their residual formed a block at a time; rows is only read.
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != model.mean.shape[0]:
         raise DataError("spectra must be (n, p) rows matching the PCA model")
-    return _statistics(model, rows - model.mean)
-
-
-def _statistics(model: PcaModel, centered: np.ndarray):
-    """`scores_and_residuals` of rows already centred on model.mean; overwrites them."""
-    scores = centered @ model.loadings.T
+    scores = np.empty((rows.shape[0], model.n_components))
+    q = np.empty(rows.shape[0])
+    for block_rows, block in _row_blocks(rows, model.mean):
+        np.matmul(block, model.loadings.T, out=scores[block_rows])
+        block -= scores[block_rows] @ model.loadings
+        q[block_rows] = np.square(block, out=block).sum(axis=1)
     lam = model.explained_variance
     usable = lam >= _VARIANCE_TINY
     t2 = (scores[:, usable] ** 2 / lam[usable]).sum(axis=1)
-    # the residual, in place a block of rows at a time: no (n, p) product is held
-    for start in range(0, centered.shape[0], _RESIDUAL_ROWS):
-        block = slice(start, start + _RESIDUAL_ROWS)
-        centered[block] -= scores[block] @ model.loadings
-    q = np.square(centered, out=centered).sum(axis=1)
     return scores, t2, q
 
 
-def remove_outliers(data: np.ndarray, n_pcs: int = 10,
-                    confidence: float = 0.95) -> tuple[PcaModel, OutlierReport]:
+def remove_outliers(data: np.ndarray) -> tuple[PcaModel, OutlierReport]:
     """Single-pass T2-vs-Q rejection at empirical percentile thresholds.
 
-    The data is centred once and factored once: the model keeps the leading
-    n_pcs components that lie above the numerical rank cutoff of
-    `rank_estimate` (identical spectra leave none and raise NumericalError).
-    Thresholds are the `confidence` quantiles of T2 and Q over the data; a
-    spectrum exceeding either is rejected. Thresholds are not re-fit after
-    rejection. Returns (model, report); the kept rows are
-    `data[report.kept]`, left to the caller to take, or not.
+    The data is factored once: the model keeps the leading OUTLIER_PCS
+    components that lie above the numerical rank cutoff of `rank_estimate`
+    (identical spectra leave none and raise NumericalError). Thresholds are
+    the OUTLIER_CONFIDENCE quantiles of T2 and Q over the data; a spectrum
+    exceeding either is rejected. Thresholds are not re-fit after rejection.
+    Returns (model, report); the kept rows are `data[report.kept]`, left to
+    the caller to take, or not.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2:
         raise DataError("expected a 2-D spectra matrix")
-    if data.shape[0] <= n_pcs:
-        raise DataError(f"need more than {n_pcs} rows, got {data.shape[0]}")
+    if data.shape[0] <= OUTLIER_PCS:
+        raise DataError(f"need more than {OUTLIER_PCS} rows, got {data.shape[0]}")
 
-    mean = data.mean(axis=0)
-    centered = data - mean  # the fit reads it, then the statistics overwrite it
-    model = _fit_centered(mean, centered, n_components=min(n_pcs, data.shape[1]))
+    model = _fit(data, n_components=min(OUTLIER_PCS, data.shape[1]))
     rank = _numerical_rank(model.explained_variance, data.shape)  # >= 1: the fit passed
     model = replace(model, loadings=model.loadings[:rank],
                     explained_variance=model.explained_variance[:rank])
-    _, t2, q = _statistics(model, centered)
-    t2_thr = float(np.quantile(t2, confidence))
-    q_thr = float(np.quantile(q, confidence))
+    _, t2, q = scores_and_residuals(model, data)
+    t2_thr = float(np.quantile(t2, OUTLIER_CONFIDENCE))
+    q_thr = float(np.quantile(q, OUTLIER_CONFIDENCE))
     kept = (t2 <= t2_thr) & (q <= q_thr)
     if not kept.any():
         raise NumericalError("outlier removal rejected every spectrum")

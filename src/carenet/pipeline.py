@@ -231,6 +231,9 @@ class CoreResult:
     paraffin_mask: np.ndarray
 
 
+_ROW_BLOCK = 1024  # rows moved or smoothed at a time by the in-place chain steps
+
+
 def _outlier_pass(rows: np.ndarray) -> np.ndarray:
     """Keep mask from one T2/Q pass; a pass with nothing to model keeps everything.
 
@@ -244,87 +247,118 @@ def _outlier_pass(rows: np.ndarray) -> np.ndarray:
         return np.ones(rows.shape[0], dtype=bool)
 
 
+def _keep_rows(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """rows[keep], moved to the front of rows itself a row block at a time.
+
+    Returns a view of rows. Kept indices ascend, so kept row i comes from row
+    idx[i] >= i: each block gathers its rows before writing them, and no
+    later block reads a row that an earlier block overwrote.
+    """
+    idx = np.flatnonzero(keep)
+    for start in range(0, idx.size, _ROW_BLOCK):
+        src = idx[start:start + _ROW_BLOCK]
+        rows[start:start + src.size] = rows[src]
+    return rows[:idx.size]
+
+
+def _smooth_in_place(rows: np.ndarray) -> None:
+    """`savgol_smooth` written back over rows, a row block at a time."""
+    for start in range(0, rows.shape[0], _ROW_BLOCK):
+        block = rows[start:start + _ROW_BLOCK]
+        block[...] = savgol_smooth(block)
+
+
 def preprocess_h2o(h2o_cube: HyperCube) -> np.ndarray:
     """The panel's EMSC water-vapour block from its environment image.
 
     Truncate, outlier pass, smooth, then `interferent_block` over the H2O
-    band: built once per panel and shared by every core's EMSC model. Each
-    stage's input is dropped once the next stage has its own rows, the cube
-    included when the caller hands over its only reference.
+    band: built once per panel and shared by every core's EMSC model. The
+    float64 rows are the one (n, p) matrix of the chain: the outlier pass
+    moves its kept rows to the front and the smoothing writes its output
+    back, a row block at a time. The cube goes once its rows are taken, when
+    the caller hands over its only reference.
     """
     sel = band_slice(h2o_cube.axis, BIOFINGERPRINT_BAND)
     axis = sub_axis(h2o_cube.axis, sel)
     rows = h2o_cube.spectra_matrix()[:, sel].astype(np.float64)
     del h2o_cube
-    rows = rows[_outlier_pass(rows)]
-    rows = savgol_smooth(rows)
+    rows = _keep_rows(rows, _outlier_pass(rows))
+    _smooth_in_place(rows)
     return interferent_block(rows, axis, H2O_MASK_BAND)
 
 
 def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> CoreResult:
     """Run the full per-core chain against the panel's `preprocess_h2o` block.
 
+    The cube goes once its tissue and paraffin rows are taken, when the
+    caller hands over its only reference. Outlier passes and smoothing work
+    in place on those rows; EMSC and normalisation each write one new matrix.
     Raises DataError when no tissue survives.
     """
     tissue_mask = select_tissue(cube, seed=seed)
     paraffin_mask = select_paraffin(cube, tissue_mask, seed=seed)
+    core_id, patient_id, width = cube.core_id, cube.patient_id, cube.cols
+    core_type, subtype = cube.core_type, cube.subtype
     if not tissue_mask.mask.any():
-        raise DataError(f"core {cube.core_id}: clustering found no tissue pixels")
+        raise DataError(f"core {core_id}: clustering found no tissue pixels")
     if not paraffin_mask.mask.any():
-        raise DataError(f"core {cube.core_id}: clustering found no paraffin pixels")
+        raise DataError(f"core {core_id}: clustering found no paraffin pixels")
 
-    # cut to the biofingerprint in float32; only the selected pixels are upcast
+    # cut to the biofingerprint and gather the pixels in float32, then drop
+    # the cube before the selected rows are upcast
     sel = band_slice(cube.axis, BIOFINGERPRINT_BAND)
     axis = sub_axis(cube.axis, sel)
     flat = cube.spectra_matrix()[:, sel]
+    del cube
     tissue_idx = np.flatnonzero(tissue_mask.mask.ravel())
-    spectra = flat[tissue_idx].astype(np.float64)
-    paraffin = flat[paraffin_mask.mask.ravel()].astype(np.float64)
+    spectra, paraffin = flat[tissue_idx], flat[paraffin_mask.mask.ravel()]
+    del flat
+    spectra = spectra.astype(np.float64)
+    paraffin = paraffin.astype(np.float64)
     n0 = spectra.shape[0]
 
-    # one float64 working copy per stage: each rebinding of `spectra` frees its input
     keep = _outlier_pass(spectra)
-    spectra, tissue_idx = spectra[keep], tissue_idx[keep]
-    paraffin = paraffin[_outlier_pass(paraffin)]
+    spectra, tissue_idx = _keep_rows(spectra, keep), tissue_idx[keep]
+    paraffin = _keep_rows(paraffin, _outlier_pass(paraffin))
     n1 = spectra.shape[0]
     if n1 == 0:
-        raise DataError(f"core {cube.core_id}: no tissue spectra survived outlier removal")
+        raise DataError(f"core {core_id}: no tissue spectra survived outlier removal")
 
-    spectra = savgol_smooth(spectra)
-    paraffin = savgol_smooth(paraffin)
+    _smooth_in_place(spectra)
+    _smooth_in_place(paraffin)
 
     emsc = emsc_build_model(spectra.mean(axis=0), paraffin, h2o_block, axis)
     del paraffin
     spectra, coefs, keep = emsc_correct_rows(spectra, emsc)
     del coefs, emsc  # (n, m) coefficients and an (m, p) design: not needed again
-    spectra, tissue_idx = spectra[keep], tissue_idx[keep]
+    spectra, tissue_idx = _keep_rows(spectra, keep), tissue_idx[keep]
     n2 = spectra.shape[0]
     if n2 == 0:
-        raise DataError(f"core {cube.core_id}: EMSC flagged every spectrum as non-tissue")
+        raise DataError(f"core {core_id}: EMSC flagged every spectrum as non-tissue")
 
     spectra, keep = minmax_normalize_rows(spectra)
-    spectra, tissue_idx = spectra[keep], tissue_idx[keep]
+    spectra, tissue_idx = _keep_rows(spectra, keep), tissue_idx[keep]
     n3 = spectra.shape[0]
     if n3 == 0:
-        raise DataError(f"core {cube.core_id}: all spectra degenerate after normalization")
+        raise DataError(f"core {core_id}: all spectra degenerate after normalization")
 
     keep = _outlier_pass(spectra)
-    spectra, tissue_idx = spectra[keep], tissue_idx[keep]
+    spectra, tissue_idx = _keep_rows(spectra, keep), tissue_idx[keep]
     n4 = spectra.shape[0]
     if n4 == 0:
-        raise DataError(f"core {cube.core_id}: second outlier pass rejected everything")
+        raise DataError(f"core {core_id}: second outlier pass rejected everything")
 
     counts = StageCounts(tissue_pixels=n0, after_outlier1=n1, after_emsc=n2,
                          after_normalize=n3, after_outlier2=n4)
     return CoreResult(
-        core_id=cube.core_id,
-        patient_id=cube.patient_id,
-        core_type=cube.core_type,
-        subtype=cube.subtype,
+        core_id=core_id,
+        patient_id=patient_id,
+        core_type=core_type,
+        subtype=subtype,
         spectra=spectra.astype(np.float32),
         axis=axis,
-        rows=(tissue_idx // cube.cols).astype(np.int32),
-        cols=(tissue_idx % cube.cols).astype(np.int32),
+        rows=(tissue_idx // width).astype(np.int32),
+        cols=(tissue_idx % width).astype(np.int32),
         counts=counts,
         tissue_plausible=tissue_mask.plausible,
         paraffin_plausible=paraffin_mask.plausible,
@@ -348,12 +382,15 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
     h2o_block = preprocess_h2o(read_cube(h2o_path, BIOFINGERPRINT_BAND)[0])
 
     def run(path) -> CoreResult | tuple[int, str]:
-        cube = read_cube(path, BIOFINGERPRINT_BAND)[0]
+        held = [read_cube(path, BIOFINGERPRINT_BAND)[0]]
+        core_id = held[0].core_id
         try:
-            return preprocess_core(cube, h2o_block, seed=seed)
+            # pop hands preprocess_core the only reference, so the cube goes
+            # as soon as its tissue and paraffin rows are taken
+            return preprocess_core(held.pop(), h2o_block, seed=seed)
         except (DataError, NumericalError) as exc:
             # only the message: the traceback's frames would keep the cube alive
-            return cube.core_id, str(exc)
+            return core_id, str(exc)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

@@ -239,11 +239,11 @@ def test_criterion_4_outlier_detection():
     spiked = rng.choice(n, size=4, replace=False)  # 1% of spectra
     for row in spiked:
         data[row, rng.integers(0, values.size)] += 10.5 * signal_max
-    _, report = remove_outliers(data, n_pcs=10, confidence=0.95)
+    _, report = remove_outliers(data)
     spikes_rejected = float((~report.kept[spiked]).mean())
 
     clean = np.random.default_rng(2024).standard_normal((500, 40))
-    _, clean_report = remove_outliers(clean, n_pcs=10, confidence=0.95)
+    _, clean_report = remove_outliers(clean)
     frac = 1.0 - clean_report.kept.mean()
     verdict(4, spikes_rejected == 1.0 and 0.05 <= frac <= 0.12,
             f"spike rejection {spikes_rejected:.0%}, clean-Gaussian rejection "

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from carenet import chemometrics
 from carenet.chemometrics import (
     H2O_MASK_BAND,
     PARAFFIN_MASK_BAND,
@@ -149,7 +150,7 @@ class TestRemoveOutliers:
     def test_clean_gaussian_rejection_fraction(self):
         rng = np.random.default_rng(2024)
         data = rng.standard_normal((500, 40))
-        report = remove_outliers(data, n_pcs=10, confidence=0.95)[1]
+        report = remove_outliers(data)[1]
         kept = data[report.kept]
         frac = 1.0 - report.kept.mean()
         assert 0.05 <= frac <= 0.12
@@ -182,10 +183,11 @@ class TestRemoveOutliers:
         _, r2 = remove_outliers(data)
         np.testing.assert_array_equal(r1.kept, r2.kept)
 
-    def test_statistics_bitwise_equal_to_fit_then_score(self, rng):
+    def test_statistics_bitwise_equal_to_fit_then_score(self, rng, monkeypatch):
         # one shared centring gives the values of a separate fit and scoring
+        monkeypatch.setattr(chemometrics, "OUTLIER_PCS", 6)
         data = rng.standard_normal((2500, 60)).cumsum(axis=1)  # > one residual block
-        model, report = remove_outliers(data, n_pcs=6)
+        model, report = remove_outliers(data)
         fitted = pca_fit(data, n_components=6)
         for name in ("mean", "loadings", "explained_variance"):
             assert getattr(model, name).tobytes() == getattr(fitted, name).tobytes(), name
@@ -193,18 +195,24 @@ class TestRemoveOutliers:
         assert report.t2.tobytes() == t2.tobytes()
         assert report.q.tobytes() == q.tobytes()
 
-    def test_holds_one_centred_copy_and_no_kept_copy(self, rng):
+    def test_holds_no_centred_copy_and_no_kept_copy(self, rng):
         data = rng.standard_normal((6000, 200))
         _, peak = traced_peak(remove_outliers, data)
-        # the centred rows, plus one residual block, the Gram matrix and the statistics
-        assert peak < 1.3 * data.nbytes, peak / data.nbytes
+        # centred row blocks, the Gram matrix and the statistics, no (n, p) copy
+        assert peak < 0.6 * data.nbytes, peak / data.nbytes
 
 
 def test_residual_is_formed_a_block_at_a_time(rng):
     data = rng.standard_normal((6000, 200))
     model = pca_fit(data, n_components=10)
     _, peak = traced_peak(scores_and_residuals, model, data)
-    assert peak < 1.3 * data.nbytes, peak / data.nbytes  # centred rows, no (n, p) product
+    assert peak < 0.6 * data.nbytes, peak / data.nbytes  # no centred rows, no (n, p) product
+
+
+def test_gram_is_summed_a_block_at_a_time(rng):
+    data = rng.standard_normal((6000, 200))
+    _, peak = traced_peak(lambda: pca_fit(data, variance_threshold=0.99))
+    assert peak < 0.6 * data.nbytes, peak / data.nbytes  # no centred copy of the rows
 
 
 def h2o_block(spectra):
@@ -415,7 +423,7 @@ class TestGramPcaOracle:
         _, report = remove_outliers(data)
         np.testing.assert_array_equal(report.kept, svd_keep_mask(data))
 
-    def test_overflowing_gram_is_numerical_error_or_matches_svd(self, rng):
+    def test_overflowing_gram_is_numerical_error_or_matches_svd(self, rng, monkeypatch):
         # float32 cubes cannot get here; a 1e200-scaled float64 matrix squares past
         # float64 in the Gram, where eigh would raise a raw LinAlgError
         data = rng.standard_normal((60, 8)) * 1e200
@@ -426,8 +434,9 @@ class TestGramPcaOracle:
         else:
             np.testing.assert_allclose(model.explained_variance, svd_pca(data)[0][:3],
                                        rtol=1e-10)
+        monkeypatch.setattr(chemometrics, "OUTLIER_PCS", 3)
         try:
-            _, report = remove_outliers(data, n_pcs=3)
+            _, report = remove_outliers(data)
         except NumericalError:
             pass
         else:

@@ -10,6 +10,8 @@ from carenet import pipeline
 from carenet.dataset import SpectraSet
 from carenet.model import INPUT_LENGTH
 from carenet.spectral import WavenumberAxis
+from carenet.synthgen import SynthConfig, gen_panel
+from tests.conftest import write_panel
 
 MODULES = ["carenet"] + [f"carenet.{m.name}" for m in pkgutil.iter_modules(carenet.__path__)]
 
@@ -22,12 +24,17 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def _tracer(monkeypatch):
+    """A fresh perfbench/spans.py Tracer, not yet installed."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from spans import Tracer
+    return Tracer()
+
+
 def test_benchmark_tracer_counts_training_spectra(monkeypatch):
     # perfbench/spans.py wraps carenet functions by name and reads the
     # arguments of train_fold: a renamed function or reordered parameters
     # must fail here, not only in the benchmark's own smoke test
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
-    from spans import Tracer
 
     # patient 1 trains on 4 AT and 4 CA rows (balanced: all 8), patient 2 is dev
     patient = np.array([1] * 8 + [2] * 2)
@@ -41,7 +48,7 @@ def test_benchmark_tracer_counts_training_spectra(monkeypatch):
                               folds=(pipeline.Fold(train_patients=(1,), dev_patients=(2,)),))
     config = pipeline.TrainConfig(head="type", epochs=1, batch_size=8)
 
-    tracer = Tracer()
+    tracer = _tracer(monkeypatch)
     try:
         tracer.install()  # looks up every wrapped name
         results = list(pipeline.train_folds(sset, plan, config))
@@ -49,3 +56,26 @@ def test_benchmark_tracer_counts_training_spectra(monkeypatch):
         tracer.uninstall()
     assert len(results) == 1
     assert tracer.counts["pipeline.train_fold.n"] == 8 * config.epochs
+
+
+def test_benchmark_tracer_counts_preprocessed_spectra(monkeypatch, tmp_path):
+    # spans.py reads remove_outliers' args[0].shape[0] and result[1].kept, and
+    # emsc_correct_rows' result[2]: the rows each pass is handed and keeps
+    panel = gen_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=16, seed=21))
+    core_paths, h2o_path = write_panel(panel, tmp_path)
+
+    tracer = _tracer(monkeypatch)
+    try:
+        tracer.install()
+        _, results, skipped = pipeline.preprocess_panel(core_paths, h2o_path, seed=0)
+    finally:
+        tracer.uninstall()
+    assert skipped == [] and len(results) == 2
+    counts = [r.counts for r in results.values()]
+    outlier_rows = panel.h2o_cube.n_spectra + sum(
+        c.tissue_pixels + int(r.paraffin_mask.sum()) + c.after_normalize
+        for r, c in zip(results.values(), counts))
+    assert tracer.counts["chemometrics.remove_outliers.n"] == outlier_rows
+    assert tracer.counts["chemometrics.remove_outliers.kept"] <= outlier_rows
+    assert tracer.counts["chemometrics.emsc_correct_rows.n"] == sum(
+        c.after_outlier1 for c in counts)

@@ -25,7 +25,7 @@ from carenet.pipeline import (
     train_fold,
     undersample_balance,
 )
-from carenet.spectral import BIOFINGERPRINT_BAND
+from carenet.spectral import BIOFINGERPRINT_BAND, savgol_smooth
 from carenet.synthgen import SynthConfig, gen_panel
 from tests.conftest import traced_peak, write_panel
 
@@ -304,14 +304,48 @@ class TestPreprocessCore:
         h2o = read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]
         band_rows = h2o.n_spectra * h2o.axis.n_points * 8
 
-        # the rows and their centred copy, plus one residual block
+        # the rows, kept and smoothed in place, plus row blocks and the H2O PCA
         h2o_block, peak = traced_peak(preprocess_h2o, h2o)
-        assert peak / band_rows < 2.6, peak / band_rows
+        assert peak / band_rows < 1.8, peak / band_rows
         # tissue and paraffin rows (~0.3 and ~0.35 of the pixels), one working copy each
         for path in core_paths:
             _, peak = traced_peak(preprocess_core, read_cube(path, BIOFINGERPRINT_BAND)[0],
                                   h2o_block)
             assert peak / band_rows < 1.6, peak / band_rows
+            # read inside the traced call, the cube goes once its rows are taken
+            _, peak = traced_peak(
+                lambda: preprocess_core(read_cube(path, BIOFINGERPRINT_BAND)[0], h2o_block))
+            assert peak / band_rows < 1.5, peak / band_rows
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_core_cube_is_freed_before_smoothing(self, small_panel_files, monkeypatch, jobs):
+        from carenet import pipeline
+
+        core_paths, h2o_path = small_panel_files
+        lock = threading.Lock()
+        cubes = {}  # thread id -> weakref to the core cube that thread last read
+        smoothed = []
+
+        def weak_read(path, *band):
+            cube, extras = read_cube(path, *band)
+            if path != h2o_path:
+                with lock:
+                    cubes[threading.get_ident()] = weakref.ref(cube)
+            return cube, extras
+
+        def checking_smooth(rows):
+            ref = cubes.get(threading.get_ident())
+            if ref is not None:  # a core's rows, not the H2O image's
+                assert ref() is None, "core cube still alive while its rows are smoothed"
+                with lock:
+                    smoothed.append(rows.shape[0])
+            return savgol_smooth(rows)
+
+        monkeypatch.setattr(pipeline, "read_cube", weak_read)
+        monkeypatch.setattr(pipeline, "savgol_smooth", checking_smooth)
+        _, results, skipped = preprocess_panel(core_paths[:2], h2o_path, seed=0, jobs=jobs)
+        assert len(results) == 2 and skipped == []
+        assert smoothed  # the check ran on core rows
 
 
 class TestTargets:
