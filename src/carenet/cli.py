@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .clustering import PixelMask, write_masks_pgm
+from .clustering import write_masks_pgm
 from .dataset import (
     CORE_TYPES,
     SUBTYPES,
@@ -157,8 +157,12 @@ def _write_manifest(run_dir: Path, command: str, args, config_snapshot: dict,
     }
     if extra:
         manifest.update(extra)
-    with open(run_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    _write_json(run_dir / "manifest.json", manifest)
+
+
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -187,9 +191,7 @@ def cmd_synth(args) -> int:
         {"patient_id": record.patient_id, "subtype": record.subtype,
          "ca_core_id": record.ca_core_id, "at_core_id": record.at_core_id}
         for record in panel.patients]}
-    with open(run_dir / "panel.json", "w", encoding="utf-8") as fh:
-        json.dump(index, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(run_dir / "panel.json", index)
     outputs.append(run_dir / "panel.json")
 
     _write_manifest(run_dir, "synth", args, _config_dict(config),
@@ -239,14 +241,13 @@ def cmd_preprocess(args) -> int:
     outputs = [out_path]
     for core_id, result in sorted(results.items()):
         pgm_path = run_dir / f"masks_core_{core_id:04d}.pgm"
-        write_masks_pgm(pgm_path, PixelMask(result.tissue_mask, "tissue"),
-                        PixelMask(result.paraffin_mask, "paraffin"))
+        write_masks_pgm(pgm_path, result.tissue_mask, result.paraffin_mask)
         outputs.append(pgm_path)
     for core_id, reason in skipped:
         print(f"preprocess: skipped core {core_id}: {reason}", file=sys.stderr)
     stage_log = {str(cid): dataclasses.asdict(r.counts) for cid, r in sorted(results.items())}
     flagged = sorted(cid for cid, r in results.items()
-                     if not (r.tissue_plausible and r.paraffin_plausible))
+                     if not (r.tissue_mask.plausible and r.paraffin_mask.plausible))
     _write_manifest(run_dir, "preprocess", args, {"jobs": args.jobs},
                     inputs=[args.input], outputs=outputs, started=started,
                     extra={"stage_counts": stage_log,
@@ -318,13 +319,9 @@ def cmd_train(args) -> int:
               f"dev_acc {last.dev_accuracy:.3f} (best epoch {result.best_epoch})")
 
     split_path = run_dir / "split.json"
-    with open(split_path, "w", encoding="utf-8") as fh:
-        json.dump(_split_to_json(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(split_path, _split_to_json(plan))
     history_path = run_dir / "history.json"
-    with open(history_path, "w", encoding="utf-8") as fh:
-        json.dump(history_all, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(history_path, history_all)
     outputs += [split_path, history_path]
     _write_manifest(run_dir, "train", args,
                     {"head": config.head, "epochs": config.epochs,
@@ -402,14 +399,15 @@ def _test_cores(sset, plan, patients_by_id, head: str):
     return class_names, labels, test_cores, truth
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
-    run_dir = _run_dir(args, "eval")
+def _load_run(args):
+    """(container, its patients by id, split plan) for a command reading a train run.
+
+    The run directory must hold split.json, and the container every patient
+    the split holds out for testing.
+    """
     train_dir = Path(args.train_dir)
     sset = read_spectraset(Path(args.container))
-    patients = patients_from_spectraset(sset)
-    patients_by_id = {p.patient_id: p for p in patients}
-
+    patients_by_id = {p.patient_id: p for p in patients_from_spectraset(sset)}
     split_path = train_dir / "split.json"
     if not split_path.exists():
         raise DataError(f"{train_dir}: no split.json (is this a train run directory?)")
@@ -417,7 +415,14 @@ def cmd_eval(args) -> int:
     missing = [pid for pid in plan.test_patients if pid not in patients_by_id]
     if missing:
         raise DataError(f"container lacks test patients {missing}")
+    return sset, patients_by_id, plan
 
+
+def cmd_eval(args) -> int:
+    started = time.time()
+    run_dir = _run_dir(args, "eval")
+    train_dir = Path(args.train_dir)
+    sset, patients_by_id, plan = _load_run(args)
     checkpoints = [train_dir / f"fold{k}_{args.which}.crnm"
                    for k in range(1, len(plan.folds) + 1)]
     head, rows, table = _evaluate(checkpoints, sset, plan, patients_by_id)
@@ -449,34 +454,21 @@ def cmd_gradcam(args) -> int:
     started = time.time()
     run_dir = _run_dir(args, "gradcam")
     train_dir = Path(args.train_dir)
-    sset = read_spectraset(Path(args.container))
-    patients = patients_from_spectraset(sset)
-    patients_by_id = {p.patient_id: p for p in patients}
-
+    sset, _, plan = _load_run(args)
     history_path = train_dir / "history.json"
-    split_path = train_dir / "split.json"
-    if not history_path.exists() or not split_path.exists():
-        raise DataError(f"{train_dir}: missing history.json/split.json")
+    if not history_path.exists():
+        raise DataError(f"{train_dir}: no history.json (is this a train run directory?)")
     best_fold = _best_fold(history_path)
-    plan = _split_from_json(split_path)
     model, _ = load_checkpoint(train_dir / f"{best_fold}_best.crnm")
 
-    # group test spectra by true class and average per class
+    # attribute each class's test spectra to that class, then average per class
+    test = np.isin(sset.patient_id, np.asarray(plan.test_patients))
+    labels = head_labels(sset, model.head)
+    classes = [(1, "CA")] if model.head == "type" else list(enumerate(SUBTYPES))
     groups: dict[str, np.ndarray] = {}
-    if model.head == "type":
-        sel_test = np.isin(sset.patient_id, np.asarray(plan.test_patients))
-        spectra = sset.spectra[sel_test & (sset.core_type == 1)]
-        if spectra.shape[0] == 0:
-            raise DataError("no CA test spectra to attribute")
-        groups["CA"] = gradcam_spectrum(model, spectra, target_class=1)
-    else:
-        for idx, name in enumerate(SUBTYPES):
-            pids = [p.patient_id for p in patients
-                    if p.subtype == name and p.patient_id in plan.test_patients]
-            sel = np.isin(sset.patient_id, np.asarray(pids)) & (sset.core_type == 1)
-            if not sel.any():
-                raise DataError(f"no test spectra with subtype {name}")
-            groups[name] = gradcam_spectrum(model, sset.spectra[sel], target_class=idx)
+    for idx, name in classes:
+        groups[name] = gradcam_spectrum(model, sset.spectra[test & (labels == idx)],
+                                        target_class=idx)
 
     heatmaps = class_average(groups)
     outputs = []

@@ -13,7 +13,10 @@ Each directory entry records name, dtype (numpy string, little-endian),
 shape, offset (relative to the 64-byte-aligned payload start), byte length,
 and a CRC32. Readers must reject mismatched magic/version, duplicate names,
 overlapping or short entries, and CRC failures. The meta "kind" names what a container
-holds: "hypercube" and "spectraset" here, "checkpoint" in model.py.
+holds: "hypercube" and "spectraset" here, "checkpoint" in model.py. A spectra
+set's container holds its ROW_FIELDS arrays in that order, with the axis and
+the label code orders in the meta; `label_codes` turns a core's label names
+into the codes its rows carry.
 
 Reading checks every directory entry (dtype, shape, extent against the file
 size) before it allocates anything. Each array then streams in blocks of
@@ -52,6 +55,8 @@ __all__ = [
     "SUBTYPE_NONE",
     "HyperCube",
     "SpectraSet",
+    "ROW_FIELDS",
+    "label_codes",
     "subtype_one_hot",
     "write_container",
     "read_container",
@@ -71,6 +76,28 @@ _BLOCK_BYTES = 1 << 20  # a streamed read's block: about 1 MiB of whole rows
 CORE_TYPES = ("AT", "CA")
 SUBTYPES = ("LA", "LB", "HER2", "TNBC")
 SUBTYPE_NONE = -1
+
+# a SpectraSet's per-row fields and their dtypes, in container order
+ROW_FIELDS = {
+    "spectra": np.float32,     # (n, p) in [0, 1]
+    "patient_id": np.int32,
+    "core_id": np.int32,
+    "row": np.int32,
+    "col": np.int32,
+    "core_type": np.int8,      # 0=AT 1=CA
+    "subtype": np.int8,        # 0..3, or -1 for AT
+}
+
+
+def label_codes(core_type: str, subtype: str) -> tuple[int, int]:
+    """(core type, subtype) codes of a core's labels: "CA" is 1, a subtype its
+    index in SUBTYPES, "none" is SUBTYPE_NONE."""
+    if core_type not in CORE_TYPES:
+        raise DataError(f"unknown core type {core_type!r}")
+    if subtype != "none" and subtype not in SUBTYPES:
+        raise DataError(f"unknown subtype {subtype!r}")
+    return (CORE_TYPES.index(core_type),
+            SUBTYPE_NONE if subtype == "none" else SUBTYPES.index(subtype))
 
 
 def subtype_one_hot(codes: np.ndarray) -> np.ndarray:
@@ -135,29 +162,29 @@ class HyperCube:
 
 @dataclass
 class SpectraSet:
-    """Preprocessed spectra with per-spectrum labels and pixel provenance."""
+    """Preprocessed spectra with per-spectrum labels and pixel provenance.
 
-    spectra: np.ndarray      # (n, p) float32 in [0, 1]
-    patient_id: np.ndarray   # (n,) int32
-    core_id: np.ndarray      # (n,) int32
-    row: np.ndarray          # (n,) int32
-    col: np.ndarray          # (n,) int32
-    core_type: np.ndarray    # (n,) int8, 0=AT 1=CA
-    subtype: np.ndarray      # (n,) int8, 0..3 or -1 for AT
+    The row fields are ROW_FIELDS, each with n entries.
+    """
+
+    spectra: np.ndarray
+    patient_id: np.ndarray
+    core_id: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    core_type: np.ndarray
+    subtype: np.ndarray
     axis: WavenumberAxis
 
     def __post_init__(self):
-        self.spectra = np.asarray(self.spectra, dtype=np.float32)
-        for name in ("patient_id", "core_id", "row", "col"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int32))
-        self.core_type = np.asarray(self.core_type, dtype=np.int8)
-        self.subtype = np.asarray(self.subtype, dtype=np.int8)
+        for name, dtype in ROW_FIELDS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
         n = self.spectra.shape[0]
         if self.spectra.ndim != 2 or self.spectra.shape[1] != self.axis.n_points:
             raise DataError("spectra must be (n, axis.n_points)")
-        for name in ("patient_id", "core_id", "row", "col", "core_type", "subtype"):
-            if getattr(self, name).shape != (n,):
+        for name in ROW_FIELDS:
+            if name != "spectra" and getattr(self, name).shape != (n,):
                 raise DataError(f"{name} must have one entry per spectrum")
         if n:  # finiteness by min/max, as in HyperCube
             lo, hi = self.spectra.min(), self.spectra.max()
@@ -176,16 +203,8 @@ class SpectraSet:
         return self.spectra.shape[0]
 
     def select(self, mask: np.ndarray) -> "SpectraSet":
-        return SpectraSet(
-            spectra=self.spectra[mask],
-            patient_id=self.patient_id[mask],
-            core_id=self.core_id[mask],
-            row=self.row[mask],
-            col=self.col[mask],
-            core_type=self.core_type[mask],
-            subtype=self.subtype[mask],
-            axis=self.axis,
-        )
+        return SpectraSet(**{name: getattr(self, name)[mask] for name in ROW_FIELDS},
+                          axis=self.axis)
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +391,7 @@ def _axis_from_meta(meta: dict) -> WavenumberAxis:
 
 
 def write_spectraset(sset: SpectraSet, path) -> None:
-    arrays = {
-        "spectra": sset.spectra,
-        "patient_id": sset.patient_id,
-        "core_id": sset.core_id,
-        "row": sset.row,
-        "col": sset.col,
-        "core_type": sset.core_type,
-        "subtype": sset.subtype,
-    }
+    arrays = {name: getattr(sset, name) for name in ROW_FIELDS}
     meta = {
         "kind": "spectraset",
         "axis": _axis_meta(sset.axis),
@@ -395,16 +406,8 @@ def read_spectraset(path) -> SpectraSet:
     if meta.get("kind") != "spectraset":
         raise DataError(f"{path}: container does not hold a spectra set")
     try:
-        return SpectraSet(
-            spectra=arrays["spectra"],
-            patient_id=arrays["patient_id"],
-            core_id=arrays["core_id"],
-            row=arrays["row"],
-            col=arrays["col"],
-            core_type=arrays["core_type"],
-            subtype=arrays["subtype"],
-            axis=_axis_from_meta(meta["axis"]),
-        )
+        return SpectraSet(**{name: arrays[name] for name in ROW_FIELDS},
+                          axis=_axis_from_meta(meta["axis"]))
     except KeyError as exc:
         raise DataError(f"{path}: spectra-set container is missing array {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -470,18 +473,20 @@ def read_cube(path, band: Band | None = None) -> tuple[HyperCube, dict[str, np.n
 # CSV interoperability
 
 
+# metadata columns: every row field but the spectra, the last two as names
+_CSV_COLUMNS = tuple(ROW_FIELDS)[1:]
+
+
 def spectraset_to_csv(sset: SpectraSet, path) -> None:
     """One spectrum per row; metadata columns first, then one column per wavenumber."""
     wns = sset.axis.values
     with open(path, "w", encoding="utf-8") as fh:
-        header = ["patient_id", "core_id", "row", "col", "core_type", "subtype"]
-        header += [f"{w:.6f}" for w in wns]
+        header = list(_CSV_COLUMNS) + [f"{w:.6f}" for w in wns]
         fh.write(",".join(header) + "\n")
         for i in range(len(sset)):
             ct = CORE_TYPES[sset.core_type[i]]
             st = "none" if sset.subtype[i] == SUBTYPE_NONE else SUBTYPES[sset.subtype[i]]
-            cells = [str(sset.patient_id[i]), str(sset.core_id[i]),
-                     str(sset.row[i]), str(sset.col[i]), ct, st]
+            cells = [str(getattr(sset, name)[i]) for name in _CSV_COLUMNS[:4]] + [ct, st]
             # %.9g round-trips float32 exactly
             cells += [f"{v:.9g}" for v in sset.spectra[i]]
             fh.write(",".join(cells) + "\n")
@@ -490,7 +495,7 @@ def spectraset_to_csv(sset: SpectraSet, path) -> None:
 def spectraset_from_csv(path) -> SpectraSet:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n").split(",")
-        if header[:6] != ["patient_id", "core_id", "row", "col", "core_type", "subtype"]:
+        if tuple(header[:6]) != _CSV_COLUMNS:
             raise DataError(f"{path}: unexpected CSV header")
         wns = np.array([float(w) for w in header[6:]])
         if wns.size < 2:
@@ -503,27 +508,20 @@ def spectraset_from_csv(path) -> SpectraSet:
         raise DataError(f"{path}: CSV holds no spectra")
     n = len(rows)
     spectra = np.empty((n, wns.size), dtype=np.float32)
-    pid = np.empty(n, dtype=np.int32)
-    cid = np.empty(n, dtype=np.int32)
-    rr = np.empty(n, dtype=np.int32)
-    cc = np.empty(n, dtype=np.int32)
-    ct = np.empty(n, dtype=np.int8)
-    st = np.empty(n, dtype=np.int8)
+    labels = {name: np.empty(n, dtype=ROW_FIELDS[name]) for name in _CSV_COLUMNS}
     for i, cells in enumerate(rows):
         where = f"{path}: row {i + 2}"
         if len(cells) != 6 + wns.size:
             raise DataError(f"{where} has {len(cells)} cells")
-        if cells[4] not in CORE_TYPES:
-            raise DataError(f"{where} has unknown core type {cells[4]!r}")
-        if cells[5] != "none" and cells[5] not in SUBTYPES:
-            raise DataError(f"{where} has unknown subtype {cells[5]!r}")
         try:
-            pid[i], cid[i], rr[i], cc[i] = (int(c) for c in cells[:4])
+            labels["core_type"][i], labels["subtype"][i] = label_codes(cells[4], cells[5])
+        except DataError as exc:
+            raise DataError(f"{where} has {exc}") from None
+        try:
+            for name, cell in zip(_CSV_COLUMNS, cells[:4]):
+                labels[name][i] = int(cell)
             spectra[i] = [float(c) for c in cells[6:]]
         except (ValueError, OverflowError) as exc:
             raise DataError(f"{where} has a malformed number ({exc})") from exc
-        ct[i] = CORE_TYPES.index(cells[4])
-        st[i] = SUBTYPE_NONE if cells[5] == "none" else SUBTYPES.index(cells[5])
     axis = WavenumberAxis(float(wns[0]), float(wns[-1]), int(wns.size))
-    return SpectraSet(spectra=spectra, patient_id=pid, core_id=cid, row=rr, col=cc,
-                      core_type=ct, subtype=st, axis=axis)
+    return SpectraSet(spectra=spectra, **labels, axis=axis)

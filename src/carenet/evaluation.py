@@ -59,7 +59,6 @@ class ConfusionCounts:
 
 @dataclass
 class PatientPrediction:
-    patient_id: int
     vote_counts: np.ndarray
     final_class: int
     tie: bool
@@ -79,8 +78,7 @@ def classify(probs: np.ndarray, head: str) -> np.ndarray:
     raise DataError(f"unknown head {head!r}")
 
 
-def patient_vote(classes: np.ndarray, probs: np.ndarray, n_classes: int,
-                 patient_id: int = -1) -> PatientPrediction:
+def patient_vote(classes: np.ndarray, probs: np.ndarray, n_classes: int) -> PatientPrediction:
     """Plurality vote over one sample's spectrum classes.
 
     Vote ties break on the higher mean predicted probability among the tied
@@ -104,10 +102,10 @@ def patient_vote(classes: np.ndarray, probs: np.ndarray, n_classes: int,
     top = counts.max()
     tied = np.flatnonzero(counts == top)
     if tied.size == 1:
-        return PatientPrediction(patient_id, counts, int(tied[0]), False)
+        return PatientPrediction(counts, int(tied[0]), False)
     mean_p = probs[:, tied].mean(axis=0)
     winner = tied[int(mean_p.argmax())]  # argmax takes the lowest index on ties
-    return PatientPrediction(patient_id, counts, int(winner), True)
+    return PatientPrediction(counts, int(winner), True)
 
 
 def compute_metrics(predictions, truths, positive_class: int) -> ConfusionCounts:

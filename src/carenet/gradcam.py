@@ -120,13 +120,18 @@ def class_average(heatmaps_by_class: dict[str, np.ndarray]) -> dict[str, Heatmap
     return out
 
 
-def top_bands(heatmap: Heatmap1D, axis: WavenumberAxis,
-              threshold: float = 0.5) -> list[tuple[float, float, float]]:
-    """Maximal runs with importance >= threshold as (high_wn, low_wn, peak)."""
+# heatmap SVGs: canvas size in px, and the importance from which a band is shaded
+SVG_WIDTH = 900
+SVG_HEIGHT = 260
+SVG_SHADE_THRESHOLD = 0.7
+
+
+def top_bands(heatmap: Heatmap1D, axis: WavenumberAxis) -> list[tuple[float, float, float]]:
+    """Maximal runs with importance >= SVG_SHADE_THRESHOLD as (high_wn, low_wn, peak)."""
     if axis.n_points != heatmap.values.shape[0]:
         raise DataError("axis does not match heatmap length")
     values = axis.values
-    above = heatmap.values >= threshold
+    above = heatmap.values >= SVG_SHADE_THRESHOLD
     bands = []
     i = 0
     n = above.size
@@ -150,12 +155,6 @@ def write_heatmap_csv(heatmap: Heatmap1D, axis: WavenumberAxis, path) -> None:
             fh.write(f"{wn:.6f},{v:.9g}\n")
 
 
-# heatmap SVGs: canvas size in px, and the importance from which a band is shaded
-SVG_WIDTH = 900
-SVG_HEIGHT = 260
-SVG_SHADE_THRESHOLD = 0.7
-
-
 def write_heatmap_svg(heatmap: Heatmap1D, axis: WavenumberAxis, path) -> None:
     """Line plot with the above-threshold bands shaded; no plotting stack needed."""
     values = axis.values
@@ -173,7 +172,7 @@ def write_heatmap_svg(heatmap: Heatmap1D, axis: WavenumberAxis, path) -> None:
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
     ]
-    for high, low, _peak in top_bands(heatmap, axis, SVG_SHADE_THRESHOLD):
+    for high, low, _peak in top_bands(heatmap, axis):
         x0, x1 = sx(high), sx(low)
         parts.append(
             f'<rect x="{x0:.2f}" y="{pad}" width="{max(x1 - x0, 1.0):.2f}" '

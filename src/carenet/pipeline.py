@@ -3,7 +3,10 @@
 Preprocessing per core follows a fixed order: cluster tissue/paraffin,
 truncate to the biofingerprint region, first outlier pass, Savitzky-Golay
 smoothing, EMSC against per-core tissue/paraffin references plus the shared
-water-vapor model, min-max normalization, second outlier pass.
+water-vapor model, min-max normalization, second outlier pass. A core's
+surviving rows come back as a SpectraSet labelled with the core's identity,
+and the panel's container is the kept cores' sets concatenated field by
+field. Every core must share the H2O image's band axis.
 
 The protocol holds out one test patient per subtype, builds four
 subtype-stratified folds over the remaining patients, balances training
@@ -25,12 +28,13 @@ from .chemometrics import (
     interferent_block,
     remove_outliers,
 )
-from .clustering import select_paraffin, select_tissue
+from .clustering import PixelMask, select_paraffin, select_tissue
 from .dataset import (
-    SUBTYPE_NONE,
+    ROW_FIELDS,
     SUBTYPES,
     HyperCube,
     SpectraSet,
+    label_codes,
     read_cube,
     subtype_one_hot,
 )
@@ -40,7 +44,6 @@ from .model import FORWARD_CHUNK, CarenetModel
 from .nn import Adam, PlateauScheduler, bce_loss, cce_loss, check_finite, make_rng
 from .spectral import (
     BIOFINGERPRINT_BAND,
-    WavenumberAxis,
     band_slice,
     minmax_normalize_rows,
     savgol_smooth,
@@ -214,21 +217,17 @@ class StageCounts:
 
 @dataclass
 class CoreResult:
-    """Preprocessed tissue spectra of one core plus provenance and counts."""
+    """One core's preprocessed tissue rows, stage counts and clustering masks.
+
+    sset holds the rows that survived, labelled with the core's identity, at
+    their pixel positions and on the cube's biofingerprint axis.
+    """
 
     core_id: int
-    patient_id: int
-    core_type: str
-    subtype: str
-    spectra: np.ndarray  # (n, 467) float32 in [0, 1]
-    axis: WavenumberAxis  # of the spectra: the cube's biofingerprint band
-    rows: np.ndarray
-    cols: np.ndarray
+    sset: SpectraSet
     counts: StageCounts
-    tissue_plausible: bool
-    paraffin_plausible: bool
-    tissue_mask: np.ndarray    # (rows, cols) bool, for PGM export
-    paraffin_mask: np.ndarray
+    tissue_mask: PixelMask
+    paraffin_mask: PixelMask
 
 
 _ROW_BLOCK = 1024  # rows moved or smoothed at a time by the in-place chain steps
@@ -293,12 +292,13 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
     The cube goes once its tissue and paraffin rows are taken, when the
     caller hands over its only reference. Outlier passes and smoothing work
     in place on those rows; EMSC and normalisation each write one new matrix.
-    Raises DataError when no tissue survives.
+    The surviving rows come back as a SpectraSet labelled with the cube's
+    identity. Raises DataError when no tissue survives.
     """
+    core_type, subtype = label_codes(cube.core_type, cube.subtype)
     tissue_mask = select_tissue(cube, seed=seed)
     paraffin_mask = select_paraffin(cube, tissue_mask, seed=seed)
     core_id, patient_id, width = cube.core_id, cube.patient_id, cube.cols
-    core_type, subtype = cube.core_type, cube.subtype
     if not tissue_mask.mask.any():
         raise DataError(f"core {core_id}: clustering found no tissue pixels")
     if not paraffin_mask.mask.any():
@@ -315,14 +315,21 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
     del flat
     spectra = spectra.astype(np.float64)
     paraffin = paraffin.astype(np.float64)
-    n0 = spectra.shape[0]
+    sizes = [spectra.shape[0]]
 
-    keep = _outlier_pass(spectra)
-    spectra, tissue_idx = _keep_rows(spectra, keep), tissue_idx[keep]
+    def survivors(rows: np.ndarray, keep: np.ndarray, failure: str) -> np.ndarray:
+        """rows[keep] by `_keep_rows`; tissue_idx follows and the count is noted.
+        No row left is a DataError that names the failure."""
+        nonlocal tissue_idx
+        rows, tissue_idx = _keep_rows(rows, keep), tissue_idx[keep]
+        if rows.shape[0] == 0:
+            raise DataError(f"core {core_id}: {failure}")
+        sizes.append(rows.shape[0])
+        return rows
+
+    spectra = survivors(spectra, _outlier_pass(spectra),
+                        "no tissue spectra survived outlier removal")
     paraffin = _keep_rows(paraffin, _outlier_pass(paraffin))
-    n1 = spectra.shape[0]
-    if n1 == 0:
-        raise DataError(f"core {core_id}: no tissue spectra survived outlier removal")
 
     _smooth_in_place(spectra)
     _smooth_in_place(paraffin)
@@ -331,40 +338,20 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
     del paraffin
     spectra, coefs, keep = emsc_correct_rows(spectra, emsc)
     del coefs, emsc  # (n, m) coefficients and an (m, p) design: not needed again
-    spectra, tissue_idx = _keep_rows(spectra, keep), tissue_idx[keep]
-    n2 = spectra.shape[0]
-    if n2 == 0:
-        raise DataError(f"core {core_id}: EMSC flagged every spectrum as non-tissue")
+    spectra = survivors(spectra, keep, "EMSC flagged every spectrum as non-tissue")
 
     spectra, keep = minmax_normalize_rows(spectra)
-    spectra, tissue_idx = _keep_rows(spectra, keep), tissue_idx[keep]
-    n3 = spectra.shape[0]
-    if n3 == 0:
-        raise DataError(f"core {core_id}: all spectra degenerate after normalization")
+    spectra = survivors(spectra, keep, "all spectra degenerate after normalization")
+    spectra = survivors(spectra, _outlier_pass(spectra),
+                        "second outlier pass rejected everything")
 
-    keep = _outlier_pass(spectra)
-    spectra, tissue_idx = _keep_rows(spectra, keep), tissue_idx[keep]
-    n4 = spectra.shape[0]
-    if n4 == 0:
-        raise DataError(f"core {core_id}: second outlier pass rejected everything")
-
-    counts = StageCounts(tissue_pixels=n0, after_outlier1=n1, after_emsc=n2,
-                         after_normalize=n3, after_outlier2=n4)
-    return CoreResult(
-        core_id=core_id,
-        patient_id=patient_id,
-        core_type=core_type,
-        subtype=subtype,
-        spectra=spectra.astype(np.float32),
-        axis=axis,
-        rows=(tissue_idx // width).astype(np.int32),
-        cols=(tissue_idx % width).astype(np.int32),
-        counts=counts,
-        tissue_plausible=tissue_mask.plausible,
-        paraffin_plausible=paraffin_mask.plausible,
-        tissue_mask=tissue_mask.mask,
-        paraffin_mask=paraffin_mask.mask,
-    )
+    n = spectra.shape[0]
+    sset = SpectraSet(spectra=spectra.astype(np.float32), patient_id=np.full(n, patient_id),
+                      core_id=np.full(n, core_id), row=tissue_idx // width,
+                      col=tissue_idx % width, core_type=np.full(n, core_type),
+                      subtype=np.full(n, subtype), axis=axis)
+    return CoreResult(core_id=core_id, sset=sset, counts=StageCounts(*sizes),
+                      tissue_mask=tissue_mask, paraffin_mask=paraffin_mask)
 
 
 def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
@@ -376,15 +363,22 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
     biofingerprint, the only part of a spectrum preprocessing looks at, so a
     cube in memory holds 467 of its 1580 points per pixel. A cube that cannot
     be read is a DataError for the whole panel; a core whose preprocessing
-    fails is reported and skipped. Returns (SpectraSet, per-core CoreResult dict,
-    skipped list of (core_id, reason)).
+    fails, or whose band axis is not the H2O image's, is reported and
+    skipped. Returns (SpectraSet, per-core CoreResult dict, skipped list of
+    (core_id, reason)); the SpectraSet is the kept cores' sets, concatenated
+    in core order.
     """
-    h2o_block = preprocess_h2o(read_cube(h2o_path, BIOFINGERPRINT_BAND)[0])
+    h2o = [read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]]
+    axis = h2o[0].axis
+    h2o_block = preprocess_h2o(h2o.pop())  # the H2O cube's only reference, as below
 
     def run(path) -> CoreResult | tuple[int, str]:
         held = [read_cube(path, BIOFINGERPRINT_BAND)[0]]
         core_id = held[0].core_id
         try:
+            if held[0].axis != axis:
+                raise DataError(f"core {core_id}: band axis {held[0].axis} is not the "
+                                f"H2O image's band axis {axis}")
             # pop hands preprocess_core the only reference, so the cube goes
             # as soon as its tissue and paraffin rows are taken
             return preprocess_core(held.pop(), h2o_block, seed=seed)
@@ -399,30 +393,12 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
         # no 1-worker pool: its thread's own glibc malloc arena adds ~15% peak RSS
         results = [run(path) for path in core_paths]
 
-    kept: list[CoreResult] = []
-    skipped: list[tuple[int, str]] = []
-    for res in results:
-        if isinstance(res, CoreResult):
-            kept.append(res)
-        else:
-            skipped.append(res)
+    kept = [res for res in results if isinstance(res, CoreResult)]
+    skipped = [res for res in results if not isinstance(res, CoreResult)]
     if not kept:
         raise DataError("every core failed preprocessing")
-
-    sset = SpectraSet(
-        spectra=np.concatenate([r.spectra for r in kept]),
-        patient_id=np.concatenate([np.full(len(r.rows), r.patient_id, np.int32) for r in kept]),
-        core_id=np.concatenate([np.full(len(r.rows), r.core_id, np.int32) for r in kept]),
-        row=np.concatenate([r.rows for r in kept]),
-        col=np.concatenate([r.cols for r in kept]),
-        core_type=np.concatenate(
-            [np.full(len(r.rows), 1 if r.core_type == "CA" else 0, np.int8) for r in kept]),
-        subtype=np.concatenate(
-            [np.full(len(r.rows),
-                     SUBTYPES.index(r.subtype) if r.core_type == "CA" else SUBTYPE_NONE,
-                     np.int8) for r in kept]),
-        axis=kept[0].axis,
-    )
+    sset = SpectraSet(**{name: np.concatenate([getattr(r.sset, name) for r in kept])
+                         for name in ROW_FIELDS}, axis=axis)
     return sset, {r.core_id: r for r in kept}, skipped
 
 
@@ -506,12 +482,12 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def forward_chunked(model: CarenetModel, x: np.ndarray,
-                    chunk: int = FORWARD_CHUNK) -> np.ndarray:
-    """Model outputs for every row of x, forwarded at most chunk rows at a time.
+def forward_chunked(model: CarenetModel, x: np.ndarray) -> np.ndarray:
+    """Model outputs for every row of x, forwarded at most FORWARD_CHUNK rows at a time.
 
     The passes are forward-only: they leave no backward caches behind.
     """
+    chunk = FORWARD_CHUNK
     outs = [model.forward(x[i:i + chunk], cache=False) for i in range(0, x.shape[0], chunk)]
     return np.concatenate(outs) if outs else np.empty((0, model.n_classes), model.dtype)
 

@@ -21,6 +21,8 @@ __all__ = [
     "sub_axis",
     "integrate_band_rows",
     "savgol_smooth",
+    "SAVGOL_WINDOW",
+    "SAVGOL_POLY_ORDER",
     "minmax_normalize_rows",
     "RAW_AXIS",
     "BIOFINGERPRINT_BAND",
@@ -118,13 +120,20 @@ def integrate_band_rows(rows: np.ndarray, axis: WavenumberAxis, band: Band) -> n
     return axis.spacing * (y.sum(axis=1) - 0.5 * (y[:, 0] + y[:, -1]))
 
 
-def savgol_smooth(y: np.ndarray, window: int = 11, poly_order: int = 2) -> np.ndarray:
+# Savitzky-Golay window (points, odd) and polynomial order
+SAVGOL_WINDOW = 11
+SAVGOL_POLY_ORDER = 2
+
+
+def savgol_smooth(y: np.ndarray) -> np.ndarray:
     """Savitzky-Golay smoothing along each row of an (n, points) matrix.
 
-    Interior points get the centered local least-squares fit; the first and
+    Interior points get the centered local least-squares fit of a
+    SAVGOL_POLY_ORDER polynomial over SAVGOL_WINDOW points; the first and
     last half-window points are the polynomial fitted to the first/last full
     window, evaluated at their offsets, so the output keeps the input length.
     """
+    window, poly_order = SAVGOL_WINDOW, SAVGOL_POLY_ORDER
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 2:
         raise DataError("spectra must be an (n, points) matrix")

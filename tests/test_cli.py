@@ -14,6 +14,7 @@ from carenet.dataset import (
     read_spectraset,
     write_container,
     write_cube,
+    write_spectraset,
 )
 from tests.conftest import rewrite_directory
 
@@ -303,6 +304,18 @@ class TestTrainEvalGradcam:
             assert len(lines) == 1 + 467
             values = np.array([float(line.split(",")[1]) for line in lines[1:]])
             assert values.min() >= 0.0 and values.max() <= 1.0
+
+    @pytest.mark.parametrize("command", ["eval", "gradcam"])
+    def test_container_missing_a_test_patient_is_data_error(self, tiny_run, tmp_path,
+                                                            command):
+        _, _, pre_dir, train_dirs = tiny_run
+        sset = read_spectraset(pre_dir / "spectra.crns")
+        test = json.loads((train_dirs["type"] / "split.json").read_text())["test_patients"]
+        path = tmp_path / "spectra.crns"
+        write_spectraset(sset.select(sset.patient_id != test[0]), path)
+        out = tmp_path / "out"
+        assert run([command, train_dirs["type"], path, "--out-dir", out]) == 3
+        assert not list(out.glob("*.csv"))
 
     def test_eval_missing_split_is_data_error(self, tiny_run, tmp_path):
         _, _, pre_dir, _ = tiny_run

@@ -37,7 +37,7 @@ class TestPatientVote:
     def test_plurality(self):
         classes = np.array([1] * 60 + [0] * 40)
         probs = np.where(classes == 1, 0.9, 0.1)
-        pred = patient_vote(classes, probs, n_classes=2, patient_id=5)
+        pred = patient_vote(classes, probs, n_classes=2)
         assert pred.final_class == 1 and not pred.tie
         np.testing.assert_array_equal(pred.vote_counts, [40, 60])
 

@@ -128,15 +128,17 @@ class TestClassAverage:
 
 
 class TestTopBands:
-    def test_all_zero_gives_empty(self):
+    def test_all_zero_gives_empty(self, monkeypatch):
+        monkeypatch.setattr(gradcam, "SVG_SHADE_THRESHOLD", 0.5)
         hm = Heatmap1D(np.zeros(INPUT_LENGTH), "CA")
-        assert top_bands(hm, AXIS, threshold=0.5) == []
+        assert top_bands(hm, AXIS) == []
 
-    def test_single_triangular_bump(self):
+    def test_single_triangular_bump(self, monkeypatch):
+        monkeypatch.setattr(gradcam, "SVG_SHADE_THRESHOLD", 0.5)
         values = np.zeros(INPUT_LENGTH)
         values[200:221] = np.concatenate([np.linspace(0, 1, 11), np.linspace(1, 0, 11)[1:]])
         hm = Heatmap1D(values, "CA")
-        bands = top_bands(hm, AXIS, threshold=0.5)
+        bands = top_bands(hm, AXIS)
         assert len(bands) == 1
         high, low, peak = bands[0]
         assert peak == 1.0
@@ -148,7 +150,7 @@ class TestTopBands:
         values[50:61] = 0.9
         values[300:321] = 0.8
         hm = Heatmap1D(values, "CA")
-        bands = top_bands(hm, AXIS, threshold=0.7)
+        bands = top_bands(hm, AXIS)
         assert len(bands) == 2
         assert bands[0][0] > bands[1][0]  # reported high-to-low
 

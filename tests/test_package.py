@@ -73,7 +73,7 @@ def test_benchmark_tracer_counts_preprocessed_spectra(monkeypatch, tmp_path):
     assert skipped == [] and len(results) == 2
     counts = [r.counts for r in results.values()]
     outlier_rows = panel.h2o_cube.n_spectra + sum(
-        c.tissue_pixels + int(r.paraffin_mask.sum()) + c.after_normalize
+        c.tissue_pixels + int(r.paraffin_mask.mask.sum()) + c.after_normalize
         for r, c in zip(results.values(), counts))
     assert tracer.counts["chemometrics.remove_outliers.n"] == outlier_rows
     assert tracer.counts["chemometrics.remove_outliers.kept"] <= outlier_rows

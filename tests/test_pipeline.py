@@ -25,7 +25,7 @@ from carenet.pipeline import (
     train_fold,
     undersample_balance,
 )
-from carenet.spectral import BIOFINGERPRINT_BAND, savgol_smooth
+from carenet.spectral import BIOFINGERPRINT_BAND, WavenumberAxis, savgol_smooth
 from carenet.synthgen import SynthConfig, gen_panel
 from tests.conftest import traced_peak, write_panel
 
@@ -150,9 +150,9 @@ class TestPreprocessCore:
         c = result.counts
         assert c.tissue_pixels >= c.after_outlier1 >= c.after_emsc
         assert c.after_emsc >= c.after_normalize >= c.after_outlier2 > 0
-        assert result.tissue_plausible and result.paraffin_plausible
-        assert result.spectra.shape[1] == 467
-        assert result.spectra.min() >= 0.0 and result.spectra.max() <= 1.0
+        assert result.tissue_mask.plausible and result.paraffin_mask.plausible
+        assert result.sset.spectra.shape[1] == 467
+        assert result.sset.spectra.min() >= 0.0 and result.sset.spectra.max() <= 1.0
 
     def test_noiseless_cube_removes_nothing(self):
         config = SynthConfig(
@@ -182,7 +182,7 @@ class TestPreprocessCore:
             spiked = {tuple(rc) for rc in np.argwhere(truth.spike)}
             assert spiked, "config must actually inject spikes"
             result = preprocess_core(cube, h2o)
-            kept = set(zip(result.rows.tolist(), result.cols.tolist()))
+            kept = set(zip(result.sset.row.tolist(), result.sset.col.tolist()))
             removed.extend(rc not in kept for rc in spiked)
         assert np.mean(removed) >= 0.95
 
@@ -202,7 +202,7 @@ class TestPreprocessCore:
         # must either flag implausibility or fail, never silently succeed
         try:
             result = preprocess_core(no_tissue, h2o)
-            assert not result.tissue_plausible
+            assert not result.tissue_mask.plausible
         except DataError:
             pass
 
@@ -213,7 +213,8 @@ class TestPreprocessCore:
         assert len(results) == len(panel.cubes)
         assert len(sset) == sum(r.counts.after_outlier2 for r in results.values())
         assert sset.axis.n_points == 467
-        assert all(not (r.tissue_mask & r.paraffin_mask).any() for r in results.values())
+        assert all(not (r.tissue_mask.mask & r.paraffin_mask.mask).any()
+                   for r in results.values())
         records = patients_from_spectraset(sset)
         assert {r.patient_id for r in records} == {p.patient_id for p in panel.patients}
 
@@ -223,6 +224,22 @@ class TestPreprocessCore:
         for name in ("spectra", "patient_id", "core_id", "row", "col", "core_type", "subtype"):
             np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
         assert serial.axis == parallel.axis
+
+    def test_core_on_another_axis_is_skipped(self, small_panel, tmp_path):
+        # same point count, shifted by 0.3 cm^-1: its rows would take the
+        # H2O image's wavenumbers in the container
+        core_paths, h2o_path = write_panel(small_panel, tmp_path)
+        cube = small_panel.cubes[1]
+        shifted = WavenumberAxis(3950.3, 900.3, cube.axis.n_points)
+        write_cube(HyperCube(cube.intensities, shifted, cube.core_id, cube.patient_id,
+                             cube.core_type, cube.subtype), core_paths[1])
+        sset, results, skipped = preprocess_panel(core_paths, h2o_path, seed=0)
+        assert sorted(results) == [0, 2, 3] and [core for core, _ in skipped] == [1]
+        band = read_cube(h2o_path, BIOFINGERPRINT_BAND)[0].axis
+        reason = skipped[0][1]
+        assert str(band) in reason
+        assert str(read_cube(core_paths[1], BIOFINGERPRINT_BAND)[0].axis) in reason
+        assert 1 not in sset.core_id and sset.axis == band
 
     def test_h2o_block_built_once_per_panel(self, small_panel_files, monkeypatch):
         from carenet import chemometrics, pipeline
@@ -513,7 +530,9 @@ class TestTrainFold:
 
 class TestForwardChunked:
     @pytest.mark.parametrize("head", ["type", "subtype"])
-    def test_outputs_do_not_depend_on_chunk_size(self, head):
+    def test_outputs_do_not_depend_on_chunk_size(self, head, monkeypatch):
+        from carenet import pipeline
+
         rng = np.random.default_rng(4)
         model = CarenetModel(head, seed=1)
         model.dense.w.value = rng.standard_normal(model.dense.w.value.shape).astype(np.float32)
@@ -522,7 +541,8 @@ class TestForwardChunked:
         # the trunk's rows are bitwise independent of the batch; the dense
         # head's small BLAS call may round its last bit by batch size
         for chunk in (7, 64, FORWARD_CHUNK, x.shape[0]):
-            np.testing.assert_allclose(forward_chunked(model, x, chunk), one_shot,
+            monkeypatch.setattr(pipeline, "FORWARD_CHUNK", chunk)
+            np.testing.assert_allclose(forward_chunked(model, x), one_shot,
                                        rtol=1e-6, atol=1e-7)
 
     def test_no_rows(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carenet import spectral
 from carenet.errors import DataError
 from carenet.spectral import (
     BIOFINGERPRINT_BAND,
@@ -132,9 +133,9 @@ class TestSavitzkyGolay:
 
     def test_matches_per_window_least_squares_oracle(self, rng):
         y = rng.standard_normal(60)
-        window, order = 11, 2
+        window, order = spectral.SAVGOL_WINDOW, spectral.SAVGOL_POLY_ORDER
         half = window // 2
-        out = savgol_smooth(y[None, :], window, order)[0]
+        out = savgol_smooth(y[None, :])[0]
 
         def fit_eval(window_vals, eval_offset):
             offsets = np.arange(window) - half
@@ -151,13 +152,14 @@ class TestSavitzkyGolay:
                 expected[i] = fit_eval(y[i - half : i + half + 1], half)
         np.testing.assert_allclose(out, expected, atol=1e-10)
 
-    def test_even_window_rejected(self):
+    def test_even_window_rejected(self, monkeypatch):
+        monkeypatch.setattr(spectral, "SAVGOL_WINDOW", 10)
         with pytest.raises(DataError):
-            savgol_smooth(np.zeros((1, 30)), window=10)
+            savgol_smooth(np.zeros((1, 30)))
 
     def test_window_longer_than_signal_rejected(self):
         with pytest.raises(DataError):
-            savgol_smooth(np.zeros((1, 5)), window=11)
+            savgol_smooth(np.zeros((1, 5)))
 
     def test_spectrum_wrapper(self):
         # one spectrum as a one-row matrix keeps its shape; a quadratic survives
