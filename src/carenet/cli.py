@@ -40,7 +40,7 @@ from .evaluation import (
     write_patient_table_csv,
 )
 from .gradcam import class_average, gradcam_spectrum, write_heatmap_csv, write_heatmap_svg
-from .model import load_checkpoint, save_checkpoint
+from .model import HEADS, load_checkpoint, save_checkpoint
 from .pipeline import (
     Fold,
     SplitPlan,
@@ -186,11 +186,11 @@ def cmd_synth(args) -> int:
             cores[str(cube.core_id)] = name
         outputs.append(run_dir / name)
 
-    panel = gen_panel(config, emit=write)
+    patients = gen_panel(config, emit=write)
     index = {"seed": config.seed, "cores": cores, "h2o": "h2o.crns", "patients": [
         {"patient_id": record.patient_id, "subtype": record.subtype,
          "ca_core_id": record.ca_core_id, "at_core_id": record.at_core_id}
-        for record in panel.patients]}
+        for record in patients]}
     _write_json(run_dir / "panel.json", index)
     outputs.append(run_dir / "panel.json")
 
@@ -202,13 +202,12 @@ def cmd_synth(args) -> int:
 
 
 def _config_dict(config: SynthConfig) -> dict:
+    """The config's scalar and range fields, for manifest.json."""
     out = {}
-    for name in ("n_patients", "image_size", "noise_sigma", "class_separation",
-                 "scale_range", "baseline_const_range", "baseline_coef_range",
-                 "tissue_paraffin_range", "tissue_h2o_range",
-                 "spike_fraction", "spike_amplitude", "seed"):
-        value = getattr(config, name)
-        out[name] = list(value) if isinstance(value, tuple) else value
+    for field in dataclasses.fields(config):
+        if field.name not in ("tissue_bands", "axis"):
+            value = getattr(config, field.name)
+            out[field.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
@@ -371,7 +370,7 @@ def _evaluate(checkpoints, sset, plan, patients_by_id):
         for _, _, sel in test_cores:
             probs = forward_chunked(model, sset.spectra[sel])
             votes.append(patient_vote(classify(probs, head), probs,
-                                      n_classes=len(class_names)).final_class)
+                                      n_classes=len(class_names)))
         test.append((np.array(votes), truth))
 
     rows = (_fold_rows("dev", "spectrum", head, class_names, dev)
@@ -527,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train the 4 cross-validation folds")
     common(p_train, unused_jobs)
     p_train.add_argument("container", help="spectra container from 'preprocess'")
-    p_train.add_argument("--head", choices=("type", "subtype"), required=True)
+    p_train.add_argument("--head", choices=HEADS, required=True)
     p_train.add_argument("--epochs", type=int, default=50)
     p_train.add_argument("--batch-size", type=int, default=250)
     p_train.add_argument("--lr", type=float, default=1e-3)

@@ -16,7 +16,6 @@ from .errors import DataError
 
 __all__ = [
     "ConfusionCounts",
-    "PatientPrediction",
     "classify",
     "patient_vote",
     "compute_metrics",
@@ -57,13 +56,6 @@ class ConfusionCounts:
         return self.tn / denom if denom else None
 
 
-@dataclass
-class PatientPrediction:
-    vote_counts: np.ndarray
-    final_class: int
-    tie: bool
-
-
 def classify(probs: np.ndarray, head: str) -> np.ndarray:
     """Class per row of model outputs.
 
@@ -78,13 +70,13 @@ def classify(probs: np.ndarray, head: str) -> np.ndarray:
     raise DataError(f"unknown head {head!r}")
 
 
-def patient_vote(classes: np.ndarray, probs: np.ndarray, n_classes: int) -> PatientPrediction:
-    """Plurality vote over one sample's spectrum classes.
+def patient_vote(classes: np.ndarray, probs: np.ndarray, n_classes: int) -> int:
+    """The class winning a plurality vote over one sample's spectrum classes.
 
     Vote ties break on the higher mean predicted probability among the tied
-    classes, then on the lower class index; either way the tie is flagged.
-    For the binary head, probs is p(class 1), as (n,) or the sigmoid's (n, 1),
-    and p(class 0) is its complement.
+    classes, then on the lower class index. For the binary head, probs is
+    p(class 1), as (n,) or the sigmoid's (n, 1), and p(class 0) is its
+    complement.
     """
     classes = np.asarray(classes)
     if classes.size == 0:
@@ -99,13 +91,9 @@ def patient_vote(classes: np.ndarray, probs: np.ndarray, n_classes: int) -> Pati
         raise DataError("probability matrix does not match classes")
 
     counts = np.bincount(classes, minlength=n_classes)
-    top = counts.max()
-    tied = np.flatnonzero(counts == top)
-    if tied.size == 1:
-        return PatientPrediction(counts, int(tied[0]), False)
+    tied = np.flatnonzero(counts == counts.max())
     mean_p = probs[:, tied].mean(axis=0)
-    winner = tied[int(mean_p.argmax())]  # argmax takes the lowest index on ties
-    return PatientPrediction(counts, int(winner), True)
+    return int(tied[int(mean_p.argmax())])  # argmax takes the lowest index on ties
 
 
 def compute_metrics(predictions, truths, positive_class: int) -> ConfusionCounts:

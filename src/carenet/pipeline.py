@@ -40,7 +40,7 @@ from .dataset import (
 )
 from .errors import DataError, NumericalError
 from .evaluation import classify
-from .model import FORWARD_CHUNK, CarenetModel
+from .model import FORWARD_CHUNK, HEADS, CarenetModel
 from .nn import Adam, PlateauScheduler, bce_loss, cce_loss, check_finite, make_rng
 from .spectral import (
     BIOFINGERPRINT_BAND,
@@ -113,7 +113,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.head not in ("type", "subtype"):
+        if self.head not in HEADS:
             raise DataError(f"unknown head {self.head!r}")
         # NaN fails both comparisons, so it is rejected with the infinities
         if self.epochs < 1 or self.batch_size < 1 or not 0.0 < self.lr < float("inf"):
@@ -364,27 +364,28 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
     cube in memory holds 467 of its 1580 points per pixel. A cube that cannot
     be read is a DataError for the whole panel; a core whose preprocessing
     fails, or whose band axis is not the H2O image's, is reported and
-    skipped. Returns (SpectraSet, per-core CoreResult dict, skipped list of
-    (core_id, reason)); the SpectraSet is the kept cores' sets, concatenated
-    in core order.
+    skipped, and so is its patient's other core. Returns (SpectraSet,
+    per-core CoreResult dict, skipped list of (core_id, reason)); the
+    SpectraSet is the kept cores' sets, concatenated in core order.
     """
     h2o = [read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]]
     axis = h2o[0].axis
     h2o_block = preprocess_h2o(h2o.pop())  # the H2O cube's only reference, as below
 
-    def run(path) -> CoreResult | tuple[int, str]:
+    def run(path) -> tuple[int, CoreResult | tuple[int, str]]:
+        """(patient id, the core's CoreResult or its (core_id, reason) skip)."""
         held = [read_cube(path, BIOFINGERPRINT_BAND)[0]]
-        core_id = held[0].core_id
+        core_id, patient_id = held[0].core_id, held[0].patient_id
         try:
             if held[0].axis != axis:
                 raise DataError(f"core {core_id}: band axis {held[0].axis} is not the "
                                 f"H2O image's band axis {axis}")
             # pop hands preprocess_core the only reference, so the cube goes
             # as soon as its tissue and paraffin rows are taken
-            return preprocess_core(held.pop(), h2o_block, seed=seed)
+            return patient_id, preprocess_core(held.pop(), h2o_block, seed=seed)
         except (DataError, NumericalError) as exc:
             # only the message: the traceback's frames would keep the cube alive
-            return core_id, str(exc)
+            return patient_id, (core_id, str(exc))
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -393,10 +394,20 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
         # no 1-worker pool: its thread's own glibc malloc arena adds ~15% peak RSS
         results = [run(path) for path in core_paths]
 
-    kept = [res for res in results if isinstance(res, CoreResult)]
-    skipped = [res for res in results if not isinstance(res, CoreResult)]
+    # a patient with a skipped core would have no CA/AT pair, so its other
+    # core goes too
+    failed = {pid: res[0] for pid, res in results if not isinstance(res, CoreResult)}
+    kept, skipped = [], []
+    for pid, res in results:
+        if not isinstance(res, CoreResult):
+            skipped.append(res)
+        elif pid in failed:
+            skipped.append((res.core_id, f"core {res.core_id}: patient {pid}'s core "
+                                         f"{failed[pid]} was skipped"))
+        else:
+            kept.append(res)
     if not kept:
-        raise DataError("every core failed preprocessing")
+        raise DataError("every core failed preprocessing or lost its patient's other core")
     sset = SpectraSet(**{name: np.concatenate([getattr(r.sset, name) for r in kept])
                          for name in ROW_FIELDS}, axis=axis)
     return sset, {r.core_id: r for r in kept}, skipped

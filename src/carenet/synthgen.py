@@ -5,11 +5,16 @@ class-dependent band amplitudes, polynomial baselines, multiplicative
 scatter, and additive noise. Every end-to-end test uses this module as its
 ground truth, so generation must be a pure function of (config, seed).
 
-Stream contract. Each cube has its own rng (a SeedSequence child of
-config.seed: core c takes child c, the H2O image the last one). A core draws
-role by role (tissue, paraffin, slide), each role's pixels in row-major
-order in chunks of DRAW_CHUNK (4096) pixels; the H2O image is one chunk of
-all its pixels. Per chunk of n rows the draws are, in this order:
+Stream contract. A panel of P patients has 2P + 1 cubes, and gen_cube
+makes any one of them from (config, index) alone. Index 2i is the CA core of
+patient i + 1 (patients go subtype by subtype: the first n_patients[0] are
+LA, and so on), index 2i + 1 is that patient's AT core, and index 2P is the
+H2O image. Cube `index` draws from PCG64(SeedSequence(config.seed,
+spawn_key=(index,))), which is child `index` of
+SeedSequence(config.seed).spawn(2P + 1). A core draws role by role (tissue,
+paraffin, slide), each role's pixels in row-major order in chunks of
+DRAW_CHUNK (4096) pixels; the H2O image is one chunk of all its pixels. Per
+chunk of n rows the draws are, in this order:
 
 1. tissue: n paraffin fractions, then n H2O fractions; H2O: (n, 6) line
    factors; paraffin and slide: nothing;
@@ -45,7 +50,6 @@ from .spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice
 __all__ = [
     "BandSpec",
     "SynthConfig",
-    "Panel",
     "gen_spectrum",
     "gen_cube",
     "gen_panel",
@@ -200,20 +204,6 @@ class GroundTruth:
         return self.role == ROLE_PARAFFIN
 
 
-@dataclass
-class Panel:
-    """One synthetic cohort: patient records, their cubes, and an H2O image.
-
-    gen_panel(config, emit) streams the cubes instead: its Panel has no cubes.
-    """
-
-    config: SynthConfig
-    patients: list[PatientRecord]
-    cubes: dict[int, HyperCube]
-    ground_truth: dict[int, GroundTruth]
-    h2o_cube: HyperCube | None = None
-
-
 def _band_profile(bands, class_label, separation, values) -> np.ndarray:
     out = np.zeros_like(values)
     for band in bands:
@@ -287,17 +277,6 @@ def gen_spectrum(class_label: str, role: str, rng: np.random.Generator,
     return out[0]
 
 
-def _empty_cube(config: SynthConfig) -> np.ndarray:
-    """Uninitialized (pixels, n_points) float32 cube rows, or a DataError."""
-    size, n_points = config.image_size, config.axis.n_points
-    try:
-        return np.empty((size * size, n_points), dtype=np.float32)
-    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index can hold
-        gib = size * size * n_points * 4 / 2**30
-        raise DataError(f"image_size {size}: a {size}x{size}x{n_points} float32 cube "
-                        f"({gib:.3g} GiB) cannot be allocated") from exc
-
-
 def _role_map(size: int) -> np.ndarray:
     """Fixed cube geometry: tissue disc, paraffin ring, slide corners."""
     center = (size - 1) / 2.0
@@ -309,11 +288,18 @@ def _role_map(size: int) -> np.ndarray:
     return role
 
 
-def gen_cube(class_label: str, core_type: str, patient_id: int, core_id: int,
-             rng: np.random.Generator, config: SynthConfig) -> tuple[HyperCube, GroundTruth]:
-    """One imaged core with its ground-truth role and spike masks."""
+def _patients(config: SynthConfig) -> list[PatientRecord]:
+    """The panel's patients in id order; patient i + 1 owns cores 2i and 2i + 1."""
+    subtypes = [subtype for subtype, count in zip(SUBTYPES, config.n_patients)
+                for _ in range(count)]
+    return [PatientRecord(patient_id=i + 1, subtype=subtype, ca_core_id=2 * i,
+                          at_core_id=2 * i + 1) for i, subtype in enumerate(subtypes)]
+
+
+def _fill_core(data: np.ndarray, class_label: str, rng: np.random.Generator,
+               config: SynthConfig) -> GroundTruth:
+    """Draw one core into its (pixels, n_points) rows, role by role, then its spikes."""
     size = config.image_size
-    data = _empty_cube(config)
     role = _role_map(size)
     flat_role = role.ravel()
     for code in (ROLE_TISSUE, ROLE_PARAFFIN, ROLE_SLIDE):
@@ -333,63 +319,52 @@ def gen_cube(class_label: str, core_type: str, patient_id: int, core_id: int,
             channels = rng.integers(sel.start, sel.stop, size=n_spike)
             data[chosen, channels] += config.spike_amplitude
             spike[chosen] = True
-
-    cube = HyperCube(
-        intensities=data.reshape(size, size, config.axis.n_points),
-        axis=config.axis,
-        core_id=core_id,
-        patient_id=patient_id,
-        core_type=core_type,
-        subtype=class_label if core_type == "CA" else "none",
-    )
-    return cube, GroundTruth(role=role, spike=spike.reshape(size, size))
+    return GroundTruth(role=role, spike=spike.reshape(size, size))
 
 
-def gen_panel(config: SynthConfig, emit=None) -> Panel:
-    """Full synthetic cohort: one CA and one AT cube per patient, plus H2O.
+def gen_cube(config: SynthConfig, index: int) -> tuple[HyperCube, GroundTruth | None]:
+    """Cube `index` of config's panel and its ground truth (None for the H2O image).
 
-    Cubes are made one at a time, in core-id order and then the H2O image,
-    each from its own SeedSequence child of config.seed. With emit, each one
-    goes to emit(cube, truth) (truth is None for the H2O image) as soon as it
-    exists and is not kept, so at most one cube is live and the Panel holds
-    the patient records only. Without emit, the Panel keeps every cube.
+    A pure function of (config, index); the module docstring maps an index
+    to its cube and rng. An index outside 0..2P is a DataError.
     """
-    if config.total_patients < 1:
+    n_cores = 2 * config.total_patients
+    if not 0 <= index <= n_cores:
+        raise DataError(f"cube index {index} is outside this panel's 0..{n_cores}")
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(config.seed, spawn_key=(index,))))
+    size, n_points = config.image_size, config.axis.n_points
+    try:
+        data = np.empty((size * size, n_points), dtype=np.float32)
+    except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index can hold
+        gib = size * size * n_points * 4 / 2**30
+        raise DataError(f"image_size {size}: a {size}x{size}x{n_points} float32 cube "
+                        f"({gib:.3g} GiB) cannot be allocated") from exc
+
+    if index == n_cores:  # the H2O image
+        _fill_rows(data, np.arange(size * size), "AT", ROLE_H2O, rng, config)
+        truth, core_id, patient_id, core_type, subtype = None, -1, -1, "H2O", "none"
+    else:
+        patient = _patients(config)[index // 2]
+        core_id, patient_id = index, patient.patient_id
+        core_type, subtype = ("AT", "none") if index % 2 else ("CA", patient.subtype)
+        truth = _fill_core(data, "AT" if index % 2 else subtype, rng, config)
+    cube = HyperCube(intensities=data.reshape(size, size, n_points), axis=config.axis,
+                     core_id=core_id, patient_id=patient_id, core_type=core_type,
+                     subtype=subtype)
+    return cube, truth
+
+
+def gen_panel(config: SynthConfig, emit) -> list[PatientRecord]:
+    """Generate a whole panel, one cube at a time; returns its patient records.
+
+    Calls emit(*gen_cube(config, i)) for i = 0..2P: the cores in id order,
+    then the H2O image (truth None). Each cube is handed over as soon as it
+    exists and not kept, so only one is alive at a time.
+    """
+    patients = _patients(config)
+    if not patients:
         raise DataError("panel needs at least one patient")
-    n_cubes = 2 * config.total_patients
-    seeds = np.random.SeedSequence(config.seed).spawn(n_cubes + 1)
-    panel = Panel(config=config, patients=[], cubes={}, ground_truth={})
-    if emit is None:
-        def emit(cube: HyperCube, truth: GroundTruth | None) -> None:
-            if truth is None:
-                panel.h2o_cube = cube
-            else:
-                panel.cubes[cube.core_id] = cube
-                panel.ground_truth[cube.core_id] = truth
-
-    def rng(index: int) -> np.random.Generator:
-        return np.random.Generator(np.random.PCG64(seeds[index]))
-
-    core_id = 0
-    patient_id = 0
-    for subtype, count in zip(SUBTYPES, config.n_patients):
-        for _ in range(count):
-            patient_id += 1
-            emit(*gen_cube(subtype, "CA", patient_id, core_id, rng(core_id), config))
-            emit(*gen_cube("AT", "AT", patient_id, core_id + 1, rng(core_id + 1), config))
-            panel.patients.append(PatientRecord(patient_id=patient_id, subtype=subtype,
-                                                ca_core_id=core_id, at_core_id=core_id + 1))
-            core_id += 2
-
-    size = config.image_size
-    data = _empty_cube(config)
-    _fill_rows(data, np.arange(size * size), "AT", ROLE_H2O, rng(n_cubes), config)
-    emit(HyperCube(
-        intensities=data.reshape(size, size, config.axis.n_points),
-        axis=config.axis,
-        core_id=-1,
-        patient_id=-1,
-        core_type="H2O",
-        subtype="none",
-    ), None)
-    return panel
+    for index in range(2 * len(patients) + 1):
+        emit(*gen_cube(config, index))
+    return patients

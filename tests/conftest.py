@@ -2,6 +2,7 @@ import json
 import struct
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,6 +70,27 @@ def rewrite_directory(path, edit):
     new_dir = json.dumps(directory, separators=(",", ":"), sort_keys=True).encode()
     header = raw[:6] + struct.pack("<I", len(new_dir)) + new_dir
     Path(path).write_bytes(header + b"\x00" * (-len(header) % 64) + payload)
+
+
+def collect_panel(config):
+    """A whole panel in memory: gen_panel's cubes kept as they are emitted.
+
+    The result has `patients`, `cubes` and `ground_truth` (both by core id)
+    and `h2o_cube`.
+    """
+    from carenet.synthgen import gen_panel
+
+    panel = SimpleNamespace(cubes={}, ground_truth={}, h2o_cube=None)
+
+    def keep(cube, truth):
+        if truth is None:
+            panel.h2o_cube = cube
+        else:
+            panel.cubes[cube.core_id] = cube
+            panel.ground_truth[cube.core_id] = truth
+
+    panel.patients = gen_panel(config, keep)
+    return panel
 
 
 def write_panel(panel, directory):

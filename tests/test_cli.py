@@ -16,7 +16,8 @@ from carenet.dataset import (
     write_cube,
     write_spectraset,
 )
-from tests.conftest import rewrite_directory
+from carenet.spectral import WavenumberAxis
+from tests.conftest import collect_panel, rewrite_directory
 
 TINY_CONFIG = """
 # tiny panel for fast end-to-end runs
@@ -126,8 +127,8 @@ class TestSynth:
         assert live == {"now": 0, "most": 1, "made": 5}  # 4 cores + H2O
         monkeypatch.undo()
 
-        # the same loop without a callback keeps the panel in memory
-        panel = synthgen.gen_panel(_synth_config(parse_config_file(config_path), seed=4))
+        # the same panel, its cubes kept in memory
+        panel = collect_panel(_synth_config(parse_config_file(config_path), seed=4))
         expected = tmp_path / "expected"
         expected.mkdir()
         for core_id, cube in panel.cubes.items():
@@ -242,6 +243,29 @@ class TestPreprocess:
         assert not (out / "spectra.crns").exists()
         err = capsys.readouterr().err
         assert "CRC32" in err and "skipped" not in err
+
+    def test_skipped_core_takes_its_patient_out(self, tmp_path, capsys):
+        # core 1 (patient 1's AT core) on a shifted axis is skipped; patient 1's
+        # CA core must go with it, or train finds a half patient. Three LA
+        # patients leave train the four non-test patients its folds need.
+        config = tmp_path / "c.cfg"
+        config.write_text("n_patients = 3, 2, 2, 2\nimage_size = 16\n")
+        panel = tmp_path / "panel"
+        assert run(["synth", "--seed", 5, "--config", config, "--out-dir", panel]) == 0
+        path = panel / "core_0001.crns"
+        cube, _ = read_cube(path)
+        cube.axis = WavenumberAxis(3950.3, 900.3, 1580)
+        write_cube(cube, path)
+        pre = tmp_path / "pre"
+        assert run(["preprocess", panel, "--seed", 5, "--out-dir", pre]) == 0
+        err = capsys.readouterr().err
+        assert "skipped core 0: core 0: patient 1's core 1 was skipped" in err
+        assert "skipped core 1: core 1: band axis" in err
+        manifest = json.loads((pre / "manifest.json").read_text())
+        assert [entry["core_id"] for entry in manifest["skipped"]] == [0, 1]
+        assert not np.isin([0, 1], read_spectraset(pre / "spectra.crns").core_id).any()
+        assert run(["train", pre / "spectra.crns", "--head", "type", "--epochs", 1,
+                    "--seed", 5, "--out-dir", tmp_path / "train"]) == 0
 
     def test_jobs_do_not_change_outputs(self, tiny_run, tmp_path):
         _, synth_dir, _, _ = tiny_run

@@ -9,7 +9,8 @@ from carenet.clustering import (
     write_masks_pgm,
 )
 from carenet.errors import DataError, NumericalError
-from carenet.synthgen import SynthConfig, gen_panel
+from carenet.synthgen import SynthConfig
+from tests.conftest import collect_panel
 
 
 def exhaustive_two_partition(points):
@@ -114,7 +115,7 @@ class TestOrderClusters:
 
 @pytest.fixture(scope="module")
 def panel():
-    return gen_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=24, seed=11))
+    return collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=24, seed=11))
 
 
 class TestSelectors:
@@ -159,7 +160,7 @@ class TestSelectors:
         # area contrast collapses toward 1 and the mask must come back flagged
         config = SynthConfig(n_patients=(1, 0, 0, 0), image_size=24, seed=13,
                              noise_sigma=0.002)
-        panel = gen_panel(config)
+        panel = collect_panel(config)
         cube = panel.cubes[0]
         flat = cube.spectra_matrix().copy()
         paraffin_like = panel.ground_truth[0].paraffin_mask.ravel()
@@ -174,7 +175,7 @@ class TestSelectors:
 
     def test_no_paraffin_cube_flagged_implausible(self):
         # tissue disc kept, paraffin ring replaced by slide-like spectra
-        panel = gen_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=24, seed=17))
+        panel = collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=24, seed=17))
         cube = panel.cubes[0]
         truth = panel.ground_truth[0]
         flat = cube.spectra_matrix().copy()

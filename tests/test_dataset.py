@@ -24,7 +24,7 @@ from carenet.dataset import (
 from carenet.errors import DataError
 from carenet.model import CarenetModel, load_checkpoint, save_checkpoint
 from carenet.spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice, sub_axis
-from tests.conftest import rewrite_directory, traced_peak
+from tests.conftest import collect_panel, rewrite_directory, traced_peak
 
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
 
@@ -173,9 +173,9 @@ class TestSpectraSetIO:
 
 class TestCubeIO:
     def test_cube_round_trip_with_ground_truth(self, tmp_path):
-        from carenet.synthgen import SynthConfig, gen_panel
+        from carenet.synthgen import SynthConfig
 
-        panel = gen_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=8, seed=2))
+        panel = collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=8, seed=2))
         cube = panel.cubes[0]
         truth = panel.ground_truth[0]
         path = tmp_path / "cube.crns"

@@ -37,24 +37,19 @@ class TestPatientVote:
     def test_plurality(self):
         classes = np.array([1] * 60 + [0] * 40)
         probs = np.where(classes == 1, 0.9, 0.1)
-        pred = patient_vote(classes, probs, n_classes=2)
-        assert pred.final_class == 1 and not pred.tie
-        np.testing.assert_array_equal(pred.vote_counts, [40, 60])
+        assert patient_vote(classes, probs, n_classes=2) == 1
 
     def test_tie_breaks_on_mean_probability(self):
         classes = np.array([1] * 50 + [0] * 50)
         probs = np.concatenate([np.full(50, 0.58), np.full(50, 0.42)])
         # mean p(CA)=0.5 -> tied votes; mean probability favors CA
-        pred = patient_vote(classes, probs, n_classes=2)
-        assert pred.final_class == 1 and pred.tie
-        column = patient_vote(classes, probs[:, None], n_classes=2)  # sigmoid head's (n, 1)
-        assert column.final_class == 1 and column.tie
+        assert patient_vote(classes, probs, n_classes=2) == 1
+        assert patient_vote(classes, probs[:, None], n_classes=2) == 1  # sigmoid head's (n, 1)
         with pytest.raises(DataError):
             patient_vote(classes, probs[:, None], n_classes=4)
 
     def test_single_spectrum(self):
-        pred = patient_vote(np.array([3]), np.array([[0.0, 0.1, 0.2, 0.7]]), n_classes=4)
-        assert pred.final_class == 3
+        assert patient_vote(np.array([3]), np.array([[0.0, 0.1, 0.2, 0.7]]), n_classes=4) == 3
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
@@ -66,7 +61,7 @@ class TestPatientVote:
         perm = rng.permutation(101)
         a = patient_vote(classes, probs, n_classes=4)
         b = patient_vote(classes[perm], probs[perm], n_classes=4)
-        assert a.final_class == b.final_class and a.tie == b.tie
+        assert a == b
 
 
 class TestMetrics:

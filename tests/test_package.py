@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -6,12 +7,12 @@ import numpy as np
 import pytest
 
 import carenet
-from carenet import pipeline
+from carenet import pipeline, synthgen
 from carenet.dataset import SpectraSet
 from carenet.model import INPUT_LENGTH
 from carenet.spectral import WavenumberAxis
-from carenet.synthgen import SynthConfig, gen_panel
-from tests.conftest import write_panel
+from carenet.synthgen import SynthConfig
+from tests.conftest import collect_panel, write_panel
 
 MODULES = ["carenet"] + [f"carenet.{m.name}" for m in pkgutil.iter_modules(carenet.__path__)]
 
@@ -24,11 +25,36 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 def _tracer(monkeypatch):
     """A fresh perfbench/spans.py Tracer, not yet installed."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     from spans import Tracer
     return Tracer()
+
+
+def test_benchmark_workloads_import(monkeypatch):
+    # perfbench/workloads.py imports carenet names at module level: a rename
+    # in src/ must fail here, not only when the benchmark runs
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    importlib.import_module("workloads")
+
+
+def test_benchmark_tracer_times_gen_panel_with_its_emits(monkeypatch):
+    # the benchmark reports synthgen.gen_panel's self time, which covers
+    # generation only while the cubes are made and emitted inside that call
+    assert not inspect.isgeneratorfunction(synthgen.gen_panel)
+    tracer = _tracer(monkeypatch)
+    tops = []
+    try:
+        tracer.install()
+        synthgen.gen_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=8),
+                           lambda cube, truth: tops.append(tracer.spans[tracer._stack[-1]][0]))
+    finally:
+        tracer.uninstall()
+    assert tops == ["synthgen.gen_panel"] * 3
 
 
 def test_benchmark_tracer_counts_training_spectra(monkeypatch):
@@ -61,7 +87,7 @@ def test_benchmark_tracer_counts_training_spectra(monkeypatch):
 def test_benchmark_tracer_counts_preprocessed_spectra(monkeypatch, tmp_path):
     # spans.py reads remove_outliers' args[0].shape[0] and result[1].kept, and
     # emsc_correct_rows' result[2]: the rows each pass is handed and keeps
-    panel = gen_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=16, seed=21))
+    panel = collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=16, seed=21))
     core_paths, h2o_path = write_panel(panel, tmp_path)
 
     tracer = _tracer(monkeypatch)

@@ -26,8 +26,8 @@ from carenet.pipeline import (
     undersample_balance,
 )
 from carenet.spectral import BIOFINGERPRINT_BAND, WavenumberAxis, savgol_smooth
-from carenet.synthgen import SynthConfig, gen_panel
-from tests.conftest import traced_peak, write_panel
+from carenet.synthgen import SynthConfig
+from tests.conftest import collect_panel, traced_peak, write_panel
 
 
 def patients_with_distribution(counts):
@@ -133,7 +133,7 @@ class TestUndersample:
 
 @pytest.fixture(scope="module")
 def small_panel():
-    return gen_panel(SynthConfig(n_patients=(1, 1, 0, 0), image_size=16, seed=21))
+    return collect_panel(SynthConfig(n_patients=(1, 1, 0, 0), image_size=16, seed=21))
 
 
 @pytest.fixture(scope="module")
@@ -161,7 +161,7 @@ class TestPreprocessCore:
             baseline_const_range=(0.01, 0.01), baseline_coef_range=(0.0, 0.0),
             tissue_paraffin_range=(0.4, 0.4), tissue_h2o_range=(0.0, 0.0),
         )
-        panel = gen_panel(config)
+        panel = collect_panel(config)
         h2o = preprocess_h2o(panel.h2o_cube)
         result = preprocess_core(panel.cubes[0], h2o)
         c = result.counts
@@ -174,7 +174,7 @@ class TestPreprocessCore:
             n_patients=(1, 0, 0, 0), image_size=32, seed=8,
             spike_fraction=0.01, spike_amplitude=8.0,
         )
-        panel = gen_panel(config)
+        panel = collect_panel(config)
         h2o = preprocess_h2o(panel.h2o_cube)
         removed = []
         for core_id, cube in panel.cubes.items():
@@ -234,12 +234,25 @@ class TestPreprocessCore:
         write_cube(HyperCube(cube.intensities, shifted, cube.core_id, cube.patient_id,
                              cube.core_type, cube.subtype), core_paths[1])
         sset, results, skipped = preprocess_panel(core_paths, h2o_path, seed=0)
-        assert sorted(results) == [0, 2, 3] and [core for core, _ in skipped] == [1]
+        # core 0 is patient 1's CA core: without its AT partner it goes too
+        assert sorted(results) == [2, 3] and [core for core, _ in skipped] == [0, 1]
         band = read_cube(h2o_path, BIOFINGERPRINT_BAND)[0].axis
-        reason = skipped[0][1]
+        reason = skipped[1][1]
         assert str(band) in reason
         assert str(read_cube(core_paths[1], BIOFINGERPRINT_BAND)[0].axis) in reason
-        assert 1 not in sset.core_id and sset.axis == band
+        assert "patient 1" in skipped[0][1] and "core 1 " in skipped[0][1]
+        assert not np.isin([0, 1], sset.core_id).any() and sset.axis == band
+        assert [p.patient_id for p in patients_from_spectraset(sset)] == [2]
+
+    def test_panel_left_with_half_patients_only_is_data_error(self, tmp_path):
+        panel = collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=16, seed=21))
+        core_paths, h2o_path = write_panel(panel, tmp_path)
+        cube = panel.cubes[1]
+        shifted = WavenumberAxis(3950.3, 900.3, cube.axis.n_points)
+        write_cube(HyperCube(cube.intensities, shifted, cube.core_id, cube.patient_id,
+                             cube.core_type, cube.subtype), core_paths[1])
+        with pytest.raises(DataError, match="lost its patient's other core"):
+            preprocess_panel(core_paths, h2o_path, seed=0)
 
     def test_h2o_block_built_once_per_panel(self, small_panel_files, monkeypatch):
         from carenet import chemometrics, pipeline
@@ -316,7 +329,7 @@ class TestPreprocessCore:
 
     def test_chain_holds_a_bounded_number_of_row_copies(self, tmp_path):
         # peaks are in units of the cube's band upcast to float64, over every pixel
-        panel = gen_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=64, seed=21))
+        panel = collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=64, seed=21))
         core_paths, h2o_path = write_panel(panel, tmp_path)
         h2o = read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]
         band_rows = h2o.n_spectra * h2o.axis.n_points * 8

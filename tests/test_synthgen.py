@@ -21,6 +21,7 @@ from carenet.synthgen import (
     gen_panel,
     gen_spectrum,
 )
+from tests.conftest import collect_panel
 
 
 def tissue_profile(config: SynthConfig, class_label: str) -> np.ndarray:
@@ -147,7 +148,7 @@ class TestGenSpectrum:
 
 class TestGenPanel:
     def test_counts(self):
-        panel = gen_panel(SynthConfig(n_patients=(2, 2, 2, 2), image_size=8, seed=1))
+        panel = collect_panel(SynthConfig(n_patients=(2, 2, 2, 2), image_size=8, seed=1))
         assert len(panel.patients) == 8
         assert len(panel.cubes) == 16
         ca = sum(1 for c in panel.cubes.values() if c.core_type == "CA")
@@ -156,15 +157,15 @@ class TestGenPanel:
 
     def test_deterministic_per_seed(self):
         config = SynthConfig(n_patients=(1, 1, 1, 1), image_size=8, seed=42)
-        a = gen_panel(config)
-        b = gen_panel(config)
+        a = collect_panel(config)
+        b = collect_panel(config)
         for core_id in a.cubes:
             np.testing.assert_array_equal(a.cubes[core_id].intensities,
                                           b.cubes[core_id].intensities)
         np.testing.assert_array_equal(a.h2o_cube.intensities, b.h2o_cube.intensities)
 
     def test_masks_partition_cube(self):
-        panel = gen_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=16, seed=5))
+        panel = collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=16, seed=5))
         truth = panel.ground_truth[0]
         roles = truth.role
         assert set(np.unique(roles)) <= {ROLE_SLIDE, ROLE_TISSUE, ROLE_PARAFFIN}
@@ -174,10 +175,39 @@ class TestGenPanel:
     def test_spike_injection_marks_ground_truth(self):
         config = SynthConfig(n_patients=(1, 0, 0, 0), image_size=16, seed=5,
                              spike_fraction=0.05)
-        panel = gen_panel(config)
+        panel = collect_panel(config)
         truth = panel.ground_truth[0]
         assert truth.spike.sum() > 0
         assert (truth.spike <= truth.tissue_mask).all()  # spikes only on tissue
+
+    def test_any_cube_from_config_and_index(self):
+        config = SynthConfig(n_patients=(1, 0, 1, 0), image_size=12, seed=6,
+                             spike_fraction=0.05)
+        emitted = []
+        patients = gen_panel(config, lambda cube, truth: emitted.append((cube, truth)))
+        assert [cube.core_id for cube, _ in emitted] == [0, 1, 2, 3, -1]
+        assert [(p.patient_id, p.subtype, p.ca_core_id, p.at_core_id) for p in patients] == [
+            (1, "LA", 0, 1), (2, "HER2", 2, 3)]
+        # the H2O image first, then the cores in reverse order
+        for index in (4, 3, 2, 1, 0):
+            cube, truth = gen_cube(config, index)
+            expected, expected_truth = emitted[index]
+            assert np.array_equal(cube.intensities, expected.intensities), index
+            assert ((cube.core_id, cube.patient_id, cube.core_type, cube.subtype)
+                    == (expected.core_id, expected.patient_id, expected.core_type,
+                        expected.subtype))
+            if expected_truth is None:
+                assert truth is None and cube.core_type == "H2O"
+            else:
+                assert np.array_equal(truth.role, expected_truth.role)
+                assert np.array_equal(truth.spike, expected_truth.spike)
+        assert [emitted[i][0].subtype for i in range(4)] == ["LA", "none", "HER2", "none"]
+
+    @pytest.mark.parametrize("index", [-1, 5])
+    def test_index_outside_the_panel_is_data_error(self, index):
+        config = SynthConfig(n_patients=(1, 0, 1, 0), image_size=8)
+        with pytest.raises(DataError, match="outside"):
+            gen_cube(config, index)
 
     def test_separation_oracle_monotone(self):
         seps = [0.0, 0.5, 1.0, 2.0, 4.0]
@@ -208,11 +238,12 @@ class TestStreamOracle:
         dict(image_size=29, class_separation=2.5),
     ], ids=["plain", "spikes", "noiseless", "separation"])
     def test_every_class_matches_oracle(self, kw):
-        config = SynthConfig(seed=3, **kw)
-        for i, label in enumerate(CLASS_LABELS):
-            core_type = "AT" if label == "AT" else "CA"
-            cube, truth = gen_cube(label, core_type, 1, 0, np.random.default_rng(i), config)
-            data, spike = cube_oracle(label, np.random.default_rng(i), config)
+        # one patient per subtype: cores 0, 2, 4, 6 are LA, LB, HER2, TNBC, core 1 is AT
+        config = SynthConfig(n_patients=(1, 1, 1, 1), seed=3, **kw)
+        for index, label in ((1, "AT"), (0, "LA"), (2, "LB"), (4, "HER2"), (6, "TNBC")):
+            cube, truth = gen_cube(config, index)
+            seed = np.random.SeedSequence(config.seed, spawn_key=(index,))
+            data, spike = cube_oracle(label, np.random.Generator(np.random.PCG64(seed)), config)
             assert cube.intensities.dtype == np.float32
             assert np.array_equal(cube.spectra_matrix(), data), label
             assert np.array_equal(truth.spike.ravel(), spike), label
@@ -228,7 +259,7 @@ class TestStreamOracle:
             assert DRAW_CHUNK < role_rows[ROLE_TISSUE] < 2 * DRAW_CHUNK
         assert any(n % ROW_BLOCK for n in role_rows)
         assert size * size > DRAW_CHUNK and size * size % ROW_BLOCK  # H2O: one chunk
-        panel = gen_panel(config)
+        panel = collect_panel(config)
         seeds = np.random.SeedSequence(config.seed).spawn(3)
         for core_id, label in ((0, "HER2"), (1, "AT")):
             rng = np.random.Generator(np.random.PCG64(seeds[core_id]))
