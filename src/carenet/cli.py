@@ -23,7 +23,6 @@ from . import __version__
 from .clustering import write_masks_pgm
 from .dataset import (
     CORE_TYPES,
-    SUBTYPES,
     read_spectraset,
     write_cube,
     write_spectraset,
@@ -40,7 +39,7 @@ from .evaluation import (
     write_patient_table_csv,
 )
 from .gradcam import class_average, gradcam_spectrum, write_heatmap_csv, write_heatmap_svg
-from .model import HEADS, load_checkpoint, save_checkpoint
+from .model import CLASS_NAMES, HEADS, load_checkpoint, save_checkpoint
 from .pipeline import (
     Fold,
     SplitPlan,
@@ -244,6 +243,11 @@ def cmd_preprocess(args) -> int:
         outputs.append(pgm_path)
     for core_id, reason in skipped:
         print(f"preprocess: skipped core {core_id}: {reason}", file=sys.stderr)
+    try:  # its refusal depends on the subtype counts only, not on the seed
+        make_split(patients_from_spectraset(sset), seed=args.seed)
+    except DataError as exc:
+        print(f"preprocess: warning: train cannot split this container: {exc}",
+              file=sys.stderr)
     stage_log = {str(cid): dataclasses.asdict(r.counts) for cid, r in sorted(results.items())}
     flagged = sorted(cid for cid, r in results.items()
                      if not (r.tissue_mask.plausible and r.paraffin_mask.plausible))
@@ -286,6 +290,10 @@ def _split_from_json(path: Path) -> SplitPlan:
         raise DataError(f"{path}: malformed split ({exc!r})") from exc
     if not plan.folds:
         raise DataError(f"{path}: split lists no folds")
+    for pid, kind in plan.test_type_cores:
+        if pid not in plan.test_patients or kind not in CORE_TYPES:
+            raise DataError(f"{path}: test core ({pid}, {kind!r}) is not the CA or AT "
+                            f"core of a test patient")
     return plan
 
 
@@ -345,15 +353,13 @@ def _fold_rows(set_name: str, granularity: str, head: str, class_names,
     return rows
 
 
-def _evaluate(checkpoints, sset, plan, patients_by_id):
+def _evaluate(checkpoints, sset, plan):
     """Spectrum-level dev metrics and per-core voting on the held-out cores.
 
     checkpoints holds one fold checkpoint path per fold. Each is loaded,
     evaluated and dropped before the next, so one model and its layer caches
     are live at a time. The first sets the head, and the rest must share it.
-    Returns (head, metric rows, patient table rows). Only the inputs depend
-    on the head: the type head votes on two CA and two AT test cores, the
-    subtype head on the four test patients' CA cores.
+    Returns (head, metric rows, patient table rows).
     """
     head = None
     dev, test = [], []
@@ -361,18 +367,17 @@ def _evaluate(checkpoints, sset, plan, patients_by_id):
         model, _ = load_checkpoint(path, expect_head=head)
         if head is None:
             head = model.head
-            class_names, labels, test_cores, truth = _test_cores(sset, plan,
-                                                                 patients_by_id, head)
+            labels = head_labels(sset, head)
+            test_cores = _test_cores(sset, plan, head)
+            truth = np.array([int(labels[sel][0]) for _, _, sel in test_cores])
         dev_sel = head_mask(sset, head, fold.dev_patients)
         dev.append((classify(forward_chunked(model, sset.spectra[dev_sel]), head),
                     labels[dev_sel].astype(np.int64)))
-        votes = []
-        for _, _, sel in test_cores:
-            probs = forward_chunked(model, sset.spectra[sel])
-            votes.append(patient_vote(classify(probs, head), probs,
-                                      n_classes=len(class_names)))
+        votes = [patient_vote(forward_chunked(model, sset.spectra[sel]), head)
+                 for _, _, sel in test_cores]
         test.append((np.array(votes), truth))
 
+    class_names = CLASS_NAMES[head]
     rows = (_fold_rows("dev", "spectrum", head, class_names, dev)
             + _fold_rows("test", "patient", head, class_names, test))
     table = [{"label": head, "patient_id": pid, "core": kind,
@@ -382,49 +387,43 @@ def _evaluate(checkpoints, sset, plan, patients_by_id):
     return head, rows, table
 
 
-def _test_cores(sset, plan, patients_by_id, head: str):
-    """(class names, per-spectrum labels, [(patient, "CA"|"AT", row mask)], truth)."""
-    if head == "type":
-        class_names, test_pairs = CORE_TYPES, plan.test_type_cores
-    else:
-        class_names, test_pairs = SUBTYPES, [(pid, "CA") for pid in plan.test_patients]
-    labels = head_labels(sset, head)
-    test_cores = []
-    for pid, kind in test_pairs:
-        record = patients_by_id[pid]
-        core = record.ca_core_id if kind == "CA" else record.at_core_id
-        test_cores.append((pid, kind, sset.core_id == core))
-    truth = np.array([int(labels[sel][0]) for _, _, sel in test_cores])
-    return class_names, labels, test_cores, truth
+def _test_cores(sset, plan, head: str):
+    """[(patient, "CA"|"AT", row mask)] of the held-out cores the head votes on:
+    two CA and two AT cores for the type head, the four test patients' CA
+    cores for the subtype head."""
+    pairs = (plan.test_type_cores if head == "type"
+             else [(pid, "CA") for pid in plan.test_patients])
+    return [(pid, kind, (sset.patient_id == pid) & (sset.core_type == CORE_TYPES.index(kind)))
+            for pid, kind in pairs]
 
 
 def _load_run(args):
-    """(container, its patients by id, split plan) for a command reading a train run.
+    """(container, split plan) for a command reading a train run.
 
     The run directory must hold split.json, and the container every patient
-    the split holds out for testing.
+    the split holds out for testing, each with one CA and one AT core.
     """
     train_dir = Path(args.train_dir)
     sset = read_spectraset(Path(args.container))
-    patients_by_id = {p.patient_id: p for p in patients_from_spectraset(sset)}
+    patient_ids = {p.patient_id for p in patients_from_spectraset(sset)}
     split_path = train_dir / "split.json"
     if not split_path.exists():
         raise DataError(f"{train_dir}: no split.json (is this a train run directory?)")
     plan = _split_from_json(split_path)
-    missing = [pid for pid in plan.test_patients if pid not in patients_by_id]
+    missing = [pid for pid in plan.test_patients if pid not in patient_ids]
     if missing:
         raise DataError(f"container lacks test patients {missing}")
-    return sset, patients_by_id, plan
+    return sset, plan
 
 
 def cmd_eval(args) -> int:
     started = time.time()
     run_dir = _run_dir(args, "eval")
     train_dir = Path(args.train_dir)
-    sset, patients_by_id, plan = _load_run(args)
+    sset, plan = _load_run(args)
     checkpoints = [train_dir / f"fold{k}_{args.which}.crnm"
                    for k in range(1, len(plan.folds) + 1)]
-    head, rows, table = _evaluate(checkpoints, sset, plan, patients_by_id)
+    head, rows, table = _evaluate(checkpoints, sset, plan)
 
     metrics_path = run_dir / "metrics.csv"
     table_path = run_dir / "patients.csv"
@@ -453,7 +452,7 @@ def cmd_gradcam(args) -> int:
     started = time.time()
     run_dir = _run_dir(args, "gradcam")
     train_dir = Path(args.train_dir)
-    sset, _, plan = _load_run(args)
+    sset, plan = _load_run(args)
     history_path = train_dir / "history.json"
     if not history_path.exists():
         raise DataError(f"{train_dir}: no history.json (is this a train run directory?)")
@@ -463,11 +462,10 @@ def cmd_gradcam(args) -> int:
     # attribute each class's test spectra to that class, then average per class
     test = np.isin(sset.patient_id, np.asarray(plan.test_patients))
     labels = head_labels(sset, model.head)
-    classes = [(1, "CA")] if model.head == "type" else list(enumerate(SUBTYPES))
     groups: dict[str, np.ndarray] = {}
-    for idx, name in classes:
-        groups[name] = gradcam_spectrum(model, sset.spectra[test & (labels == idx)],
-                                        target_class=idx)
+    for idx in model.scored_classes:
+        groups[CLASS_NAMES[model.head][idx]] = gradcam_spectrum(
+            model, sset.spectra[test & (labels == idx)], target_class=idx)
 
     heatmaps = class_average(groups)
     outputs = []

@@ -70,27 +70,23 @@ def classify(probs: np.ndarray, head: str) -> np.ndarray:
     raise DataError(f"unknown head {head!r}")
 
 
-def patient_vote(classes: np.ndarray, probs: np.ndarray, n_classes: int) -> int:
-    """The class winning a plurality vote over one sample's spectrum classes.
+def patient_vote(probs: np.ndarray, head: str) -> int:
+    """The class winning a plurality vote over one sample's spectra.
 
-    Vote ties break on the higher mean predicted probability among the tied
-    classes, then on the lower class index. For the binary head, probs is
-    p(class 1), as (n,) or the sigmoid's (n, 1), and p(class 0) is its
-    complement.
+    probs holds the head's model outputs, one row per spectrum, and each row
+    votes for its `classify` class. Vote ties break on the higher mean
+    predicted probability among the tied classes, then on the lower class
+    index. The type head's single output is p(CA); p(AT) is its complement.
     """
-    classes = np.asarray(classes)
-    if classes.size == 0:
+    probs = np.asarray(probs)
+    if probs.shape[0] == 0:
         raise DataError("cannot vote over an empty spectrum list")
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape[1:] in ((), (1,)):
-        if n_classes != 2:
-            raise DataError("one probability per spectrum implies a binary head")
-        probs = probs.reshape(-1)
-        probs = np.column_stack([1.0 - probs, probs])
-    if probs.shape != (classes.size, n_classes):
-        raise DataError("probability matrix does not match classes")
+    classes = classify(probs, head)
+    probs = probs.astype(np.float64)
+    if probs.shape[1] == 1:
+        probs = np.column_stack([1.0 - probs[:, 0], probs[:, 0]])
 
-    counts = np.bincount(classes, minlength=n_classes)
+    counts = np.bincount(classes, minlength=probs.shape[1])
     tied = np.flatnonzero(counts == counts.max())
     mean_p = probs[:, tied].mean(axis=0)
     return int(tied[int(mean_p.argmax())])  # argmax takes the lowest index on ties

@@ -55,8 +55,8 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
                      target_class: int = 1) -> np.ndarray:
     """Raw (unnormalized) importance vectors, one row per input spectrum.
 
-    target_class indexes the softmax output for the subtype head; the type
-    head has a single output and target_class must be 1 (the CA activation).
+    target_class is a class code of the head (model.CLASS_NAMES) that its
+    outputs score: any subtype, or CA (1) for the type head's single output.
     Gradients flow from the target class's pre-activation logit. Spectra go
     through the model FORWARD_CHUNK rows at a time, the same bound training
     and evaluation use. The trunk pass is forward-only (no trunk layer
@@ -67,14 +67,11 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
         x = x[None, :]
     if x.shape[0] == 0:
         raise DataError("no spectra to attribute")
-    if model.head == "type":
-        if target_class != 1:
-            raise DataError("the type head exposes only the CA activation (class 1)")
-        col = 0
-    else:
-        if not 0 <= target_class < model.n_classes:
-            raise DataError(f"class index {target_class} out of range")
-        col = target_class
+    scored = model.scored_classes
+    if target_class not in scored:
+        raise DataError(f"the {model.head} head's outputs score classes "
+                        f"{scored.start}..{scored.stop - 1}, not {target_class}")
+    col = target_class - scored.start
     cams = [_cam_rows(model, x[i:i + FORWARD_CHUNK], col)
             for i in range(0, x.shape[0], FORWARD_CHUNK)]
     return _upsample(np.concatenate(cams).astype(np.float64), INPUT_LENGTH)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import read_container, write_container
+from .dataset import CORE_TYPES, SUBTYPES, read_container, write_container
 from .errors import DataError
 from .nn import (
     Conv1D,
@@ -35,12 +35,16 @@ __all__ = [
     "INPUT_LENGTH",
     "FORWARD_CHUNK",
     "HEADS",
+    "CLASS_NAMES",
     "STAGE_FILTERS",
     "BLOCKS_PER_STAGE",
 ]
 
 INPUT_LENGTH = 467
 HEADS = ("type", "subtype")
+# Each head's class names in label-code order. A head's outputs score its
+# last n_classes classes: the type head's one sigmoid unit scores CA.
+CLASS_NAMES = {"type": CORE_TYPES, "subtype": SUBTYPES}
 STAGE_FILTERS = (16, 32, 64, 128)
 BLOCKS_PER_STAGE = 2
 STEM_KERNEL = 7
@@ -89,6 +93,12 @@ class CarenetModel:
         # uniform) and lets the trunk wake up through the head's first steps.
         self.dense = Dense(STAGE_FILTERS[-1], self.n_classes, rng=None, dtype=dtype)
         self.activation = Sigmoid() if head == "type" else Softmax()
+
+    @property
+    def scored_classes(self) -> range:
+        """Class codes of the outputs, in output order: the head's last n_classes."""
+        n = len(CLASS_NAMES[self.head])
+        return range(n - self.n_classes, n)
 
     # ---- forward / backward -------------------------------------------------
 

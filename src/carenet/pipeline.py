@@ -293,16 +293,17 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
     caller hands over its only reference. Outlier passes and smoothing work
     in place on those rows; EMSC and normalisation each write one new matrix.
     The surviving rows come back as a SpectraSet labelled with the cube's
-    identity. Raises DataError when no tissue survives.
+    identity. Raises DataError when no tissue survives, naming no core id:
+    the caller knows which cube it passed.
     """
     core_type, subtype = label_codes(cube.core_type, cube.subtype)
     tissue_mask = select_tissue(cube, seed=seed)
     paraffin_mask = select_paraffin(cube, tissue_mask, seed=seed)
     core_id, patient_id, width = cube.core_id, cube.patient_id, cube.cols
     if not tissue_mask.mask.any():
-        raise DataError(f"core {core_id}: clustering found no tissue pixels")
+        raise DataError("clustering found no tissue pixels")
     if not paraffin_mask.mask.any():
-        raise DataError(f"core {core_id}: clustering found no paraffin pixels")
+        raise DataError("clustering found no paraffin pixels")
 
     # cut to the biofingerprint and gather the pixels in float32, then drop
     # the cube before the selected rows are upcast
@@ -323,7 +324,7 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
         nonlocal tissue_idx
         rows, tissue_idx = _keep_rows(rows, keep), tissue_idx[keep]
         if rows.shape[0] == 0:
-            raise DataError(f"core {core_id}: {failure}")
+            raise DataError(failure)
         sizes.append(rows.shape[0])
         return rows
 
@@ -365,8 +366,9 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
     be read is a DataError for the whole panel; a core whose preprocessing
     fails, or whose band axis is not the H2O image's, is reported and
     skipped, and so is its patient's other core. Returns (SpectraSet,
-    per-core CoreResult dict, skipped list of (core_id, reason)); the
-    SpectraSet is the kept cores' sets, concatenated in core order.
+    per-core CoreResult dict, skipped list of (core_id, reason)), no reason
+    repeating its core id; the SpectraSet is the kept cores' sets,
+    concatenated in core order.
     """
     h2o = [read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]]
     axis = h2o[0].axis
@@ -378,7 +380,7 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
         core_id, patient_id = held[0].core_id, held[0].patient_id
         try:
             if held[0].axis != axis:
-                raise DataError(f"core {core_id}: band axis {held[0].axis} is not the "
+                raise DataError(f"band axis {held[0].axis} is not the "
                                 f"H2O image's band axis {axis}")
             # pop hands preprocess_core the only reference, so the cube goes
             # as soon as its tissue and paraffin rows are taken
@@ -402,8 +404,7 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
         if not isinstance(res, CoreResult):
             skipped.append(res)
         elif pid in failed:
-            skipped.append((res.core_id, f"core {res.core_id}: patient {pid}'s core "
-                                         f"{failed[pid]} was skipped"))
+            skipped.append((res.core_id, f"patient {pid}'s core {failed[pid]} was skipped"))
         else:
             kept.append(res)
     if not kept:
@@ -438,31 +439,26 @@ def patients_from_spectraset(sset: SpectraSet) -> list[PatientRecord]:
 
 
 def targets_for_head(sset: SpectraSet, head: str, mask: np.ndarray):
-    """(class labels, training targets) for the spectra selected by mask.
-
-    The subtype head sees CA spectra only; requesting it on data without any
-    cancer spectra is an error.
+    """(class labels, training targets) for the spectra selected by mask that
+    the head sees. A selection with none of them is an error.
     """
-    if head == "type":
-        labels = sset.core_type[mask].astype(np.int64)
-        return labels, labels.astype(np.float32)
-    ca = mask & (sset.core_type == 1)
-    if not ca.any():
-        raise DataError("subtype head needs CA spectra, found none in selection")
-    labels = sset.subtype[ca].astype(np.int64)
-    return labels, subtype_one_hot(labels)
+    labels = head_labels(sset, head)
+    labels = labels[mask & (labels >= 0)].astype(np.int64)
+    if labels.size == 0:
+        raise DataError(f"the {head} head sees no spectra in the selection")
+    return labels, labels.astype(np.float32) if head == "type" else subtype_one_hot(labels)
 
 
 def head_mask(sset: SpectraSet, head: str, patient_ids) -> np.ndarray:
-    """Spectra selection for a patient list under the given head."""
-    mask = np.isin(sset.patient_id, np.asarray(list(patient_ids), dtype=np.int32))
-    if head == "subtype":
-        mask &= sset.core_type == 1
-    return mask
+    """Rows of the listed patients that the head sees (head_labels >= 0)."""
+    return (np.isin(sset.patient_id, np.asarray(list(patient_ids), dtype=np.int32))
+            & (head_labels(sset, head) >= 0))
 
 
 def head_labels(sset: SpectraSet, head: str) -> np.ndarray:
-    """Every row's class under the head: core type (AT 0, CA 1) or subtype (AT: -1)."""
+    """Every row's class under the head, a code into model.CLASS_NAMES[head]:
+    core type (AT 0, CA 1) or subtype, and -1 for a row the head does not see
+    (AT under the subtype head)."""
     return sset.core_type if head == "type" else sset.subtype
 
 

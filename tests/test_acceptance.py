@@ -19,7 +19,7 @@ from carenet.chemometrics import (
     remove_outliers,
 )
 from carenet.clustering import kmeans, select_paraffin, select_tissue
-from carenet.evaluation import classify, patient_vote
+from carenet.evaluation import patient_vote
 from carenet.gradcam import class_average, gradcam_spectrum
 from carenet.model import INPUT_LENGTH, CarenetModel
 from carenet.nn import (
@@ -351,11 +351,7 @@ def _run_protocol(seed, head, epochs, batch, image_size, n_per, separation):
                      for p in plan.test_patients]
         for core, truth in items:
             sel = sset.core_id == core
-            probs = model.forward(sset.spectra[sel])
-            if head == "type":
-                vote = patient_vote(classify(probs, head), probs[:, 0], n_classes=2)
-            else:
-                vote = patient_vote(classify(probs, head), probs, n_classes=4)
+            vote = patient_vote(model.forward(sset.spectra[sel]), head)
             correct += int(vote == truth)
             total += 1
     return correct, total

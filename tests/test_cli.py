@@ -244,28 +244,51 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert "CRC32" in err and "skipped" not in err
 
-    def test_skipped_core_takes_its_patient_out(self, tmp_path, capsys):
-        # core 1 (patient 1's AT core) on a shifted axis is skipped; patient 1's
-        # CA core must go with it, or train finds a half patient. Three LA
-        # patients leave train the four non-test patients its folds need.
+    @staticmethod
+    def _preprocess_with_core_1_off_axis(tmp_path, capsys, counts):
+        """Synth a 16² panel, shift core 1's axis, preprocess; (pre dir, stdout, stderr)."""
         config = tmp_path / "c.cfg"
-        config.write_text("n_patients = 3, 2, 2, 2\nimage_size = 16\n")
+        config.write_text(f"n_patients = {counts}\nimage_size = 16\n")
         panel = tmp_path / "panel"
         assert run(["synth", "--seed", 5, "--config", config, "--out-dir", panel]) == 0
         path = panel / "core_0001.crns"
         cube, _ = read_cube(path)
         cube.axis = WavenumberAxis(3950.3, 900.3, 1580)
         write_cube(cube, path)
+        capsys.readouterr()
         pre = tmp_path / "pre"
         assert run(["preprocess", panel, "--seed", 5, "--out-dir", pre]) == 0
-        err = capsys.readouterr().err
-        assert "skipped core 0: core 0: patient 1's core 1 was skipped" in err
-        assert "skipped core 1: core 1: band axis" in err
+        return (pre, *capsys.readouterr())
+
+    def test_skipped_core_takes_its_patient_out(self, tmp_path, capsys):
+        # core 1 (patient 1's AT core) on a shifted axis is skipped; patient 1's
+        # CA core must go with it, or train finds a half patient. Three LA
+        # patients leave train the four non-test patients its folds need.
+        pre, _, err = self._preprocess_with_core_1_off_axis(tmp_path, capsys, "3, 2, 2, 2")
+        lines = err.splitlines()
+        assert lines[0] == "preprocess: skipped core 0: patient 1's core 1 was skipped"
+        assert lines[1].startswith("preprocess: skipped core 1: band axis ")
+        assert len(lines) == 2  # no warning: train can split this container
         manifest = json.loads((pre / "manifest.json").read_text())
         assert [entry["core_id"] for entry in manifest["skipped"]] == [0, 1]
+        assert manifest["skipped"][0]["reason"] == "patient 1's core 1 was skipped"
+        assert manifest["skipped"][1]["reason"].startswith("band axis")
         assert not np.isin([0, 1], read_spectraset(pre / "spectra.crns").core_id).any()
         assert run(["train", pre / "spectra.crns", "--head", "type", "--epochs", 1,
                     "--seed", 5, "--out-dir", tmp_path / "train"]) == 0
+
+    def test_container_train_cannot_split_is_warned(self, tmp_path, capsys):
+        # the same skip on a 2,2,2,2 panel leaves one non-test LA patient: the
+        # container is written and preprocess exits 0 with one warning, and
+        # train then refuses it
+        pre, out, err = self._preprocess_with_core_1_off_axis(tmp_path, capsys, "2, 2, 2, 2")
+        assert out.startswith("preprocess: ") and out.endswith(
+            f" spectra from 14 cores -> {pre / 'spectra.crns'}\n")
+        assert err.splitlines()[2:] == [
+            "preprocess: warning: train cannot split this container: "
+            "need at least four non-test patients to build folds"]
+        assert run(["train", pre / "spectra.crns", "--head", "type", "--epochs", 1,
+                    "--seed", 5, "--out-dir", tmp_path / "train"]) == 3
 
     def test_jobs_do_not_change_outputs(self, tiny_run, tmp_path):
         _, synth_dir, _, _ = tiny_run
@@ -370,7 +393,10 @@ class TestTrainEvalGradcam:
         ("panel.json", lambda d: d["cores"].update(x=d["cores"].pop("0"))),
         ("split.json", lambda d: d.update(folds=5)),
         ("split.json", lambda d: d.update(folds=[])),
-    ], ids=["cores_list", "missing_h2o", "core_key_x", "folds_int", "folds_empty"])
+        ("split.json", lambda d: d["test_type_cores"][0].__setitem__(0, 999)),
+        ("split.json", lambda d: d["test_type_cores"][0].__setitem__(1, "XX")),
+    ], ids=["cores_list", "missing_h2o", "core_key_x", "folds_int", "folds_empty",
+            "type_core_of_other_patient", "type_core_kind_xx"])
     def test_malformed_sidecar_is_data_error(self, tiny_run, tmp_path, sidecar, edit):
         _, synth_dir, pre_dir, train_dirs = tiny_run
         source = synth_dir if sidecar == "panel.json" else train_dirs["type"]

@@ -35,33 +35,25 @@ class TestClassify:
 
 class TestPatientVote:
     def test_plurality(self):
-        classes = np.array([1] * 60 + [0] * 40)
-        probs = np.where(classes == 1, 0.9, 0.1)
-        assert patient_vote(classes, probs, n_classes=2) == 1
+        probs = np.array([0.9] * 60 + [0.1] * 40)[:, None]
+        assert patient_vote(probs, "type") == 1
 
     def test_tie_breaks_on_mean_probability(self):
-        classes = np.array([1] * 50 + [0] * 50)
         probs = np.concatenate([np.full(50, 0.58), np.full(50, 0.42)])
         # mean p(CA)=0.5 -> tied votes; mean probability favors CA
-        assert patient_vote(classes, probs, n_classes=2) == 1
-        assert patient_vote(classes, probs[:, None], n_classes=2) == 1  # sigmoid head's (n, 1)
-        with pytest.raises(DataError):
-            patient_vote(classes, probs[:, None], n_classes=4)
+        assert patient_vote(probs[:, None], "type") == 1  # the sigmoid head's (n, 1)
 
     def test_single_spectrum(self):
-        assert patient_vote(np.array([3]), np.array([[0.0, 0.1, 0.2, 0.7]]), n_classes=4) == 3
+        assert patient_vote(np.array([[0.0, 0.1, 0.2, 0.7]]), "subtype") == 3
 
     def test_empty_rejected(self):
         with pytest.raises(DataError):
-            patient_vote(np.array([], dtype=int), np.array([]), n_classes=2)
+            patient_vote(np.empty((0, 1)), "type")
 
     def test_permutation_invariant(self, rng):
-        classes = rng.integers(0, 4, 101)
         probs = rng.dirichlet(np.ones(4), 101)
         perm = rng.permutation(101)
-        a = patient_vote(classes, probs, n_classes=4)
-        b = patient_vote(classes[perm], probs[perm], n_classes=4)
-        assert a == b
+        assert patient_vote(probs, "subtype") == patient_vote(probs[perm], "subtype")
 
 
 class TestMetrics:

@@ -42,6 +42,24 @@ def test_benchmark_workloads_import(monkeypatch):
     importlib.import_module("workloads")
 
 
+@pytest.mark.parametrize("head", ["type", "subtype"])
+def test_benchmark_train_items_are_the_rows_train_folds_labels(head):
+    # perfbench/workloads.py counts the train workload's items through
+    # targets_for_head, while train_folds trains on head_labels over
+    # head_mask: both must give the same labels, row for row
+    core_type = np.array([0, 1] * 6)
+    patient = np.repeat([1, 2, 3], 4)
+    sset = SpectraSet(
+        spectra=np.zeros((12, INPUT_LENGTH)), patient_id=patient,
+        core_id=2 * patient + core_type, row=np.arange(12), col=np.zeros(12),
+        core_type=core_type, subtype=np.where(core_type == 1, patient % 4, -1),
+        axis=WavenumberAxis(1800.0, 900.0, INPUT_LENGTH))
+    mask = pipeline.head_mask(sset, head, (1, 3))
+    labels, _ = pipeline.targets_for_head(sset, head, mask)
+    np.testing.assert_array_equal(labels, pipeline.head_labels(sset, head)[mask])
+    assert labels.size == (8 if head == "type" else 4)
+
+
 def test_benchmark_tracer_times_gen_panel_with_its_emits(monkeypatch):
     # the benchmark reports synthgen.gen_panel's self time, which covers
     # generation only while the cubes are made and emitted inside that call
