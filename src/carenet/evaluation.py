@@ -76,11 +76,13 @@ def patient_vote(probs: np.ndarray, head: str) -> int:
     probs holds the head's model outputs, one row per spectrum, and each row
     votes for its `classify` class. Vote ties break on the higher mean
     predicted probability among the tied classes, then on the lower class
-    index. The type head's single output is p(CA); p(AT) is its complement.
+    index. The type head's single output is p(CA), given as (n, 1) or (n,);
+    p(AT) is its complement.
     """
     probs = np.asarray(probs)
     if probs.shape[0] == 0:
         raise DataError("cannot vote over an empty spectrum list")
+    probs = probs.reshape(probs.shape[0], -1)
     classes = classify(probs, head)
     probs = probs.astype(np.float64)
     if probs.shape[1] == 1:

@@ -85,7 +85,7 @@ class CarenetModel:
                 self.blocks.append(ResidualBlock(in_ch, filters, stride, rng=rng, dtype=dtype))
                 in_ch = filters
         self.pool = GlobalAvgPool()
-        self.n_classes = 1 if head == "type" else 4
+        self.n_classes = 1 if head == "type" else len(CLASS_NAMES[head])
         # Without normalization layers the residual trunk roughly doubles its
         # activation variance per block, so a He-initialized head would start
         # deep in sigmoid/softmax saturation where float32 gradients vanish.

@@ -41,7 +41,13 @@ class TestPatientVote:
     def test_tie_breaks_on_mean_probability(self):
         probs = np.concatenate([np.full(50, 0.58), np.full(50, 0.42)])
         # mean p(CA)=0.5 -> tied votes; mean probability favors CA
+        assert patient_vote(probs, "type") == 1
         assert patient_vote(probs[:, None], "type") == 1  # the sigmoid head's (n, 1)
+
+    def test_tie_goes_to_higher_mean_probability_not_lower_index(self):
+        # one vote each for classes 0 and 1; mean p is 0.3 vs 0.5
+        probs = np.array([[0.5, 0.4, 0.05, 0.05], [0.1, 0.6, 0.2, 0.1]])
+        assert patient_vote(probs, "subtype") == 1
 
     def test_single_spectrum(self):
         assert patient_vote(np.array([[0.0, 0.1, 0.2, 0.7]]), "subtype") == 3
