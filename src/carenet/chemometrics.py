@@ -141,45 +141,23 @@ def _numerical_rank(variances: np.ndarray, shape: tuple[int, int]) -> int:
     return int((variances > variances[0] * max(shape) * np.finfo(np.float64).eps).sum())
 
 
-def pca_fit(data: np.ndarray, n_components: int | None = None,
-            variance_threshold: float | None = None) -> PcaModel:
+def pca_fit(data: np.ndarray) -> PcaModel:
     """PCA from the eigendecomposition of the centred rows' Gram matrix.
 
-    Exactly one selector applies: a fixed component count (at most
-    min(n, p)), or the smallest count whose cumulative explained-variance
-    ratio reaches the threshold.
+    Returns all min(n, p) components by descending variance; each caller
+    keeps the leading ones its own rule selects.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] < 2:
         raise DataError("PCA needs a 2-D matrix with at least 2 rows")
-    return _fit(data, n_components, variance_threshold)
-
-
-def _fit(data: np.ndarray, n_components: int | None = None,
-         variance_threshold: float | None = None) -> PcaModel:
-    """`pca_fit` of a float64 matrix already checked to have at least 2 rows."""
-    if (n_components is None) == (variance_threshold is None):
-        raise DataError("choose exactly one of n_components / variance_threshold")
-
     mean = data.mean(axis=0)
     variances, loadings = _variance_spectrum(data, mean)
     total = float(variances.sum())
     if total <= _VARIANCE_TINY:
         raise NumericalError("data has (numerically) zero variance; PCA is degenerate")
-
-    if variance_threshold is not None:
-        if not 0.0 < variance_threshold <= 1.0:
-            raise DataError("variance threshold must be in (0, 1]")
-        ratios = np.cumsum(variances) / total
-        p = int(np.searchsorted(ratios, variance_threshold - 1e-12) + 1)
-    else:
-        p = int(n_components)
-        if p < 1 or p > variances.size:
-            raise DataError(
-                f"cannot extract {p} components from {data.shape[0]}x{data.shape[1]} data"
-            )
-    return PcaModel(mean=mean, loadings=loadings[:p].copy(),
-                    explained_variance=variances[:p].copy(), total_variance=total)
+    # C order, so the T2/Q products read the rows of a leading slice contiguously
+    return PcaModel(mean=mean, loadings=np.ascontiguousarray(loadings),
+                    explained_variance=variances, total_variance=total)
 
 
 def rank_estimate(data: np.ndarray) -> int:
@@ -234,10 +212,11 @@ def remove_outliers(data: np.ndarray) -> tuple[PcaModel, OutlierReport]:
     if data.shape[0] <= OUTLIER_PCS:
         raise DataError(f"need more than {OUTLIER_PCS} rows, got {data.shape[0]}")
 
-    model = _fit(data, n_components=min(OUTLIER_PCS, data.shape[1]))
-    rank = _numerical_rank(model.explained_variance, data.shape)  # >= 1: the fit passed
-    model = replace(model, loadings=model.loadings[:rank],
-                    explained_variance=model.explained_variance[:rank])
+    model = pca_fit(data)
+    # >= 1 component: the fit passed, so the data has variance
+    k = min(OUTLIER_PCS, _numerical_rank(model.explained_variance, data.shape))
+    model = replace(model, loadings=model.loadings[:k],
+                    explained_variance=model.explained_variance[:k])
     _, t2, q = scores_and_residuals(model, data)
     t2_thr = float(np.quantile(t2, OUTLIER_CONFIDENCE))
     q_thr = float(np.quantile(q, OUTLIER_CONFIDENCE))
@@ -299,11 +278,13 @@ def interferent_block(spectra: np.ndarray, axis: WavenumberAxis, band: Band) -> 
     basis = mean[None, :]
     if spectra.shape[0] >= 2:
         try:
-            model = pca_fit(spectra, variance_threshold=_INTERFERENT_VARIANCE)
+            model = pca_fit(spectra)
         except NumericalError:
             pass  # identical spectra: the mean says everything there is to say
         else:
-            basis = np.vstack([mean, model.loadings])
+            ratios = np.cumsum(model.explained_variance) / model.total_variance
+            k = int(np.searchsorted(ratios, _INTERFERENT_VARIANCE - 1e-12) + 1)
+            basis = np.vstack([mean, model.loadings[:k]])
 
     mask = np.zeros(axis.n_points, dtype=np.float64)
     mask[band_slice(axis, band)] = 1.0

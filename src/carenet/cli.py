@@ -486,10 +486,14 @@ def cmd_gradcam(args) -> int:
 # argument parsing
 
 
-def _positive_int(text: str) -> int:
-    if not (text.isdecimal() and int(text) >= 1):
-        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """argparse type for an unsigned decimal integer of at least low (low >= 0)."""
+    def parse(text: str) -> int:
+        if not (text.isdecimal() and int(text) >= low):
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,9 +508,10 @@ def build_parser() -> argparse.ArgumentParser:
     unused_jobs = "accepted, no effect yet: this command runs on one thread"
 
     def common(p, jobs_help=None):
-        p.add_argument("--seed", type=int, default=0, help="master seed for this run")
+        p.add_argument("--seed", type=_int_at_least(0), default=0,
+                       help="master seed for this run")
         if jobs_help is not None:
-            p.add_argument("--jobs", type=_positive_int, default=1, help=jobs_help)
+            p.add_argument("--jobs", type=_int_at_least(1), default=1, help=jobs_help)
         p.add_argument("--out-dir", default=None,
                        help="run directory (default: runs/<timestamp>-seed<seed>-<cmd>)")
 

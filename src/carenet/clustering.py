@@ -15,7 +15,14 @@ import numpy as np
 
 from .dataset import HyperCube
 from .errors import DataError, NumericalError
-from .spectral import AMIDE_BAND, PARAFFIN_PEAK_BAND, band_slice, integrate_band_rows, sub_axis
+from .spectral import (
+    AMIDE_BAND,
+    PARAFFIN_PEAK_BAND,
+    Band,
+    band_slice,
+    integrate_band_rows,
+    sub_axis,
+)
 
 __all__ = [
     "KmeansResult",
@@ -145,51 +152,59 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KmeansResult:
 
 
 def order_clusters_by_area(assignments: np.ndarray, band_areas: np.ndarray,
-                           valid: np.ndarray | None = None) -> np.ndarray:
+                           valid: np.ndarray) -> tuple[np.ndarray, float]:
     """Relabel a 2-cluster assignment so the larger mean band area is cluster 1.
 
     Rows where valid is False are excluded from the means (zeroed-out tissue
     pixels in the second clustering step). Ties keep the existing labels.
+    Returns (labels, area_contrast): the selected cluster's mean area over
+    the magnitude of the rejected one's, inf when either cluster has no
+    valid row or the rejected mean is numerically zero.
     """
     assignments = np.asarray(assignments)
     band_areas = np.asarray(band_areas, dtype=np.float64)
-    if valid is None:
-        valid = np.ones(assignments.shape[0], dtype=bool)
     means = np.zeros(2)
+    both_present = True
     for c in (0, 1):
         members = (assignments == c) & valid
         if members.any():
             means[c] = band_areas[members].mean()
+        else:
+            both_present = False
     if means[0] > means[1]:
-        return 1 - assignments
-    return assignments.copy()
+        labels, means = 1 - assignments, means[::-1]
+    else:
+        labels = assignments.copy()
+    rejected, selected = float(means[0]), float(means[1])
+    if not both_present or abs(rejected) < 1e-12:
+        return labels, np.inf
+    return labels, selected / abs(rejected)
 
 
-def _area_contrast(labels: np.ndarray, areas: np.ndarray,
-                   valid: np.ndarray | None = None) -> float:
-    if valid is None:
-        valid = np.ones(labels.shape[0], dtype=bool)
-    selected = (labels == 1) & valid
-    other = (labels == 0) & valid
-    if not selected.any() or not other.any():
-        return np.inf
-    denom = abs(float(areas[other].mean()))
-    if denom < 1e-12:
-        return np.inf
-    return float(areas[selected].mean()) / denom
+def _select(cube: HyperCube, band: Band, role: str, seed: int,
+            excluded: np.ndarray | None = None) -> PixelMask:
+    """Cluster the band's spectra (k=2) and mask the larger-area cluster.
+
+    Excluded pixels (a flat boolean per pixel) are replaced by zero vectors
+    before clustering and kept out of the area ordering and of the mask.
+    """
+    sel = band_slice(cube.axis, band)
+    spectra = cube.spectra_matrix()[:, sel].astype(np.float64)  # cut in float32, then upcast
+    points, valid = spectra, np.ones(spectra.shape[0], dtype=bool)
+    if excluded is not None:
+        valid = ~excluded
+        points = np.where(valid[:, None], spectra, 0.0)
+    result = kmeans(points, 2, seed=seed)
+    areas = integrate_band_rows(spectra, sub_axis(cube.axis, sel), band)
+    labels, contrast = order_clusters_by_area(result.assignments, areas, valid)
+    mask = ((labels == 1) & valid).reshape(cube.rows, cube.cols)
+    return PixelMask(mask=mask, role=role, low_coverage=mask.mean() < COVERAGE_FLOOR,
+                     area_contrast=contrast)
 
 
 def select_tissue(cube: HyperCube, seed: int = 0) -> PixelMask:
     """First clustering step: amide-band k=2, larger-area cluster is tissue."""
-    sel = band_slice(cube.axis, AMIDE_BAND)
-    amide = cube.spectra_matrix()[:, sel].astype(np.float64)  # cut in float32, then upcast
-    result = kmeans(amide, 2, seed=seed)
-    areas = integrate_band_rows(amide, sub_axis(cube.axis, sel), AMIDE_BAND)
-    labels = order_clusters_by_area(result.assignments, areas)
-    mask = (labels == 1).reshape(cube.rows, cube.cols)
-    return PixelMask(mask=mask, role="tissue",
-                     low_coverage=mask.mean() < COVERAGE_FLOOR,
-                     area_contrast=_area_contrast(labels, areas))
+    return _select(cube, AMIDE_BAND, "tissue", seed)
 
 
 def select_paraffin(cube: HyperCube, tissue_mask: PixelMask, seed: int = 0) -> PixelMask:
@@ -200,24 +215,10 @@ def select_paraffin(cube: HyperCube, tissue_mask: PixelMask, seed: int = 0) -> P
     """
     if tissue_mask.mask.shape != (cube.rows, cube.cols):
         raise DataError("tissue mask shape does not match cube")
-    sel = band_slice(cube.axis, PARAFFIN_PEAK_BAND)
-    peak = cube.spectra_matrix()[:, sel].astype(np.float64)  # cut in float32, then upcast
-    tissue_flat = tissue_mask.mask.ravel()
-
-    banded = peak.copy()
-    banded[tissue_flat] = 0.0
-    if tissue_flat.all():
+    if tissue_mask.mask.all():
         mask = np.zeros((cube.rows, cube.cols), dtype=bool)
         return PixelMask(mask=mask, role="paraffin", low_coverage=True, area_contrast=0.0)
-
-    result = kmeans(banded, 2, seed=seed)
-    areas = integrate_band_rows(peak, sub_axis(cube.axis, sel), PARAFFIN_PEAK_BAND)
-    labels = order_clusters_by_area(result.assignments, areas, valid=~tissue_flat)
-    flat = (labels == 1) & ~tissue_flat
-    mask = flat.reshape(cube.rows, cube.cols)
-    return PixelMask(mask=mask, role="paraffin",
-                     low_coverage=mask.mean() < COVERAGE_FLOOR,
-                     area_contrast=_area_contrast(labels, areas, valid=~tissue_flat))
+    return _select(cube, PARAFFIN_PEAK_BAND, "paraffin", seed, excluded=tissue_mask.mask.ravel())
 
 
 def write_masks_pgm(path, tissue_mask: PixelMask, paraffin_mask: PixelMask) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .model import FORWARD_CHUNK, INPUT_LENGTH, CarenetModel
-from .spectral import WavenumberAxis
+from .spectral import WavenumberAxis, minmax_normalize_rows
 
 __all__ = [
     "Heatmap1D",
@@ -104,16 +104,9 @@ def class_average(heatmaps_by_class: dict[str, np.ndarray]) -> dict[str, Heatmap
         maps = np.atleast_2d(np.asarray(maps, dtype=np.float64))
         if maps.shape[0] == 0:
             raise DataError(f"class {label!r} has no heatmaps to average")
-        mean = maps.mean(axis=0)
-        lo, hi = float(mean.min()), float(mean.max())
-        if hi > lo:
-            values = (mean - lo) / (hi - lo)
-            degenerate = False
-        else:
-            values = np.zeros_like(mean)
-            degenerate = True
-        out[label] = Heatmap1D(values=values, class_label=label, n_samples=maps.shape[0],
-                               degenerate=degenerate)
+        values, keep = minmax_normalize_rows(maps.mean(axis=0)[None, :])
+        out[label] = Heatmap1D(values=values[0], class_label=label, n_samples=maps.shape[0],
+                               degenerate=not keep[0])
     return out
 
 

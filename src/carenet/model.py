@@ -159,7 +159,7 @@ class CarenetModel:
         return params
 
     def layer_specs(self) -> list[dict]:
-        specs = [self.stem.spec(), {"kind": "relu"}]
+        specs = [self.stem.spec(), self.stem_relu.spec()]
         specs += [block.spec() for block in self.blocks]
         specs.append(self.pool.spec())
         specs.append(self.dense.spec())

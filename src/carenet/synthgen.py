@@ -38,6 +38,8 @@ whole-chunk oracle).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +167,10 @@ class SynthConfig:
         def is_count(value) -> bool:
             return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
+        def is_finite_real(value) -> bool:
+            return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                    and math.isfinite(value))
+
         if (not isinstance(self.n_patients, tuple) or len(self.n_patients) != len(SUBTYPES)
                 or not all(is_count(n) for n in self.n_patients)):
             raise DataError(f"n_patients must be {len(SUBTYPES)} integer counts, "
@@ -175,11 +181,16 @@ class SynthConfig:
             raise DataError(f"image_size must be an integer, got {self.image_size!r}")
         if self.image_size < 4:
             raise DataError("image_size must be >= 4")
+        for name in ("noise_sigma", "class_separation", "spike_fraction", "spike_amplitude"):
+            if not is_finite_real(getattr(self, name)):
+                raise DataError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         for name in ("baseline_const_range", "baseline_coef_range", "scale_range",
                      "tissue_paraffin_range", "tissue_h2o_range"):
-            lo, hi = getattr(self, name)
-            if hi < lo:
-                raise DataError(f"{name} must be (low, high) with low <= high")
+            pair = getattr(self, name)
+            if (not isinstance(pair, tuple) or len(pair) != 2
+                    or not all(map(is_finite_real, pair)) or pair[1] < pair[0]):
+                raise DataError(f"{name} must be two finite numbers (low, high) with "
+                                f"low <= high, got {pair!r}")
         if self.noise_sigma < 0 or not 0.0 <= self.spike_fraction <= 1.0:
             raise DataError("noise_sigma must be >= 0 and spike_fraction in [0, 1]")
 

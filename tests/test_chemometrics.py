@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from carenet.chemometrics import (
     scores_and_residuals,
 )
 from carenet.errors import DataError, NumericalError
-from carenet.spectral import WavenumberAxis, band_slice
+from carenet.spectral import Band, WavenumberAxis, band_slice
 from tests.conftest import traced_peak
 
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
@@ -42,18 +44,25 @@ def h2o_like(values, amps):
     return out
 
 
+def leading(data, k):
+    """pca_fit keeping its k leading components."""
+    model = pca_fit(data)
+    return replace(model, loadings=model.loadings[:k],
+                   explained_variance=model.explained_variance[:k])
+
+
 class TestPcaFit:
     def test_rank_one_explains_everything(self, rng):
         direction = rng.standard_normal(30)
         data = np.outer(rng.standard_normal(10), direction) + 5.0
-        model = pca_fit(data, n_components=1)
+        model = leading(data, 1)
         ratio = model.explained_variance / model.total_variance
         assert ratio[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_axis_aligned_variances(self):
         # rows (+-2, 0) and (0, +-1): covariance diag(8/3, 2/3), ratios (0.8, 0.2)
         data = np.array([[2.0, 0.0], [-2.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-        model = pca_fit(data, n_components=2)
+        model = leading(data, 2)
         np.testing.assert_allclose(model.explained_variance / model.total_variance,
                                    [0.8, 0.2], atol=1e-12)
         np.testing.assert_allclose(np.abs(model.loadings[0]), [1.0, 0.0], atol=1e-12)
@@ -66,14 +75,12 @@ class TestPcaFit:
             [0, b, 0], [0, -b, 0],
             [0, 0, c], [0, 0, -c],
         ])
-        model = pca_fit(data, variance_threshold=0.99)
-        assert model.n_components == 3
-        model95 = pca_fit(data, variance_threshold=0.95)
-        assert model95.n_components == 2
+        block = interferent_block(data, WavenumberAxis(3.0, 1.0, 3), Band(3.0, 1.0))
+        assert block.shape[0] == 1 + 3  # the mean, then the three loadings
 
     def test_loadings_orthonormal(self, rng):
         data = rng.standard_normal((40, 12))
-        model = pca_fit(data, n_components=5)
+        model = leading(data, 5)
         gram = model.loadings @ model.loadings.T
         np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
         assert np.all(np.diff(model.explained_variance) <= 1e-12)
@@ -81,18 +88,14 @@ class TestPcaFit:
 
     def test_reconstruction_with_all_components(self, rng):
         data = rng.standard_normal((15, 8))
-        model = pca_fit(data, n_components=8)
+        model = leading(data, 8)
         centered = data - model.mean
         recon = (centered @ model.loadings.T) @ model.loadings
         np.testing.assert_allclose(recon, centered, atol=1e-8)
 
-    def test_too_many_components_rejected(self, rng):
-        with pytest.raises(DataError):
-            pca_fit(rng.standard_normal((3, 10)), n_components=5)
-
     def test_zero_variance_rejected(self):
         with pytest.raises(NumericalError):
-            pca_fit(np.ones((5, 4)), n_components=1)
+            pca_fit(np.ones((5, 4)))
 
 
 def scores_one(model, x):
@@ -105,7 +108,7 @@ class TestScoresAndResiduals:
     @pytest.fixture()
     def model(self, rng):
         data = rng.standard_normal((50, 20)) * np.linspace(3, 0.5, 20)
-        return pca_fit(data, n_components=4), data
+        return leading(data, 4), data
 
     def test_mean_spectrum_scores_zero(self, model):
         pca, _ = model
@@ -137,8 +140,8 @@ class TestScoresAndResiduals:
     def test_row_order_invariance(self, rng):
         data = rng.standard_normal((30, 10))
         perm = rng.permutation(30)
-        m1 = pca_fit(data, n_components=3)
-        m2 = pca_fit(data[perm], n_components=3)
+        m1 = leading(data, 3)
+        m2 = leading(data[perm], 3)
         x = rng.standard_normal(10)
         _, t2a, qa = scores_one(m1, x)
         _, t2b, qb = scores_one(m2, x)
@@ -162,6 +165,11 @@ class TestRemoveOutliers:
         _, report = remove_outliers(data)
         assert not report.kept[17]
 
+    def test_components_stop_at_the_numerical_rank(self, rng):
+        assert remove_outliers(low_rank(rng, 120, 40, 3, 0.0))[0].n_components == 3
+        model = remove_outliers(rng.standard_normal((120, 40)))[0]
+        assert model.n_components == chemometrics.OUTLIER_PCS
+
     def test_identical_rows_degenerate(self):
         with pytest.raises(NumericalError):
             remove_outliers(np.ones((50, 20)))
@@ -171,7 +179,7 @@ class TestRemoveOutliers:
         report = remove_outliers(data)[1]
         kept = data[report.kept]
         _, t2, q = scores_and_residuals(
-            pca_fit(data, n_components=report.n_components), kept
+            leading(data, report.n_components), kept
         )
         # re-checking the kept rows against the same thresholds rejects nothing
         assert np.all(t2 <= report.t2_threshold)
@@ -188,7 +196,7 @@ class TestRemoveOutliers:
         monkeypatch.setattr(chemometrics, "OUTLIER_PCS", 6)
         data = rng.standard_normal((2500, 60)).cumsum(axis=1)  # > one residual block
         model, report = remove_outliers(data)
-        fitted = pca_fit(data, n_components=6)
+        fitted = leading(data, 6)
         for name in ("mean", "loadings", "explained_variance"):
             assert getattr(model, name).tobytes() == getattr(fitted, name).tobytes(), name
         _, t2, q = scores_and_residuals(fitted, data)
@@ -204,14 +212,14 @@ class TestRemoveOutliers:
 
 def test_residual_is_formed_a_block_at_a_time(rng):
     data = rng.standard_normal((6000, 200))
-    model = pca_fit(data, n_components=10)
+    model = leading(data, 10)
     _, peak = traced_peak(scores_and_residuals, model, data)
     assert peak < 0.6 * data.nbytes, peak / data.nbytes  # no centred rows, no (n, p) product
 
 
 def test_gram_is_summed_a_block_at_a_time(rng):
     data = rng.standard_normal((6000, 200))
-    _, peak = traced_peak(lambda: pca_fit(data, variance_threshold=0.99))
+    _, peak = traced_peak(pca_fit, data)
     assert peak < 0.6 * data.nbytes, peak / data.nbytes  # no centred copy of the rows
 
 
@@ -394,7 +402,7 @@ class TestGramPcaOracle:
             data, k = rng.standard_normal((n, p)) * np.geomspace(8.0, 0.5, p), 5
         else:
             data, k = low_rank(rng, n, p, 3, 1e-9 if case == "rank3_noise" else 0.0), 3
-        model = pca_fit(data, n_components=k)
+        model = leading(data, k)
         variances, vt = svd_pca(data)
         lam0 = variances[0]
         assert np.abs(model.explained_variance - variances[:k]).max() <= 1e-12 * lam0
@@ -428,7 +436,7 @@ class TestGramPcaOracle:
         # float64 in the Gram, where eigh would raise a raw LinAlgError
         data = rng.standard_normal((60, 8)) * 1e200
         try:
-            model = pca_fit(data, n_components=3)
+            model = leading(data, 3)
         except NumericalError:
             pass
         else:

@@ -161,6 +161,19 @@ class TestSynth:
         assert "bad synth config" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", [
+        "noise_sigma = nan", "class_separation = nan", "scale_range = nan, 1.0",
+        "baseline_const_range = 0.0, inf", "class_separation = x", "scale_range = a, b",
+        "scale_range = 0.9, 1.0, 1.1",
+    ])
+    def test_non_finite_or_non_numeric_value_is_usage_error(self, tmp_path, capsys, line):
+        config = tmp_path / "c.cfg"
+        config.write_text(f"n_patients = 1, 0, 0, 0\nimage_size = 8\n{line}\n")
+        out = tmp_path / "x"
+        assert run(["synth", "--config", config, "--out-dir", out]) == 2
+        assert "bad synth config" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unallocatable_cube_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "c.cfg"
         config.write_text("n_patients = 1, 0, 0, 0\nimage_size = 3000000\n")
@@ -473,6 +486,17 @@ def test_jobs_below_one_is_usage_error(tmp_path, command, jobs):
                   "eval": ["train", "spectra.crns"], "gradcam": ["train", "spectra.crns"]}
     out = tmp_path / "out"
     assert run([command, *positional[command], "--jobs", jobs, "--out-dir", out]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "preprocess", "train", "eval", "gradcam"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    positional = {"synth": [], "preprocess": ["panel"],
+                  "train": ["spectra.crns", "--head", "type"],
+                  "eval": ["train", "spectra.crns"], "gradcam": ["train", "spectra.crns"]}
+    out = tmp_path / "out"
+    assert run([command, *positional[command], "--seed", "-1", "--out-dir", out]) == 2
+    assert "--seed" in capsys.readouterr().err
     assert not out.exists()
 
 

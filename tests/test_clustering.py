@@ -96,21 +96,54 @@ class TestKmeans:
             )
 
 
+def all_valid(assign):
+    return np.ones(len(assign), dtype=bool)
+
+
 class TestOrderClusters:
     def test_swaps_when_cluster0_larger(self):
         assign = np.array([0, 0, 1, 1])
         areas = np.array([5.0, 5.0, 1.0, 1.0])
-        np.testing.assert_array_equal(order_clusters_by_area(assign, areas), [1, 1, 0, 0])
+        labels = order_clusters_by_area(assign, areas, all_valid(assign))[0]
+        np.testing.assert_array_equal(labels, [1, 1, 0, 0])
 
     def test_keeps_when_ordered(self):
         assign = np.array([0, 0, 1, 1])
         areas = np.array([1.0, 1.0, 5.0, 5.0])
-        np.testing.assert_array_equal(order_clusters_by_area(assign, areas), assign)
+        labels = order_clusters_by_area(assign, areas, all_valid(assign))[0]
+        np.testing.assert_array_equal(labels, assign)
 
     def test_tie_keeps_labels(self):
         assign = np.array([0, 1])
         areas = np.array([2.0, 2.0])
-        np.testing.assert_array_equal(order_clusters_by_area(assign, areas), assign)
+        labels = order_clusters_by_area(assign, areas, all_valid(assign))[0]
+        np.testing.assert_array_equal(labels, assign)
+
+    def test_cluster_without_valid_row_has_infinite_contrast(self):
+        assign = np.array([0, 0, 1, 1])
+        areas = np.array([1.0, 1.0, 5.0, 5.0])
+        valid = np.array([False, False, True, True])
+        assert order_clusters_by_area(assign, areas, valid)[1] == np.inf
+
+    def test_rejected_mean_near_zero_has_infinite_contrast(self):
+        assign = np.array([0, 0, 1, 1])
+        areas = np.array([1e-13, -1e-13 / 2, 5.0, 5.0])  # cluster-0 mean 2.5e-14
+        assert order_clusters_by_area(assign, areas, all_valid(assign))[1] == np.inf
+
+    def test_contrast_after_swap_is_selected_over_rejected_magnitude(self):
+        assign = np.array([0, 0, 1, 1])
+        areas = np.array([6.0, 10.0, -1.0, -3.0])  # means 8 and -2: swapped
+        labels, contrast = order_clusters_by_area(assign, areas, all_valid(assign))
+        np.testing.assert_array_equal(labels, [1, 1, 0, 0])
+        assert contrast == 8.0 / 2.0
+
+    def test_excluded_row_changes_neither_order_nor_contrast(self):
+        assign = np.array([0, 0, 1, 1, 0])
+        areas = np.array([1.0, 1.0, 4.0, 6.0, 1e9])
+        valid = np.array([True, True, True, True, False])
+        labels, contrast = order_clusters_by_area(assign, areas, valid)
+        np.testing.assert_array_equal(labels, assign)
+        assert contrast == 5.0
 
 
 @pytest.fixture(scope="module")
