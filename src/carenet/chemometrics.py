@@ -274,17 +274,15 @@ def interferent_block(spectra: np.ndarray, axis: WavenumberAxis, band: Band) -> 
     if spectra.shape[1] != axis.n_points:
         raise DataError("interferent spectra do not match the model axis")
 
-    mean = spectra.mean(axis=0)
-    basis = mean[None, :]
-    if spectra.shape[0] >= 2:
-        try:
-            model = pca_fit(spectra)
-        except NumericalError:
-            pass  # identical spectra: the mean says everything there is to say
-        else:
-            ratios = np.cumsum(model.explained_variance) / model.total_variance
-            k = int(np.searchsorted(ratios, _INTERFERENT_VARIANCE - 1e-12) + 1)
-            basis = np.vstack([mean, model.loadings[:k]])
+    try:
+        model = pca_fit(spectra)
+    except (DataError, NumericalError):
+        # one row, or identical rows: the mean says everything there is to say
+        basis = spectra.mean(axis=0)[None, :]
+    else:
+        ratios = np.cumsum(model.explained_variance) / model.total_variance
+        k = int(np.searchsorted(ratios, _INTERFERENT_VARIANCE - 1e-12) + 1)
+        basis = np.vstack([model.mean, model.loadings[:k]])
 
     mask = np.zeros(axis.n_points, dtype=np.float64)
     mask[band_slice(axis, band)] = 1.0

@@ -369,12 +369,12 @@ def _evaluate(checkpoints, sset, plan):
             head = model.head
             labels = head_labels(sset, head)
             test_cores = _test_cores(sset, plan, head)
-            truth = np.array([int(labels[sel][0]) for _, _, sel in test_cores])
-        dev_sel = head_mask(sset, head, fold.dev_patients)
-        dev.append((classify(forward_chunked(model, sset.spectra[dev_sel]), head),
-                    labels[dev_sel].astype(np.int64)))
-        votes = [patient_vote(forward_chunked(model, sset.spectra[sel]), head)
-                 for _, _, sel in test_cores]
+            truth = np.array([int(labels[rows[0]]) for _, _, rows in test_cores])
+        dev_rows = np.flatnonzero(head_mask(sset, head, fold.dev_patients))
+        dev.append((classify(forward_chunked(model, sset.spectra, dev_rows), head),
+                    labels[dev_rows].astype(np.int64)))
+        votes = [patient_vote(forward_chunked(model, sset.spectra, rows), head)
+                 for _, _, rows in test_cores]
         test.append((np.array(votes), truth))
 
     class_names = CLASS_NAMES[head]
@@ -388,12 +388,13 @@ def _evaluate(checkpoints, sset, plan):
 
 
 def _test_cores(sset, plan, head: str):
-    """[(patient, "CA"|"AT", row mask)] of the held-out cores the head votes on:
+    """[(patient, "CA"|"AT", row indices)] of the held-out cores the head votes on:
     two CA and two AT cores for the type head, the four test patients' CA
     cores for the subtype head."""
     pairs = (plan.test_type_cores if head == "type"
              else [(pid, "CA") for pid in plan.test_patients])
-    return [(pid, kind, (sset.patient_id == pid) & (sset.core_type == CORE_TYPES.index(kind)))
+    return [(pid, kind, np.flatnonzero((sset.patient_id == pid)
+                                       & (sset.core_type == CORE_TYPES.index(kind))))
             for pid, kind in pairs]
 
 
@@ -401,7 +402,7 @@ def _load_run(args):
     """(container, split plan) for a command reading a train run.
 
     The run directory must hold split.json, and the container every patient
-    the split holds out for testing, each with one CA and one AT core.
+    the split names, each with one CA and one AT core.
     """
     train_dir = Path(args.train_dir)
     sset = read_spectraset(Path(args.container))
@@ -410,9 +411,11 @@ def _load_run(args):
     if not split_path.exists():
         raise DataError(f"{train_dir}: no split.json (is this a train run directory?)")
     plan = _split_from_json(split_path)
-    missing = [pid for pid in plan.test_patients if pid not in patient_ids]
+    named = set(plan.test_patients).union(*(f.train_patients + f.dev_patients
+                                            for f in plan.folds))
+    missing = sorted(named - patient_ids)
     if missing:
-        raise DataError(f"container lacks test patients {missing}")
+        raise DataError(f"container lacks patients {missing} that {split_path} names")
     return sset, plan
 
 

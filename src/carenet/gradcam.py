@@ -2,9 +2,9 @@
 
 Importance comes from the last residual stage's activation map: channel
 weights are the length-averaged gradients of the target class score (the
-pre-activation logit), the weighted channel sum is rectified, and
-the result is linearly interpolated from the feature length back onto the
-467-point biofingerprint axis.
+pre-activation logit), and the weighted channel sum is rectified. Each
+class's mean cam is linearly interpolated from the feature length back onto
+the 467-point biofingerprint axis.
 """
 
 from __future__ import annotations
@@ -44,16 +44,9 @@ class Heatmap1D:
             raise DataError("normalized heatmap values must lie in [0, 1]")
 
 
-def _upsample(cam: np.ndarray, out_len: int) -> np.ndarray:
-    """Linear interpolation feature-index -> axis-index, endpoints pinned."""
-    n = cam.shape[-1]
-    positions = np.linspace(0.0, n - 1.0, out_len)
-    return np.stack([np.interp(positions, np.arange(n), row) for row in np.atleast_2d(cam)])
-
-
 def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
                      target_class: int = 1) -> np.ndarray:
-    """Raw (unnormalized) importance vectors, one row per input spectrum.
+    """Raw (unnormalized) feature-length cams, one float64 row per input spectrum.
 
     target_class is a class code of the head (model.CLASS_NAMES) that its
     outputs score: any subtype, or CA (1) for the type head's single output.
@@ -74,7 +67,7 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
     col = target_class - scored.start
     cams = [_cam_rows(model, x[i:i + FORWARD_CHUNK], col)
             for i in range(0, x.shape[0], FORWARD_CHUNK)]
-    return _upsample(np.concatenate(cams).astype(np.float64), INPUT_LENGTH)
+    return np.concatenate(cams).astype(np.float64)
 
 
 def _cam_rows(model: CarenetModel, x: np.ndarray, col: int) -> np.ndarray:
@@ -93,19 +86,24 @@ def _cam_rows(model: CarenetModel, x: np.ndarray, col: int) -> np.ndarray:
     return np.maximum(cam, 0.0)
 
 
-def class_average(heatmaps_by_class: dict[str, np.ndarray]) -> dict[str, Heatmap1D]:
-    """Mean heatmap per class, min-max normalized to [0, 1].
+def class_average(cams_by_class: dict[str, np.ndarray]) -> dict[str, Heatmap1D]:
+    """Mean cam per class on the 467-point axis, min-max normalized to [0, 1].
 
-    A constant mean heatmap cannot be normalized; it comes back all-zero
-    with the degenerate flag set.
+    Each class's mean is interpolated onto the axis once, endpoints pinned:
+    the mean of per-row heatmaps, since interpolation is linear, and the
+    mean itself for 467-point rows. A constant mean cannot be normalized;
+    it comes back all-zero with the degenerate flag set.
     """
     out: dict[str, Heatmap1D] = {}
-    for label, maps in heatmaps_by_class.items():
-        maps = np.atleast_2d(np.asarray(maps, dtype=np.float64))
-        if maps.shape[0] == 0:
-            raise DataError(f"class {label!r} has no heatmaps to average")
-        values, keep = minmax_normalize_rows(maps.mean(axis=0)[None, :])
-        out[label] = Heatmap1D(values=values[0], class_label=label, n_samples=maps.shape[0],
+    for label, cams in cams_by_class.items():
+        cams = np.atleast_2d(np.asarray(cams, dtype=np.float64))
+        if cams.shape[0] == 0:
+            raise DataError(f"class {label!r} has no cams to average")
+        mean = cams.mean(axis=0)
+        positions = np.linspace(0.0, mean.size - 1.0, INPUT_LENGTH)
+        values, keep = minmax_normalize_rows(
+            np.interp(positions, np.arange(mean.size), mean)[None, :])
+        out[label] = Heatmap1D(values=values[0], class_label=label, n_samples=cams.shape[0],
                                degenerate=not keep[0])
     return out
 

@@ -489,13 +489,14 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
         yield perm[start:start + batch_size]
 
 
-def forward_chunked(model: CarenetModel, x: np.ndarray) -> np.ndarray:
-    """Model outputs for every row of x, forwarded at most FORWARD_CHUNK rows at a time.
+def forward_chunked(model: CarenetModel, spectra: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Model outputs for spectra[rows], gathered and forwarded FORWARD_CHUNK rows at a time.
 
     The passes are forward-only: they leave no backward caches behind.
     """
     chunk = FORWARD_CHUNK
-    outs = [model.forward(x[i:i + chunk], cache=False) for i in range(0, x.shape[0], chunk)]
+    outs = [model.forward(spectra[rows[i:i + chunk]], cache=False)
+            for i in range(0, rows.size, chunk)]
     return np.concatenate(outs) if outs else np.empty((0, model.n_classes), model.dtype)
 
 
@@ -508,26 +509,26 @@ def _loss(probs: np.ndarray, labels: np.ndarray, head: str) -> tuple[float, np.n
     return cce_loss(probs, subtype_one_hot(labels))
 
 
-def _batch_gradients(model: CarenetModel, x: np.ndarray, labels: np.ndarray,
-                     sums: list[np.ndarray]) -> float:
-    """Mean loss over the rows of x; leaves its gradient in every Param.grad.
+def _batch_gradients(model: CarenetModel, spectra: np.ndarray, rows: np.ndarray,
+                     labels: np.ndarray, sums: list[np.ndarray]) -> float:
+    """Mean loss over spectra[rows] against labels[rows]; leaves its gradient in every Param.grad.
 
-    The rows go forward and backward FORWARD_CHUNK at a time, so only one
-    slice's layer caches are live, whatever the batch size. Each slice's loss
-    gradient is weighted by its share of the batch, and the parameter
-    gradients are summed into sums (one buffer per parameter, reused across
-    batches). The result is one backward pass over the whole batch, up to
-    float rounding.
+    Each FORWARD_CHUNK slice of rows is gathered and goes forward and
+    backward alone, so one slice's layer caches are live, whatever the batch
+    size. Each slice's loss gradient is weighted by its share of the batch,
+    and the parameter gradients are summed into sums (one buffer per
+    parameter, reused across batches). The result is one backward pass over
+    the whole batch, up to float rounding.
     """
     params = model.parameters()
-    n = x.shape[0]
+    n = rows.size
     loss = 0.0
     for start in range(0, n, FORWARD_CHUNK):
-        rows = slice(start, start + FORWARD_CHUNK)
-        probs = model.forward(x[rows])
+        part_rows = rows[start:start + FORWARD_CHUNK]
+        probs = model.forward(spectra[part_rows])
         check_finite("training forward pass", probs)
         share = probs.shape[0] / n
-        part, grad = _loss(probs, labels[rows], model.head)
+        part, grad = _loss(probs, labels[part_rows], model.head)
         check_finite("training loss", part)
         grad *= share
         model.backward(grad)
@@ -547,9 +548,9 @@ def train_fold(config: TrainConfig, train_rows: np.ndarray, spectra: np.ndarray,
     """Train one fold on rows of spectra; deterministic for a fixed config.
 
     spectra is the (n, 467) float32 container matrix and labels every row's
-    class under the head (head_labels). Each batch gathers its own rows and
-    the dev pass gathers dev_rows, so no other row is read and no copy of
-    the training set is made.
+    class under the head (head_labels). Every training slice and dev pass
+    gathers its own rows, so no other row is read and no batch, dev set or
+    training set is copied whole.
     """
     if train_rows.size == 0 or dev_rows.size == 0:
         raise DataError("train and dev sets must be non-empty")
@@ -568,13 +569,12 @@ def train_fold(config: TrainConfig, train_rows: np.ndarray, spectra: np.ndarray,
         losses = []
         weights = []
         for idx in _epoch_batches(train_rows.size, config.batch_size, rng):
-            rows = train_rows[idx]
-            losses.append(_batch_gradients(model, spectra[rows], labels[rows], sums))
+            losses.append(_batch_gradients(model, spectra, train_rows[idx], labels, sums))
             weights.append(idx.size)
             optimizer.step()
         train_loss = float(np.average(losses, weights=weights))
 
-        dev_probs = forward_chunked(model, spectra[dev_rows])
+        dev_probs = forward_chunked(model, spectra, dev_rows)
         check_finite("dev forward pass", dev_probs)
         dev_loss, _ = _loss(dev_probs, dev_labels, config.head)
         dev_acc = float((classify(dev_probs, config.head) == dev_labels).mean())

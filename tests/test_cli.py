@@ -408,8 +408,9 @@ class TestTrainEvalGradcam:
         ("split.json", lambda d: d.update(folds=[])),
         ("split.json", lambda d: d["test_type_cores"][0].__setitem__(0, 999)),
         ("split.json", lambda d: d["test_type_cores"][0].__setitem__(1, "XX")),
+        ("split.json", lambda d: d["folds"][0].update(dev=[999])),
     ], ids=["cores_list", "missing_h2o", "core_key_x", "folds_int", "folds_empty",
-            "type_core_of_other_patient", "type_core_kind_xx"])
+            "type_core_of_other_patient", "type_core_kind_xx", "dev_patient_not_in_container"])
     def test_malformed_sidecar_is_data_error(self, tiny_run, tmp_path, sidecar, edit):
         _, synth_dir, pre_dir, train_dirs = tiny_run
         source = synth_dir if sidecar == "panel.json" else train_dirs["type"]

@@ -12,9 +12,11 @@ from carenet.gradcam import (
     write_heatmap_svg,
 )
 from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, CarenetModel
-from carenet.spectral import WavenumberAxis
+from carenet.spectral import WavenumberAxis, minmax_normalize_rows
+from tests.conftest import traced_peak
 
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
+FEATURE_LENGTH = 30  # the trunk's output length, which the cams keep
 
 
 def live_head(model, rng):
@@ -46,16 +48,16 @@ def spectra():
 
 
 class TestGradcamSpectrum:
-    def test_nonnegative_and_full_length(self, type_model, spectra):
+    def test_nonnegative_and_feature_length(self, type_model, spectra):
         maps = gradcam_spectrum(type_model, spectra)
-        assert maps.shape == (6, INPUT_LENGTH)
+        assert maps.shape == (6, FEATURE_LENGTH)
         assert np.all(maps >= 0.0)
         assert maps.max() > 0.0
 
     def test_subtype_all_classes(self, subtype_model, spectra):
         for cls in range(4):
             maps = gradcam_spectrum(subtype_model, spectra, target_class=cls)
-            assert maps.shape == (6, INPUT_LENGTH)
+            assert maps.shape == (6, FEATURE_LENGTH)
             assert np.all(maps >= 0.0)
             assert maps.max() > 0.0
 
@@ -82,8 +84,8 @@ class TestGradcamSpectrum:
         with pytest.raises(DataError):
             gradcam_spectrum(type_model, np.empty((0, INPUT_LENGTH), np.float32))
 
-    def test_interpolation_pins_endpoints(self, type_model, spectra):
-        # recompute the 30-point cam by hand and compare the pinned endpoints
+    def test_cams_match_hand_computation(self, type_model, spectra):
+        # recompute the 30-point cam from the trunk features and the head's gradient
         feats = type_model.trunk_forward(spectra)
         logits, _ = type_model.head_forward(feats)
         dscore = np.ones_like(logits)
@@ -91,12 +93,50 @@ class TestGradcamSpectrum:
         cam = np.einsum("bc,bcl->bl", dfeats.mean(axis=2), feats)
         cam = np.maximum(cam, 0.0)
         maps = gradcam_spectrum(type_model, spectra)
-        assert maps.max() > 0.0
-        np.testing.assert_allclose(maps[:, 0], cam[:, 0], rtol=1e-6)
-        np.testing.assert_allclose(maps[:, -1], cam[:, -1], rtol=1e-6)
+        assert maps.max() > 0.0 and maps.dtype == np.float64
+        np.testing.assert_allclose(maps, cam, rtol=1e-6, atol=1e-6 * cam.max())
+
+    def test_memory_grows_by_the_cams_alone(self, type_model):
+        # the spectra exist before tracing starts, as the CLI's container does;
+        # per-row 467-point float64 maps would add 3.7 KB a row, 3.6 MB in all
+        x = np.random.default_rng(2).random((1024, INPUT_LENGTH)).astype(np.float32)
+
+        def attribute(rows):
+            return class_average({"CA": gradcam_spectrum(type_model, x[:rows])})
+
+        attribute(64)  # warm-up: grows this thread's scratch
+        _, small = traced_peak(attribute, 64)
+        _, large = traced_peak(attribute, 1024)
+        # only the cams may grow: float32 chunks, their concatenation and its
+        # float64 copy, 16 bytes a feature, 0.46 MB over 960 rows (0.14-0.17
+        # MB measured)
+        assert large - small <= 960 * 16 * FEATURE_LENGTH, (small, large)
 
 
 class TestClassAverage:
+    def test_equals_mean_of_per_row_maps(self, rng):
+        cams = rng.random((11, FEATURE_LENGTH))
+        positions = np.linspace(0.0, FEATURE_LENGTH - 1.0, INPUT_LENGTH)
+        per_row = np.stack([np.interp(positions, np.arange(FEATURE_LENGTH), row)
+                            for row in cams])
+        expected, _ = minmax_normalize_rows(per_row.mean(axis=0)[None, :])
+        out = class_average({"CA": cams})["CA"]
+        np.testing.assert_allclose(out.values, expected[0], rtol=0.0, atol=1e-12)
+
+    def test_full_length_maps_are_not_reinterpolated(self, rng):
+        maps = rng.random((5, INPUT_LENGTH))
+        expected, _ = minmax_normalize_rows(maps.mean(axis=0)[None, :])
+        np.testing.assert_array_equal(class_average({"CA": maps})["CA"].values, expected[0])
+
+    def test_interpolation_pins_endpoints(self):
+        # a mean cam of 1 at the first feature, 2 at the last and 0 between:
+        # only pinned endpoints map to exactly 0.5 and 1 after min-max
+        cams = np.zeros((4, FEATURE_LENGTH))
+        cams[:, 0] = [0.5, 1.5, 1.0, 1.0]
+        cams[:, -1] = [2.0, 2.0, 1.0, 3.0]
+        out = class_average({"CA": cams})["CA"]
+        assert (out.values[0], out.values[-1]) == (0.5, 1.0)
+
     def test_identical_heatmaps_average_to_member(self, rng):
         base = rng.random(INPUT_LENGTH)
         maps = np.stack([base, base, base])
