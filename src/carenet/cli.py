@@ -1,8 +1,9 @@
 """Command-line entry point tying all stages into reproducible runs.
 
 Subcommands: synth | preprocess | train | eval | gradcam. Every command
-writes its outputs plus a run manifest (JSON) into a run directory; identical
-seeds reproduce bit-identical containers, checkpoints, and CSV reports.
+writes its outputs into a run directory, and `main` adds a run manifest
+(manifest.json) once the command succeeds; identical seeds reproduce
+bit-identical containers, checkpoints, and CSV reports.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 """
@@ -39,7 +40,7 @@ from .evaluation import (
     write_patient_table_csv,
 )
 from .gradcam import class_average, gradcam_spectrum, write_heatmap_csv, write_heatmap_svg
-from .model import CLASS_NAMES, HEADS, load_checkpoint, save_checkpoint
+from .model import CLASS_NAMES, FORWARD_CHUNK, HEADS, load_checkpoint, save_checkpoint
 from .pipeline import (
     Fold,
     SplitPlan,
@@ -125,38 +126,37 @@ def _synth_config(options: dict, seed: int) -> SynthConfig:
 
 
 # ---------------------------------------------------------------------------
-# run directories and manifests
+# run directories: manifests, sidecars, fold checkpoints
+
+# the arguments that name a command's input files or directories
+PATH_ARGS = ("config", "input", "container", "train_dir")
 
 
-def _run_dir(args, command: str) -> Path:
+def _run_dir(args) -> Path:
     if args.out_dir is not None:
-        path = Path(args.out_dir)
-    else:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        path = Path("runs") / f"{stamp}-seed{args.seed}-{command}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+        return Path(args.out_dir)
+    stamp = time.strftime("%Y%m%d-%H%M%S")
+    return Path("runs") / f"{stamp}-seed{args.seed}-{args.command}"
 
 
-def _write_manifest(run_dir: Path, command: str, args, config_snapshot: dict,
-                    inputs: list[str], outputs: list[str], started: float,
-                    extra: dict | None = None) -> None:
+def _write_manifest(args, fields: dict, started: float) -> None:
+    """manifest.json: the command line, its path arguments as inputs, and the
+    fields the command returned (config, outputs and any of its own)."""
+    inputs = [getattr(args, name) for name in PATH_ARGS if getattr(args, name, None)]
     manifest = {
-        "command": command,
+        "command": args.command,
         "argv": args.argv,
         "package_version": __version__,
         "seed": args.seed,
-        "config": config_snapshot,
         "inputs": sorted(str(p) for p in inputs),
-        "outputs": sorted(str(p) for p in outputs),
         "started_unix": started,
         "elapsed_s": time.time() - started,
         # this process's peak so far: on Linux ru_maxrss counts KiB
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        **fields,
+        "outputs": sorted(str(p) for p in fields["outputs"]),
     }
-    if extra:
-        manifest.update(extra)
-    _write_json(run_dir / "manifest.json", manifest)
+    _write_json(args.run_dir / "manifest.json", manifest)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -165,15 +165,37 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def _read_sidecar(path: Path, parse):
+    """parse(the JSON object in path). A missing file, bad JSON, or a shape
+    parse cannot read is a DataError naming the file."""
+    if not path.exists():
+        raise DataError(f"{path.parent}: no {path.name} found")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {path.name} ({exc!r})") from exc
+
+
+def _fold_name(k: int) -> str:
+    """Fold k's (from 1) key in a train run's history.json and its checkpoints' stem."""
+    return f"fold{k}"
+
+
+def _checkpoint_path(train_dir: Path, fold_name: str, kind: str) -> Path:
+    """A fold's checkpoint in a train run: kind "final" (last epoch) or "best"."""
+    return train_dir / f"{fold_name}_{kind}.crnm"
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes its outputs into args.run_dir and returns its
+# manifest fields, and main writes the manifest
 
 
-def cmd_synth(args) -> int:
-    started = time.time()
+def cmd_synth(args) -> dict:
     options = parse_config_file(args.config) if args.config else {}
     config = _synth_config(options, seed=args.seed)
-    run_dir = _run_dir(args, "synth")
+    run_dir = args.run_dir
     outputs = []
     cores = {}
 
@@ -192,12 +214,8 @@ def cmd_synth(args) -> int:
         for record in patients]}
     _write_json(run_dir / "panel.json", index)
     outputs.append(run_dir / "panel.json")
-
-    _write_manifest(run_dir, "synth", args, _config_dict(config),
-                    inputs=[args.config] if args.config else [],
-                    outputs=outputs, started=started)
     print(f"synth: {len(cores)} cores -> {run_dir}")
-    return EXIT_OK
+    return {"config": _config_dict(config), "outputs": outputs}
 
 
 def _config_dict(config: SynthConfig) -> dict:
@@ -212,33 +230,22 @@ def _config_dict(config: SynthConfig) -> dict:
 
 def _panel_paths(panel_dir: Path) -> tuple[list[Path], Path]:
     """Core cube paths in core-id order and the H2O cube path, from panel.json."""
-    index_path = panel_dir / "panel.json"
-    if not index_path.exists():
-        raise DataError(f"{panel_dir}: no panel.json found")
-    try:
-        with open(index_path, "r", encoding="utf-8") as fh:
-            index = json.load(fh)
+    def parse(index):
         cores = {int(k): v for k, v in index["cores"].items()}
-        h2o_name = index["h2o"]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{index_path}: malformed panel index ({exc!r})") from exc
-    names = list(cores.values()) + [h2o_name]
-    if not all(isinstance(name, str) for name in names):
-        raise DataError(f"{index_path}: cube file names must be strings")
-    return [panel_dir / cores[core_id] for core_id in sorted(cores)], panel_dir / h2o_name
+        # a file name that is not a string fails the join: TypeError
+        return [panel_dir / cores[core_id] for core_id in sorted(cores)], panel_dir / index["h2o"]
+    return _read_sidecar(panel_dir / "panel.json", parse)
 
 
-def cmd_preprocess(args) -> int:
-    started = time.time()
-    run_dir = _run_dir(args, "preprocess")
+def cmd_preprocess(args) -> dict:
     core_paths, h2o_path = _panel_paths(Path(args.input))
     sset, results, skipped = preprocess_panel(core_paths, h2o_path, seed=args.seed,
                                               jobs=args.jobs)
-    out_path = run_dir / "spectra.crns"
+    out_path = args.run_dir / "spectra.crns"
     write_spectraset(sset, out_path)
     outputs = [out_path]
     for core_id, result in sorted(results.items()):
-        pgm_path = run_dir / f"masks_core_{core_id:04d}.pgm"
+        pgm_path = args.run_dir / f"masks_core_{core_id:04d}.pgm"
         write_masks_pgm(pgm_path, result.tissue_mask, result.paraffin_mask)
         outputs.append(pgm_path)
     for core_id, reason in skipped:
@@ -251,13 +258,10 @@ def cmd_preprocess(args) -> int:
     stage_log = {str(cid): dataclasses.asdict(r.counts) for cid, r in sorted(results.items())}
     flagged = sorted(cid for cid, r in results.items()
                      if not (r.tissue_mask.plausible and r.paraffin_mask.plausible))
-    _write_manifest(run_dir, "preprocess", args, {"jobs": args.jobs},
-                    inputs=[args.input], outputs=outputs, started=started,
-                    extra={"stage_counts": stage_log,
-                           "implausible_cores": flagged,
-                           "skipped": [{"core_id": cid, "reason": r} for cid, r in skipped]})
     print(f"preprocess: {len(sset)} spectra from {len(results)} cores -> {out_path}")
-    return EXIT_OK
+    return {"config": {"jobs": args.jobs}, "outputs": outputs, "stage_counts": stage_log,
+            "implausible_cores": flagged,
+            "skipped": [{"core_id": cid, "reason": r} for cid, r in skipped]}
 
 
 def _split_to_json(plan: SplitPlan) -> dict:
@@ -273,33 +277,32 @@ def _split_to_json(plan: SplitPlan) -> dict:
 
 
 def _split_from_json(path: Path) -> SplitPlan:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        plan = SplitPlan(
-            seed=int(data["seed"]),
-            test_patients=tuple(int(p) for p in data["test_patients"]),
-            test_type_cores=tuple((int(p), str(k)) for p, k in data["test_type_cores"]),
-            folds=tuple(
-                Fold(train_patients=tuple(int(p) for p in f["train"]),
-                     dev_patients=tuple(int(p) for p in f["dev"]))
-                for f in data["folds"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed split ({exc!r})") from exc
+    plan = _read_sidecar(path, lambda data: SplitPlan(
+        seed=int(data["seed"]),
+        test_patients=tuple(int(p) for p in data["test_patients"]),
+        test_type_cores=tuple((int(p), str(k)) for p, k in data["test_type_cores"]),
+        folds=tuple(
+            Fold(train_patients=tuple(int(p) for p in f["train"]),
+                 dev_patients=tuple(int(p) for p in f["dev"]))
+            for f in data["folds"]
+        ),
+    ))
     if not plan.folds:
         raise DataError(f"{path}: split lists no folds")
     for pid, kind in plan.test_type_cores:
         if pid not in plan.test_patients or kind not in CORE_TYPES:
             raise DataError(f"{path}: test core ({pid}, {kind!r}) is not the CA or AT "
                             f"core of a test patient")
+    for k, fold in enumerate(plan.folds, start=1):
+        train, dev = set(fold.train_patients), set(fold.dev_patients)
+        leaked = (train & dev) | ((train | dev) & set(plan.test_patients))
+        if leaked:
+            raise DataError(f"{path}: fold {k}'s train, dev and test patients overlap "
+                            f"in {sorted(leaked)}")
     return plan
 
 
-def cmd_train(args) -> int:
-    started = time.time()
-    run_dir = _run_dir(args, "train")
+def cmd_train(args) -> dict:
     sset = read_spectraset(Path(args.container))
     patients = patients_from_spectraset(sset)
     plan = make_split(patients, seed=args.seed)
@@ -310,14 +313,15 @@ def cmd_train(args) -> int:
     outputs = []
     history_all = {}
     for fold_index, result in enumerate(train_folds(sset, plan, config), start=1):
+        fold = _fold_name(fold_index)
         for kind, model in (("final", result.model_final), ("best", result.model_best)):
-            path = run_dir / f"fold{fold_index}_{kind}.crnm"
+            path = _checkpoint_path(args.run_dir, fold, kind)
             save_checkpoint(model, path, metadata={
                 "seed": args.seed, "fold": fold_index, "kind": kind,
                 "best_epoch": result.best_epoch, "head": config.head,
             })
             outputs.append(path)
-        history_all[f"fold{fold_index}"] = {
+        history_all[fold] = {
             "best_epoch": result.best_epoch,
             "epochs": result.history_dicts(),
         }
@@ -325,16 +329,13 @@ def cmd_train(args) -> int:
         print(f"train fold {fold_index}: dev_loss {last.dev_loss:.4f} "
               f"dev_acc {last.dev_accuracy:.3f} (best epoch {result.best_epoch})")
 
-    split_path = run_dir / "split.json"
+    split_path = args.run_dir / "split.json"
     _write_json(split_path, _split_to_json(plan))
-    history_path = run_dir / "history.json"
+    history_path = args.run_dir / "history.json"
     _write_json(history_path, history_all)
-    outputs += [split_path, history_path]
-    _write_manifest(run_dir, "train", args,
-                    {"head": config.head, "epochs": config.epochs,
-                     "batch_size": config.batch_size, "lr": config.lr},
-                    inputs=[args.container], outputs=outputs, started=started)
-    return EXIT_OK
+    return {"config": {"head": config.head, "epochs": config.epochs,
+                       "batch_size": config.batch_size, "lr": config.lr},
+            "outputs": outputs + [split_path, history_path]}
 
 
 def _fold_rows(set_name: str, granularity: str, head: str, class_names,
@@ -401,16 +402,14 @@ def _test_cores(sset, plan, head: str):
 def _load_run(args):
     """(container, split plan) for a command reading a train run.
 
-    The run directory must hold split.json, and the container every patient
-    the split names, each with one CA and one AT core.
+    The run directory must hold split.json, read before the container, and
+    the container every patient the split names, each with one CA and one AT
+    core.
     """
-    train_dir = Path(args.train_dir)
+    split_path = Path(args.train_dir) / "split.json"
+    plan = _split_from_json(split_path)
     sset = read_spectraset(Path(args.container))
     patient_ids = {p.patient_id for p in patients_from_spectraset(sset)}
-    split_path = train_dir / "split.json"
-    if not split_path.exists():
-        raise DataError(f"{train_dir}: no split.json (is this a train run directory?)")
-    plan = _split_from_json(split_path)
     named = set(plan.test_patients).union(*(f.train_patients + f.dev_patients
                                             for f in plan.folds))
     missing = sorted(named - patient_ids)
@@ -419,70 +418,60 @@ def _load_run(args):
     return sset, plan
 
 
-def cmd_eval(args) -> int:
-    started = time.time()
-    run_dir = _run_dir(args, "eval")
-    train_dir = Path(args.train_dir)
+def cmd_eval(args) -> dict:
     sset, plan = _load_run(args)
-    checkpoints = [train_dir / f"fold{k}_{args.which}.crnm"
+    checkpoints = [_checkpoint_path(Path(args.train_dir), _fold_name(k), args.which)
                    for k in range(1, len(plan.folds) + 1)]
     head, rows, table = _evaluate(checkpoints, sset, plan)
 
-    metrics_path = run_dir / "metrics.csv"
-    table_path = run_dir / "patients.csv"
+    metrics_path = args.run_dir / "metrics.csv"
+    table_path = args.run_dir / "patients.csv"
     write_metrics_csv(rows, metrics_path)
     write_patient_table_csv(table, table_path)
-    _write_manifest(run_dir, "eval", args, {"which": args.which, "head": head},
-                    inputs=[args.container, args.train_dir],
-                    outputs=[metrics_path, table_path], started=started)
     print(f"eval: {head} head -> {metrics_path}")
-    return EXIT_OK
+    return {"config": {"which": args.which, "head": head},
+            "outputs": [metrics_path, table_path]}
 
 
 def _best_fold(path: Path) -> str:
     """Name of the fold whose best epoch has the lowest dev loss."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            history = json.load(fh)
+    def parse(history):
         losses = {name: min(float(e["dev_loss"]) for e in fold["epochs"])
                   for name, fold in history.items()}
         return min(losses, key=losses.get)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed training history ({exc!r})") from exc
+    return _read_sidecar(path, parse)
 
 
-def cmd_gradcam(args) -> int:
-    started = time.time()
-    run_dir = _run_dir(args, "gradcam")
+def cmd_gradcam(args) -> dict:
     train_dir = Path(args.train_dir)
+    best_fold = _best_fold(train_dir / "history.json")
     sset, plan = _load_run(args)
-    history_path = train_dir / "history.json"
-    if not history_path.exists():
-        raise DataError(f"{train_dir}: no history.json (is this a train run directory?)")
-    best_fold = _best_fold(history_path)
-    model, _ = load_checkpoint(train_dir / f"{best_fold}_best.crnm")
+    model, _ = load_checkpoint(_checkpoint_path(train_dir, best_fold, "best"))
 
-    # attribute each class's test spectra to that class, then average per class
+    # attribute each class's test spectra to that class, gathered FORWARD_CHUNK
+    # rows at a time, then average per class
     test = np.isin(sset.patient_id, np.asarray(plan.test_patients))
     labels = head_labels(sset, model.head)
     groups: dict[str, np.ndarray] = {}
     for idx in model.scored_classes:
-        groups[CLASS_NAMES[model.head][idx]] = gradcam_spectrum(
-            model, sset.spectra[test & (labels == idx)], target_class=idx)
+        name = CLASS_NAMES[model.head][idx]
+        rows = np.flatnonzero(test & (labels == idx))
+        if rows.size == 0:
+            raise DataError(f"no test spectra of class {name} to attribute")
+        groups[name] = np.concatenate([
+            gradcam_spectrum(model, sset.spectra[rows[i:i + FORWARD_CHUNK]], target_class=idx)
+            for i in range(0, rows.size, FORWARD_CHUNK)])
 
     heatmaps = class_average(groups)
     outputs = []
     for name, heatmap in heatmaps.items():
-        csv_path = run_dir / f"heatmap_{name}.csv"
-        svg_path = run_dir / f"heatmap_{name}.svg"
+        csv_path = args.run_dir / f"heatmap_{name}.csv"
+        svg_path = args.run_dir / f"heatmap_{name}.svg"
         write_heatmap_csv(heatmap, sset.axis, csv_path)
         write_heatmap_svg(heatmap, sset.axis, svg_path)
         outputs += [csv_path, svg_path]
-    _write_manifest(run_dir, "gradcam", args, {"best_fold": best_fold},
-                    inputs=[args.container, args.train_dir],
-                    outputs=outputs, started=started)
-    print(f"gradcam: {len(heatmaps)} heatmap(s) from {best_fold} -> {run_dir}")
-    return EXIT_OK
+    print(f"gradcam: {len(heatmaps)} heatmap(s) from {best_fold} -> {args.run_dir}")
+    return {"config": {"best_fold": best_fold}, "outputs": outputs}
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +551,16 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     args.argv = argv  # recorded in manifest.json as the command that ran
+    args.run_dir = _run_dir(args)
+    new_dirs = [p for p in (args.run_dir, *args.run_dir.parents) if not p.exists()]
+    started = time.time()
     try:
-        return args.func(args)
+        args.run_dir.mkdir(parents=True, exist_ok=True)
+        _write_manifest(args, args.func(args), started)
+        return EXIT_OK
     except UsageError as exc:
+        for path in new_dirs:  # a usage error leaves no directory behind, leaf first
+            path.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as exc:

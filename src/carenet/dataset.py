@@ -55,6 +55,7 @@ __all__ = [
     "SUBTYPE_NONE",
     "HyperCube",
     "SpectraSet",
+    "PatientRecord",
     "ROW_FIELDS",
     "label_codes",
     "subtype_one_hot",
@@ -205,6 +206,20 @@ class SpectraSet:
     def select(self, mask: np.ndarray) -> "SpectraSet":
         return SpectraSet(**{name: getattr(self, name)[mask] for name in ROW_FIELDS},
                           axis=self.axis)
+
+
+@dataclass(frozen=True)
+class PatientRecord:
+    """One patient: a cancer core and an adjacent-tissue core."""
+
+    patient_id: int
+    subtype: str
+    ca_core_id: int
+    at_core_id: int
+
+    def __post_init__(self):
+        if self.subtype not in SUBTYPES:
+            raise DataError(f"unknown subtype {self.subtype!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .dataset import (
     ROW_FIELDS,
     SUBTYPES,
     HyperCube,
+    PatientRecord,
     SpectraSet,
     label_codes,
     read_cube,
@@ -70,20 +71,6 @@ __all__ = [
     "targets_for_head",
     "patients_from_spectraset",
 ]
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One patient: a cancer core and an adjacent-tissue core."""
-
-    patient_id: int
-    subtype: str
-    ca_core_id: int
-    at_core_id: int
-
-    def __post_init__(self):
-        if self.subtype not in SUBTYPES:
-            raise DataError(f"unknown subtype {self.subtype!r}")
 
 
 @dataclass(frozen=True)

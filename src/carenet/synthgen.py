@@ -44,9 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SUBTYPES, HyperCube
+from .dataset import SUBTYPES, HyperCube, PatientRecord
 from .errors import DataError
-from .pipeline import PatientRecord
 from .spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice
 
 __all__ = [

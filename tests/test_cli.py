@@ -157,7 +157,7 @@ class TestSynth:
         config = tmp_path / "c.cfg"
         config.write_text(line + "\n")
         out = tmp_path / "x"
-        assert run(["synth", "--config", config, "--out-dir", out]) == 2
+        assert run(["synth", "--config", config, "--out-dir", out / "run"]) == 2
         assert "bad synth config" in capsys.readouterr().err
         assert not out.exists()
 
@@ -409,8 +409,11 @@ class TestTrainEvalGradcam:
         ("split.json", lambda d: d["test_type_cores"][0].__setitem__(0, 999)),
         ("split.json", lambda d: d["test_type_cores"][0].__setitem__(1, "XX")),
         ("split.json", lambda d: d["folds"][0].update(dev=[999])),
+        ("split.json", lambda d: d["folds"][0]["train"].append(d["test_patients"][0])),
+        ("split.json", lambda d: d["folds"][1]["dev"].append(d["folds"][1]["train"][0])),
     ], ids=["cores_list", "missing_h2o", "core_key_x", "folds_int", "folds_empty",
-            "type_core_of_other_patient", "type_core_kind_xx", "dev_patient_not_in_container"])
+            "type_core_of_other_patient", "type_core_kind_xx", "dev_patient_not_in_container",
+            "fold1_trains_on_test_patient", "fold2_dev_holds_train_patient"])
     def test_malformed_sidecar_is_data_error(self, tiny_run, tmp_path, sidecar, edit):
         _, synth_dir, pre_dir, train_dirs = tiny_run
         source = synth_dir if sidecar == "panel.json" else train_dirs["type"]
@@ -441,6 +444,62 @@ class TestTrainEvalGradcam:
         (copy / "history.json").write_text(history)
         assert run(["gradcam", copy, pre_dir / "spectra.crns",
                     "--out-dir", tmp_path / "out"]) == 3
+
+    @pytest.mark.parametrize("command,sidecar", [
+        ("eval", "split.json"), ("gradcam", "split.json"), ("gradcam", "history.json")])
+    def test_sidecars_are_read_before_the_container(self, tiny_run, tmp_path, monkeypatch,
+                                                    capsys, command, sidecar):
+        from carenet import cli
+
+        def no_container(path):
+            raise AssertionError(f"read the container {path}")
+
+        _, _, pre_dir, train_dirs = tiny_run
+        copy = tmp_path / "copy"
+        shutil.copytree(train_dirs["type"], copy)
+        (copy / sidecar).unlink()
+        monkeypatch.setattr(cli, "read_spectraset", no_container)
+        assert run([command, copy, pre_dir / "spectra.crns",
+                    "--out-dir", tmp_path / "out"]) == 3
+        assert f"no {sidecar}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("head", ["type", "subtype"])
+    def test_gradcam_gathers_one_chunk_at_a_time(self, tiny_run, tmp_path, monkeypatch,
+                                                 head):
+        from carenet import cli
+        from carenet.gradcam import class_average, gradcam_spectrum, write_heatmap_csv
+        from carenet.model import CLASS_NAMES, FORWARD_CHUNK, load_checkpoint
+
+        calls = []
+
+        def recorded(model, spectra, target_class):
+            calls.append((target_class, spectra.shape[0]))
+            return gradcam_spectrum(model, spectra, target_class)
+
+        _, _, pre_dir, train_dirs = tiny_run
+        monkeypatch.setattr(cli, "gradcam_spectrum", recorded)
+        cam_dir = tmp_path / "cam"
+        assert run(["gradcam", train_dirs[head], pre_dir / "spectra.crns",
+                    "--out-dir", cam_dir]) == 0
+        monkeypatch.undo()
+
+        # each class's test rows, attributed in one call to the unwrapped function
+        sset = read_spectraset(pre_dir / "spectra.crns")
+        test = json.loads((train_dirs[head] / "split.json").read_text())["test_patients"]
+        best_fold = json.loads((cam_dir / "manifest.json").read_text())["config"]["best_fold"]
+        model, _ = load_checkpoint(train_dirs[head] / f"{best_fold}_best.crnm")
+        labels = sset.core_type if head == "type" else sset.subtype
+        in_test = np.isin(sset.patient_id, test)
+        assert all(n <= FORWARD_CHUNK for _, n in calls)
+        assert len(calls) > len(model.scored_classes)  # some class takes several chunks
+        for idx in model.scored_classes:
+            rows = in_test & (labels == idx)
+            assert sum(n for cls, n in calls if cls == idx) == rows.sum()
+            name = CLASS_NAMES[head][idx]
+            heatmap = class_average({name: gradcam_spectrum(model, sset.spectra[rows], idx)})
+            write_heatmap_csv(heatmap[name], sset.axis, tmp_path / "expected.csv")
+            assert ((cam_dir / f"heatmap_{name}.csv").read_bytes()
+                    == (tmp_path / "expected.csv").read_bytes())
 
     def test_usage_error_exit_code(self):
         assert run(["train"]) == 2  # missing required arguments
@@ -504,3 +563,51 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
 def test_synth_takes_no_jobs(tmp_path):
     assert run(["synth", "--jobs", 1, "--out-dir", tmp_path / "out"]) == 2
     assert not (tmp_path / "out").exists()
+
+
+SYNTH_CONFIG_KEYS = {
+    "n_patients", "image_size", "noise_sigma", "baseline_const_range",
+    "baseline_coef_range", "scale_range", "class_separation", "tissue_paraffin_range",
+    "tissue_h2o_range", "spike_fraction", "spike_amplitude", "seed"}
+
+
+@pytest.mark.parametrize("command,config_keys", [
+    ("synth", SYNTH_CONFIG_KEYS),
+    ("preprocess", {"jobs"}),
+    ("train", {"head", "epochs", "batch_size", "lr"}),
+    ("eval", {"which", "head"}),
+    ("gradcam", {"best_fold"}),
+])
+def test_manifest_contract(tiny_run, tmp_path, command, config_keys):
+    root, synth_dir, pre_dir, train_dirs = tiny_run
+    container = pre_dir / "spectra.crns"
+    run_dir, inputs = {
+        "synth": (synth_dir, [root / "panel.cfg"]),
+        "preprocess": (pre_dir, [synth_dir]),
+        "train": (train_dirs["type"], [container]),
+    }.get(command, (tmp_path / command, [train_dirs["type"], container]))
+    if command in ("eval", "gradcam"):
+        assert run([command, *inputs, "--out-dir", run_dir]) == 0
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert set(manifest) == {
+        "command", "argv", "package_version", "seed", "config", "inputs", "outputs",
+        "started_unix", "elapsed_s", "peak_rss_mb",
+    } | ({"stage_counts", "implausible_cores", "skipped"} if command == "preprocess"
+         else set())
+    assert manifest["command"] == command
+    assert manifest["inputs"] == sorted(str(p) for p in inputs)
+    assert manifest["outputs"] and all(Path(p).exists() for p in manifest["outputs"])
+    assert set(manifest["config"]) == config_keys
+
+
+def test_default_run_directory_gets_a_manifest(tmp_path, monkeypatch):
+    (tmp_path / "panel.cfg").write_text("n_patients = 1, 0, 0, 0\nimage_size = 8\n")
+    monkeypatch.chdir(tmp_path)
+    assert run(["synth", "--seed", 3, "--config", "panel.cfg"]) == 0
+    (run_dir,) = (tmp_path / "runs").iterdir()
+    assert run_dir.name.endswith("-seed3-synth")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert manifest["inputs"] == ["panel.cfg"]
+    assert sorted(manifest["outputs"]) == sorted(
+        str(Path("runs") / run_dir.name / p.name) for p in run_dir.iterdir()
+        if p.name != "manifest.json")

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import carenet
 from carenet.errors import DataError
 from carenet.spectral import BIOFINGERPRINT_BAND, Band, band_slice, integrate_band_rows
 from carenet.synthgen import (
@@ -296,3 +302,13 @@ class TestBandSpec:
         assert band.class_amplitude("HER2", 0.0) == pytest.approx(0.2)
         assert band.class_amplitude("LA", 1.0) == pytest.approx(0.2)
         assert band.class_amplitude("HER2", 0.5) == pytest.approx(0.4)
+
+
+def test_generator_does_not_import_the_training_stack():
+    src = str(Path(carenet.__file__).resolve().parent.parent)
+    code = ("import sys, carenet.synthgen; "
+            "print(sorted({'carenet.nn', 'carenet.pipeline'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
