@@ -5,7 +5,9 @@ writes its outputs into a run directory, and `main` adds a run manifest
 (manifest.json) once the command succeeds; identical seeds reproduce
 bit-identical containers, checkpoints, and CSV reports.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
+Exit codes: 0 success, 2 usage error (a run directory that cannot be created
+among them), 3 data error (any other OS-level failure among them), 4 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .evaluation import (
     write_patient_table_csv,
 )
 from .gradcam import class_average, gradcam_spectrum, write_heatmap_csv, write_heatmap_svg
-from .model import CLASS_NAMES, FORWARD_CHUNK, HEADS, load_checkpoint, save_checkpoint
+from .model import CLASS_NAMES, HEADS, forward_chunks, load_checkpoint, save_checkpoint
 from .pipeline import (
     Fold,
     SplitPlan,
@@ -112,13 +114,7 @@ def _synth_config(options: dict, seed: int) -> SynthConfig:
     unknown = set(options) - known
     if unknown:
         raise UsageError(f"unknown synth config keys: {sorted(unknown)}")
-    kwargs = dict(options)
-    if "n_patients" in kwargs:
-        n = kwargs["n_patients"]
-        if not (isinstance(n, tuple) and len(n) == 4):
-            raise UsageError("n_patients must be four comma-separated counts")
-    else:
-        kwargs["n_patients"] = (8, 8, 7, 7)  # cohort-shaped default: 60 cores
+    kwargs = {"n_patients": (8, 8, 7, 7), **options}  # cohort-shaped default: 60 cores
     try:
         return SynthConfig(seed=seed, **kwargs)
     except (DataError, TypeError) as exc:
@@ -166,13 +162,15 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _read_sidecar(path: Path, parse):
-    """parse(the JSON object in path). A missing file, bad JSON, or a shape
-    parse cannot read is a DataError naming the file."""
+    """parse(the JSON object in path). A missing file, bad JSON, a shape
+    parse cannot read, or a DataError from parse is a DataError naming the file."""
     if not path.exists():
         raise DataError(f"{path.parent}: no {path.name} found")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse(json.load(fh))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from exc
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: malformed {path.name} ({exc!r})") from exc
 
@@ -277,7 +275,7 @@ def _split_to_json(plan: SplitPlan) -> dict:
 
 
 def _split_from_json(path: Path) -> SplitPlan:
-    plan = _read_sidecar(path, lambda data: SplitPlan(
+    return _read_sidecar(path, lambda data: SplitPlan(
         seed=int(data["seed"]),
         test_patients=tuple(int(p) for p in data["test_patients"]),
         test_type_cores=tuple((int(p), str(k)) for p, k in data["test_type_cores"]),
@@ -287,28 +285,13 @@ def _split_from_json(path: Path) -> SplitPlan:
             for f in data["folds"]
         ),
     ))
-    if not plan.folds:
-        raise DataError(f"{path}: split lists no folds")
-    for pid, kind in plan.test_type_cores:
-        if pid not in plan.test_patients or kind not in CORE_TYPES:
-            raise DataError(f"{path}: test core ({pid}, {kind!r}) is not the CA or AT "
-                            f"core of a test patient")
-    for k, fold in enumerate(plan.folds, start=1):
-        train, dev = set(fold.train_patients), set(fold.dev_patients)
-        leaked = (train & dev) | ((train | dev) & set(plan.test_patients))
-        if leaked:
-            raise DataError(f"{path}: fold {k}'s train, dev and test patients overlap "
-                            f"in {sorted(leaked)}")
-    return plan
 
 
 def cmd_train(args) -> dict:
-    sset = read_spectraset(Path(args.container))
-    patients = patients_from_spectraset(sset)
-    plan = make_split(patients, seed=args.seed)
-
     config = TrainConfig(head=args.head, epochs=args.epochs, batch_size=args.batch_size,
-                         lr=args.lr, seed=args.seed)
+                         lr=args.lr, seed=args.seed)  # checked before the container is read
+    sset = read_spectraset(Path(args.container))
+    plan = make_split(patients_from_spectraset(sset), seed=args.seed)
 
     outputs = []
     history_all = {}
@@ -448,8 +431,8 @@ def cmd_gradcam(args) -> dict:
     sset, plan = _load_run(args)
     model, _ = load_checkpoint(_checkpoint_path(train_dir, best_fold, "best"))
 
-    # attribute each class's test spectra to that class, gathered FORWARD_CHUNK
-    # rows at a time, then average per class
+    # attribute each class's test spectra to that class, gathered a
+    # forward_chunks slice at a time, then average per class
     test = np.isin(sset.patient_id, np.asarray(plan.test_patients))
     labels = head_labels(sset, model.head)
     groups: dict[str, np.ndarray] = {}
@@ -458,9 +441,8 @@ def cmd_gradcam(args) -> dict:
         rows = np.flatnonzero(test & (labels == idx))
         if rows.size == 0:
             raise DataError(f"no test spectra of class {name} to attribute")
-        groups[name] = np.concatenate([
-            gradcam_spectrum(model, sset.spectra[rows[i:i + FORWARD_CHUNK]], target_class=idx)
-            for i in range(0, rows.size, FORWARD_CHUNK)])
+        groups[name] = np.concatenate([gradcam_spectrum(model, x, target_class=idx)
+                                       for _, x in forward_chunks(sset.spectra, rows)])
 
     heatmaps = class_average(groups)
     outputs = []
@@ -555,15 +537,18 @@ def main(argv=None) -> int:
     new_dirs = [p for p in (args.run_dir, *args.run_dir.parents) if not p.exists()]
     started = time.time()
     try:
-        args.run_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            args.run_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create run directory {args.run_dir}: {exc}") from exc
         _write_manifest(args, args.func(args), started)
         return EXIT_OK
     except UsageError as exc:
-        for path in new_dirs:  # a usage error leaves no directory behind, leaf first
+        for path in filter(Path.is_dir, new_dirs):  # main's new directories, leaf first
             path.rmdir()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, OSError) as exc:  # an unreadable or unwritable file is bad input
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericalError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .model import FORWARD_CHUNK, INPUT_LENGTH, CarenetModel
+from .model import INPUT_LENGTH, CarenetModel, forward_chunks
 from .spectral import WavenumberAxis, minmax_normalize_rows
 
 __all__ = [
@@ -51,9 +51,9 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
     target_class is a class code of the head (model.CLASS_NAMES) that its
     outputs score: any subtype, or CA (1) for the type head's single output.
     Gradients flow from the target class's pre-activation logit. Spectra go
-    through the model FORWARD_CHUNK rows at a time, the same bound training
-    and evaluation use. The trunk pass is forward-only (no trunk layer
-    caches); only the head, which the gradient flows back through, caches.
+    through the model by `forward_chunks`, as in training and evaluation.
+    The trunk pass is forward-only (no trunk layer caches); only the head,
+    which the gradient flows back through, caches.
     """
     x = np.asarray(spectra, dtype=np.float32)
     if x.ndim == 1:
@@ -65,8 +65,8 @@ def gradcam_spectrum(model: CarenetModel, spectra: np.ndarray,
         raise DataError(f"the {model.head} head's outputs score classes "
                         f"{scored.start}..{scored.stop - 1}, not {target_class}")
     col = target_class - scored.start
-    cams = [_cam_rows(model, x[i:i + FORWARD_CHUNK], col)
-            for i in range(0, x.shape[0], FORWARD_CHUNK)]
+    cams = [_cam_rows(model, part, col)
+            for _, part in forward_chunks(x, np.arange(x.shape[0]))]
     return np.concatenate(cams).astype(np.float64)
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "load_checkpoint",
     "INPUT_LENGTH",
     "FORWARD_CHUNK",
+    "forward_chunks",
     "HEADS",
     "CLASS_NAMES",
     "STAGE_FILTERS",
@@ -61,6 +62,13 @@ STEM_STRIDE = 2
 # passes of 10/32/64/250 rows (median of 5): at 32 rows the largest scratch
 # pair still fits in the 2 MiB L2.
 FORWARD_CHUNK = 32
+
+
+def forward_chunks(spectra: np.ndarray, rows: np.ndarray):
+    """(part, spectra[part]) for each FORWARD_CHUNK slice part of rows: every model pass."""
+    for start in range(0, rows.size, FORWARD_CHUNK):
+        part = rows[start:start + FORWARD_CHUNK]
+        yield part, spectra[part]
 
 
 class CarenetModel:
@@ -169,9 +177,7 @@ class CarenetModel:
     def astype(self, dtype) -> "CarenetModel":
         """Copy of this model with parameters cast (float64 replay mode)."""
         clone = CarenetModel(self.head, seed=None, dtype=dtype)
-        for dst, src in zip(clone.parameters(), self.parameters()):
-            dst.value = src.value.astype(dtype)
-            dst.grad = np.zeros_like(dst.value)
+        clone.set_parameter_values([p.value for p in self.parameters()])
         return clone
 
     def set_parameter_values(self, values: list[np.ndarray]) -> None:

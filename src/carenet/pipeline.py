@@ -30,6 +30,7 @@ from .chemometrics import (
 )
 from .clustering import PixelMask, select_paraffin, select_tissue
 from .dataset import (
+    CORE_TYPES,
     ROW_FIELDS,
     SUBTYPES,
     HyperCube,
@@ -41,7 +42,7 @@ from .dataset import (
 )
 from .errors import DataError, NumericalError
 from .evaluation import classify
-from .model import FORWARD_CHUNK, HEADS, CarenetModel
+from .model import HEADS, CarenetModel, forward_chunks
 from .nn import Adam, PlateauScheduler, bce_loss, cce_loss, check_finite, make_rng
 from .spectral import (
     BIOFINGERPRINT_BAND,
@@ -81,12 +82,26 @@ class Fold:
 
 @dataclass(frozen=True)
 class SplitPlan:
-    """Hold-out plus cross-validation assignment, all at patient level."""
+    """Hold-out plus cross-validation assignment, all at patient level; checks itself."""
 
     seed: int
     test_patients: tuple[int, ...]            # one per subtype, subtype order
     test_type_cores: tuple[tuple[int, str], ...]  # (patient_id, "CA"|"AT") pairs
     folds: tuple[Fold, ...]
+
+    def __post_init__(self):
+        if not self.folds or not all(fold.dev_patients for fold in self.folds):
+            raise DataError("a split needs at least one fold and no empty dev set")
+        for pid, kind in self.test_type_cores:
+            if pid not in self.test_patients or kind not in CORE_TYPES:
+                raise DataError(f"test core ({pid}, {kind!r}) is not the CA or AT "
+                                f"core of a test patient")
+        for k, fold in enumerate(self.folds, start=1):
+            train, dev = set(fold.train_patients), set(fold.dev_patients)
+            leaked = (train & dev) | ((train | dev) & set(self.test_patients))
+            if leaked:
+                raise DataError(f"fold {k}'s train, dev and test patients overlap "
+                                f"in {sorted(leaked)}")
 
 
 @dataclass(frozen=True)
@@ -159,8 +174,6 @@ def make_split(patients: list[PatientRecord], seed: int) -> SplitPlan:
     folds = []
     for dev in dev_sets:
         train = sorted(all_ids - set(dev))
-        if not dev:
-            raise DataError("a fold ended up with an empty dev set")
         folds.append(Fold(train_patients=tuple(train), dev_patients=tuple(sorted(dev))))
     return SplitPlan(seed=seed, test_patients=tuple(test),
                      test_type_cores=type_cores, folds=tuple(folds))
@@ -406,14 +419,14 @@ def patients_from_spectraset(sset: SpectraSet) -> list[PatientRecord]:
     records = []
     for pid in np.unique(sset.patient_id):
         rows = sset.patient_id == pid
-        ca_cores = np.unique(sset.core_id[rows & (sset.core_type == 1)])
-        at_cores = np.unique(sset.core_id[rows & (sset.core_type == 0)])
+        ca, at = (rows & (sset.core_type == CORE_TYPES.index(kind)) for kind in ("CA", "AT"))
+        ca_cores, at_cores = np.unique(sset.core_id[ca]), np.unique(sset.core_id[at])
         if len(ca_cores) != 1 or len(at_cores) != 1:
             raise DataError(
                 f"patient {pid} must have exactly one CA and one AT core, "
                 f"got {len(ca_cores)}/{len(at_cores)}"
             )
-        subt = np.unique(sset.subtype[rows & (sset.core_type == 1)])
+        subt = np.unique(sset.subtype[ca])
         if len(subt) != 1:
             raise DataError(f"patient {pid} has inconsistent subtype labels")
         records.append(PatientRecord(patient_id=int(pid), subtype=SUBTYPES[int(subt[0])],
@@ -477,13 +490,11 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
 
 
 def forward_chunked(model: CarenetModel, spectra: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Model outputs for spectra[rows], gathered and forwarded FORWARD_CHUNK rows at a time.
+    """Model outputs for spectra[rows], gathered and forwarded by `forward_chunks`.
 
     The passes are forward-only: they leave no backward caches behind.
     """
-    chunk = FORWARD_CHUNK
-    outs = [model.forward(spectra[rows[i:i + chunk]], cache=False)
-            for i in range(0, rows.size, chunk)]
+    outs = [model.forward(x, cache=False) for _, x in forward_chunks(spectra, rows)]
     return np.concatenate(outs) if outs else np.empty((0, model.n_classes), model.dtype)
 
 
@@ -500,7 +511,7 @@ def _batch_gradients(model: CarenetModel, spectra: np.ndarray, rows: np.ndarray,
                      labels: np.ndarray, sums: list[np.ndarray]) -> float:
     """Mean loss over spectra[rows] against labels[rows]; leaves its gradient in every Param.grad.
 
-    Each FORWARD_CHUNK slice of rows is gathered and goes forward and
+    Each `forward_chunks` slice of rows is gathered and goes forward and
     backward alone, so one slice's layer caches are live, whatever the batch
     size. Each slice's loss gradient is weighted by its share of the batch,
     and the parameter gradients are summed into sums (one buffer per
@@ -510,9 +521,8 @@ def _batch_gradients(model: CarenetModel, spectra: np.ndarray, rows: np.ndarray,
     params = model.parameters()
     n = rows.size
     loss = 0.0
-    for start in range(0, n, FORWARD_CHUNK):
-        part_rows = rows[start:start + FORWARD_CHUNK]
-        probs = model.forward(spectra[part_rows])
+    for i, (part_rows, x) in enumerate(forward_chunks(spectra, rows)):
+        probs = model.forward(x)
         check_finite("training forward pass", probs)
         share = probs.shape[0] / n
         part, grad = _loss(probs, labels[part_rows], model.head)
@@ -521,7 +531,7 @@ def _batch_gradients(model: CarenetModel, spectra: np.ndarray, rows: np.ndarray,
         model.backward(grad)
         loss += part * share
         for p, total in zip(params, sums):
-            if start == 0:
+            if i == 0:
                 np.copyto(total, p.grad)
             else:
                 total += p.grad

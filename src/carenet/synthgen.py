@@ -71,7 +71,7 @@ DRAW_CHUNK = 4096
 # each on the 1580-point raw axis, stay cache-resident. Not part of the stream.
 ROW_BLOCK = 128
 
-CLASS_LABELS = ("AT", "LA", "LB", "HER2", "TNBC")
+CLASS_LABELS = ("AT",) + SUBTYPES
 
 
 @dataclass(frozen=True)

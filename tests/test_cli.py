@@ -519,6 +519,59 @@ class TestTrainEvalGradcam:
                     "--out-dir", out]) == 3
         assert not list(out.glob("*.crnm"))
 
+    @pytest.mark.parametrize("setting", [("--epochs", 0), ("--batch-size", 0), ("--lr", -1)],
+                             ids=["epochs", "batch_size", "lr"])
+    def test_bad_setting_fails_before_the_container_is_read(self, tmp_path, monkeypatch,
+                                                            setting):
+        from carenet import cli
+
+        def no_container(path):
+            raise AssertionError(f"read the container {path}")
+
+        monkeypatch.setattr(cli, "read_spectraset", no_container)
+        assert run(["train", tmp_path / "spectra.crns", "--head", "type", *setting,
+                    "--out-dir", tmp_path / "out"]) == 3
+
+    def test_model_forward_chunk_bounds_every_pass(self, tiny_run, tmp_path, monkeypatch):
+        # patching the one constant moves every pass: forward_chunked, a
+        # training batch with its dev pass, and cmd_gradcam's attributions
+        from carenet import cli, model
+        from carenet.gradcam import gradcam_spectrum
+        from carenet.model import INPUT_LENGTH, CarenetModel
+        from carenet.pipeline import TrainConfig, forward_chunked, train_fold
+
+        monkeypatch.setattr(model, "FORWARD_CHUNK", 7)
+        passes = {"forward": [], "trunk_forward": []}
+        for name, rows in passes.items():
+            def recorded(net, x, *args, _original=getattr(CarenetModel, name), _rows=rows,
+                         **kwargs):
+                _rows.append(len(x))
+                return _original(net, x, *args, **kwargs)
+            monkeypatch.setattr(CarenetModel, name, recorded)
+        cams = []
+
+        def recorded_cam(net, spectra, target_class):
+            cams.append(len(spectra))
+            return gradcam_spectrum(net, spectra, target_class)
+
+        monkeypatch.setattr(cli, "gradcam_spectrum", recorded_cam)
+
+        spectra = np.random.default_rng(0).random((30, INPUT_LENGTH), np.float32)
+        forward_chunked(CarenetModel("type", seed=0), spectra, np.arange(20))
+        assert passes["forward"] == [7, 7, 6]
+        passes["forward"].clear()
+        # one epoch of one 20-row batch, then a 10-row dev pass
+        train_fold(TrainConfig("type", epochs=1, batch_size=20), np.arange(20), spectra,
+                   np.arange(30) % 2, np.arange(20, 30))
+        assert passes["forward"] == [7, 7, 6, 7, 3]
+        passes["trunk_forward"].clear()
+
+        _, _, pre_dir, train_dirs = tiny_run
+        assert run(["gradcam", train_dirs["subtype"], pre_dir / "spectra.crns",
+                    "--out-dir", tmp_path / "cam"]) == 0
+        assert max(cams) == 7 and max(passes["trunk_forward"]) == 7
+        assert sum(passes["trunk_forward"]) == sum(cams)
+
     def test_every_manifest_records_peak_rss(self, tiny_run):
         root, synth_dir, pre_dir, train_dirs = tiny_run
         for run_dir in [synth_dir, pre_dir, *train_dirs.values()]:
@@ -611,3 +664,38 @@ def test_default_run_directory_gets_a_manifest(tmp_path, monkeypatch):
     assert sorted(manifest["outputs"]) == sorted(
         str(Path("runs") / run_dir.name / p.name) for p in run_dir.iterdir()
         if p.name != "manifest.json")
+
+
+class TestOSFailures:
+    """An OS-level failure exits 2 or 3 with a message naming the path, never a traceback."""
+
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["out_dir_is_a_file", "out_dir_under_a_file"])
+    def test_run_directory_that_cannot_be_made_is_usage_error(self, tmp_path, capsys, sub):
+        config = tmp_path / "panel.cfg"
+        config.write_text("n_patients = 1, 0, 0, 0\nimage_size = 8\n")
+        blocker = tmp_path / "f"
+        blocker.write_text("a file")
+        out = blocker / sub if sub else blocker
+        assert run(["synth", "--config", config, "--out-dir", out]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(out) in err
+        assert sorted(tmp_path.iterdir()) == [blocker, config]
+        assert blocker.read_text() == "a file"
+
+    def test_output_path_that_is_a_directory_is_data_error(self, tiny_run, tmp_path, capsys):
+        _, synth_dir, _, _ = tiny_run
+        blocked = tmp_path / "pre" / "spectra.crns"
+        blocked.mkdir(parents=True)
+        assert run(["preprocess", synth_dir, "--out-dir", blocked.parent]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "data error: " in err and str(blocked) in err
+
+    def test_sidecar_that_is_a_directory_is_data_error(self, tiny_run, tmp_path, capsys):
+        _, _, pre_dir, train_dirs = tiny_run
+        copy = tmp_path / "copy"
+        shutil.copytree(train_dirs["type"], copy)
+        (copy / "split.json").unlink()
+        (copy / "split.json").mkdir()
+        assert run(["eval", copy, pre_dir / "spectra.crns", "--out-dir", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and str(copy / "split.json") in err

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from carenet import gradcam
+from carenet import gradcam, model as model_module
 from carenet.errors import DataError
 from carenet.gradcam import (
     Heatmap1D,
@@ -75,7 +75,7 @@ class TestGradcamSpectrum:
         model = live_head(CarenetModel(head, seed=5), rng)
         x = rng.random((FORWARD_CHUNK + 5, INPUT_LENGTH)).astype(np.float32)
         chunked = gradcam_spectrum(model, x, target_class=target)
-        monkeypatch.setattr(gradcam, "FORWARD_CHUNK", x.shape[0])
+        monkeypatch.setattr(model_module, "FORWARD_CHUNK", x.shape[0])
         one_shot = gradcam_spectrum(model, x, target_class=target)
         assert chunked.max() > 0.0
         np.testing.assert_array_equal(chunked, one_shot)

@@ -10,7 +10,9 @@ from carenet.errors import DataError
 from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, CarenetModel
 from carenet.nn import Conv1D, ReLU, bce_loss, cce_loss
 from carenet.pipeline import (
+    Fold,
     PatientRecord,
+    SplitPlan,
     TrainConfig,
     _batch_gradients,
     _epoch_batches,
@@ -100,6 +102,33 @@ class TestMakeSplit:
     def test_deterministic(self):
         patients = patients_with_distribution((8, 8, 7, 7))
         assert make_split(patients, seed=7) == make_split(patients, seed=7)
+
+
+def _plan(**changes):
+    """A valid two-fold plan over test patients 1-2 and fold patients 3-6, changed."""
+    fields = dict(seed=0, test_patients=(1, 2), test_type_cores=((1, "CA"), (2, "AT")),
+                  folds=(Fold(train_patients=(3, 4, 5), dev_patients=(6,)),
+                         Fold(train_patients=(3, 4, 6), dev_patients=(5,))))
+    return SplitPlan(**{**fields, **changes})
+
+
+class TestSplitPlan:
+    def test_valid_plan(self):
+        assert len(_plan().folds) == 2
+
+    @pytest.mark.parametrize("changes", [
+        dict(folds=()),
+        dict(folds=(Fold(train_patients=(3, 4), dev_patients=()),)),
+        dict(test_type_cores=((1, "CA"), (7, "AT"))),
+        dict(test_type_cores=((1, "CA"), (2, "XX"))),
+        dict(folds=(Fold(train_patients=(3, 4, 5), dev_patients=(5,)),)),
+        dict(folds=(Fold(train_patients=(1, 3, 4), dev_patients=(5,)),)),
+        dict(folds=(Fold(train_patients=(3, 4), dev_patients=(2, 5)),)),
+    ], ids=["no_folds", "empty_dev", "test_core_of_other_patient", "test_core_kind_xx",
+            "train_and_dev_share", "train_holds_test_patient", "dev_holds_test_patient"])
+    def test_broken_invariant_is_data_error(self, changes):
+        with pytest.raises(DataError):
+            _plan(**changes)
 
 
 class TestUndersample:
@@ -547,7 +576,7 @@ class TestTrainFold:
 class TestForwardChunked:
     @pytest.mark.parametrize("head", ["type", "subtype"])
     def test_outputs_do_not_depend_on_chunk_size(self, head, monkeypatch):
-        from carenet import pipeline
+        from carenet import model as model_module
 
         rng = np.random.default_rng(4)
         model = CarenetModel(head, seed=1)
@@ -558,7 +587,7 @@ class TestForwardChunked:
         # head's small BLAS call may round its last bit by batch size
         rows = np.arange(x.shape[0])
         for chunk in (7, 64, FORWARD_CHUNK, x.shape[0]):
-            monkeypatch.setattr(pipeline, "FORWARD_CHUNK", chunk)
+            monkeypatch.setattr(model_module, "FORWARD_CHUNK", chunk)
             np.testing.assert_allclose(forward_chunked(model, x, rows), one_shot,
                                        rtol=1e-6, atol=1e-7)
 
