@@ -30,7 +30,7 @@ from .dataset import (
     write_cube,
     write_spectraset,
 )
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, parsing
 from .evaluation import (
     ConfusionCounts,
     MetricRow,
@@ -69,6 +69,7 @@ EXIT_NUMERICAL = 4
 
 def parse_config_file(path) -> dict:
     values: dict[str, object] = {}
+    lines: dict[str, int] = {}  # the line each key was set on
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -80,6 +81,9 @@ def parse_config_file(path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise UsageError(f"{path}:{lineno}: key {key!r} repeats line {lines[key]}")
+        lines[key] = lineno
         values[key] = _parse_value(raw)
     return values
 
@@ -166,13 +170,8 @@ def _read_sidecar(path: Path, parse):
     parse cannot read, or a DataError from parse is a DataError naming the file."""
     if not path.exists():
         raise DataError(f"{path.parent}: no {path.name} found")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
-    except DataError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed {path.name} ({exc!r})") from exc
+    with parsing(path, path.name), open(path, "r", encoding="utf-8") as fh:
+        return parse(json.load(fh))
 
 
 def _fold_name(k: int) -> str:
@@ -382,27 +381,24 @@ def _test_cores(sset, plan, head: str):
             for pid, kind in pairs]
 
 
-def _load_run(args):
-    """(container, split plan) for a command reading a train run.
-
-    The run directory must hold split.json, read before the container, and
-    the container every patient the split names, each with one CA and one AT
-    core.
-    """
-    split_path = Path(args.train_dir) / "split.json"
-    plan = _split_from_json(split_path)
+def _read_run_container(args, plan: SplitPlan):
+    """The container of a command reading a train run, once its split.json has
+    been read: it must hold every patient the split names, each with one CA
+    and one AT core."""
     sset = read_spectraset(Path(args.container))
     patient_ids = {p.patient_id for p in patients_from_spectraset(sset)}
     named = set(plan.test_patients).union(*(f.train_patients + f.dev_patients
                                             for f in plan.folds))
     missing = sorted(named - patient_ids)
     if missing:
-        raise DataError(f"container lacks patients {missing} that {split_path} names")
-    return sset, plan
+        raise DataError(f"{args.container}: lacks patients {missing} that the split "
+                        f"in {args.train_dir} names")
+    return sset
 
 
 def cmd_eval(args) -> dict:
-    sset, plan = _load_run(args)
+    plan = _split_from_json(Path(args.train_dir) / "split.json")
+    sset = _read_run_container(args, plan)
     checkpoints = [_checkpoint_path(Path(args.train_dir), _fold_name(k), args.which)
                    for k in range(1, len(plan.folds) + 1)]
     head, rows, table = _evaluate(checkpoints, sset, plan)
@@ -416,19 +412,24 @@ def cmd_eval(args) -> dict:
             "outputs": [metrics_path, table_path]}
 
 
-def _best_fold(path: Path) -> str:
-    """Name of the fold whose best epoch has the lowest dev loss."""
+def _best_fold(path: Path, plan: SplitPlan) -> str:
+    """Name of the fold whose best epoch has the lowest dev loss, one of the
+    split's folds (the name joins a checkpoint path)."""
     def parse(history):
         losses = {name: min(float(e["dev_loss"]) for e in fold["epochs"])
                   for name, fold in history.items()}
-        return min(losses, key=losses.get)
+        best = min(losses, key=losses.get)
+        if best not in [_fold_name(k) for k in range(1, len(plan.folds) + 1)]:
+            raise DataError(f"best fold {best!r} is not one of the split's folds")
+        return best
     return _read_sidecar(path, parse)
 
 
 def cmd_gradcam(args) -> dict:
     train_dir = Path(args.train_dir)
-    best_fold = _best_fold(train_dir / "history.json")
-    sset, plan = _load_run(args)
+    plan = _split_from_json(train_dir / "split.json")
+    best_fold = _best_fold(train_dir / "history.json", plan)
+    sset = _read_run_container(args, plan)
     model, _ = load_checkpoint(_checkpoint_path(train_dir, best_fold, "best"))
 
     # attribute each class's test spectra to that class, gathered a

@@ -14,18 +14,26 @@ shape, offset (relative to the 64-byte-aligned payload start), byte length,
 and a CRC32. Readers must reject mismatched magic/version, duplicate names,
 overlapping or short entries, and CRC failures. The meta "kind" names what a container
 holds: "hypercube" and "spectraset" here, "checkpoint" in model.py. A spectra
-set's container holds its ROW_FIELDS arrays in that order, with the axis and
-the label code orders in the meta; `label_codes` turns a core's label names
-into the codes its rows carry.
+set's container holds its ROW_FIELDS arrays in that order and with their
+dtypes, with the axis and the label code orders (CORE_TYPES, SUBTYPES) in
+the meta, and a read requires those dtypes and orders. `label_codes` turns
+a core's label names into the codes its rows carry.
 
-Reading checks every directory entry (dtype, shape, extent against the file
-size) before it allocates anything. Each array then streams in blocks of
-whole rows (its last axis) of about 1 MiB, and every block's bytes feed a
-running CRC32. A full read fills the array's own `np.empty` buffer in place,
-so each array is one allocation, never a copy of the file. A cut read keeps
-only a slice of the last axis: blocks land in one reused buffer, their values
-are checked finite there, and the slice is copied out. Writing takes the CRC
-of, and writes, each array's own buffer.
+Reading takes the kind its caller expects, and the kind is part of the
+directory check: a file of another kind is refused once its directory has
+parsed, before any array is read. Reading then checks every directory entry
+(dtype, shape, extent against the file size) before it allocates anything.
+Each array streams in blocks of whole rows (its last axis) of about 1 MiB,
+and every block's bytes feed a running CRC32. A full read fills the array's
+own `np.empty` buffer in place, so each array is one allocation, never a
+copy of the file. A cut read keeps only a slice of the last axis: blocks
+land in one reused buffer, their values are checked finite there, and the
+slice is copied out. Writing takes the CRC of, and writes, each array's own
+buffer.
+
+Every reader error names its file: a typed reader builds its object under
+`errors.parsing`, which prefixes the path to a DataError and turns a field
+of the wrong type or shape into one.
 
 Band reads: `read_cube(path, band)` is a cut read of `intensities` that
 keeps the band's points, on the sub-axis `sub_axis(axis, band_slice(axis,
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 import zlib
@@ -46,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, parsing
 from .spectral import Band, WavenumberAxis, band_slice, sub_axis
 
 __all__ = [
@@ -275,21 +284,22 @@ def write_container(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
             pos = rel_off + view.size
 
 
-def read_container(path, cut=None) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a CRNS file back into (arrays, meta); validates structure and CRCs.
+def read_container(path, kind: str, cut=None) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a CRNS file of `kind` back into (arrays, meta); validates structure and CRCs.
 
+    A meta "kind" other than `kind` is a DataError before any array is read.
     `cut(meta, shapes)`, when given, is called once the directory has passed
     its checks, with each array's declared shape by name. It returns
     {name: slice}: each named array keeps only that slice of its last axis.
     """
     try:
         with open(path, "rb") as fh:
-            return _read_open_container(fh, path, cut)
+            return _read_open_container(fh, path, kind, cut)
     except OSError as exc:
         raise DataError(f"{path}: cannot read container ({exc})") from exc
 
 
-def _read_open_container(fh, path, cut) -> tuple[dict[str, np.ndarray], dict]:
+def _read_open_container(fh, path, kind, cut) -> tuple[dict[str, np.ndarray], dict]:
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(10)
     if len(head) < 10 or head[:4] != MAGIC:
@@ -300,14 +310,13 @@ def _read_open_container(fh, path, cut) -> tuple[dict[str, np.ndarray], dict]:
     (dir_len,) = struct.unpack_from("<I", head, 6)
     if 10 + dir_len > size:
         raise DataError(f"{path}: truncated directory")
-    try:
+    with parsing(path, "directory"):  # a UnicodeDecodeError is a ValueError
         directory = json.loads(fh.read(dir_len).decode("utf-8"))
-        entries = directory["arrays"]
-        meta = directory["meta"]
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: corrupt directory ({exc})") from exc
-    if not isinstance(entries, list) or not isinstance(meta, dict):
-        raise DataError(f"{path}: corrupt directory (arrays must be a list, meta an object)")
+        entries, meta = directory["arrays"], directory["meta"]
+        if not isinstance(entries, list) or not isinstance(meta, dict):
+            raise DataError("directory arrays must be a list and its meta an object")
+        if meta.get("kind") != kind:
+            raise DataError(f"container holds {meta.get('kind')!r}, not {kind!r}")
 
     parsed = []
     names = set()
@@ -345,7 +354,8 @@ def _read_open_container(fh, path, cut) -> tuple[dict[str, np.ndarray], dict]:
             raise DataError(f"{path}: array {name!r} extends past end of file")
         prev_end = offset + length
 
-    cuts = cut(meta, {e[3]: e[5] for e in parsed}) if cut else {}
+    with parsing(path, kind):
+        cuts = cut(meta, {e[3]: e[5] for e in parsed}) if cut else {}
     arrays: dict[str, np.ndarray] = {}
     for offset, length, crc, name, dtype, shape in parsed:
         fh.seek(data_start + offset)
@@ -398,11 +408,9 @@ def _axis_meta(axis: WavenumberAxis) -> dict:
 
 
 def _axis_from_meta(meta: dict) -> WavenumberAxis:
-    try:
-        return WavenumberAxis(float(meta["start_wn"]), float(meta["end_wn"]),
-                              int(meta["n_points"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"container axis metadata is malformed ({exc})") from exc
+    # operator.index refuses a float point count that int() would truncate
+    return WavenumberAxis(float(meta["start_wn"]), float(meta["end_wn"]),
+                          operator.index(meta["n_points"]))
 
 
 def write_spectraset(sset: SpectraSet, path) -> None:
@@ -417,16 +425,17 @@ def write_spectraset(sset: SpectraSet, path) -> None:
 
 
 def read_spectraset(path) -> SpectraSet:
-    arrays, meta = read_container(path)
-    if meta.get("kind") != "spectraset":
-        raise DataError(f"{path}: container does not hold a spectra set")
-    try:
+    arrays, meta = read_container(path, "spectraset")
+    with parsing(path, "spectraset"):
+        if (meta["core_type_order"] != list(CORE_TYPES)
+                or meta["subtype_order"] != list(SUBTYPES)):
+            raise DataError("label code orders differ from CORE_TYPES and SUBTYPES")
+        for name, dtype in ROW_FIELDS.items():
+            if arrays[name].dtype != dtype:  # SpectraSet would cast it silently
+                raise DataError(f"array {name!r} is {arrays[name].dtype}, "
+                                f"not {np.dtype(dtype)}")
         return SpectraSet(**{name: arrays[name] for name in ROW_FIELDS},
                           axis=_axis_from_meta(meta["axis"]))
-    except KeyError as exc:
-        raise DataError(f"{path}: spectra-set container is missing array {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: spectra-set container is malformed ({exc})") from exc
 
 
 def write_cube(cube: HyperCube, path, ground_truth=None) -> None:
@@ -453,33 +462,31 @@ def read_cube(path, band: Band | None = None) -> tuple[HyperCube, dict[str, np.n
     Given a band, this is a band read (see the module docstring): the cube
     holds only the band's points, on the band's sub-axis.
     """
+    axis = None  # the cube's axis, which cut reads from the meta
+
     def cut(meta, shapes):
-        if band is None or meta.get("kind") != "hypercube" or "intensities" not in shapes:
-            return {}  # read whole; the checks below reject what is not a cube
-        axis = _axis_from_meta(meta.get("axis"))
+        nonlocal axis
+        axis = _axis_from_meta(meta["axis"])
+        if band is None:
+            return {}
         shape = shapes["intensities"]
         # a zero-size cube could declare any point count, and band_slice spans the axis
         if len(shape) != 3 or shape[2] != axis.n_points or 0 in shape:
-            raise DataError(f"{path}: cube intensities {shape} do not fit the axis")
-        return {"intensities": band_slice(axis, band)}
+            raise DataError(f"cube intensities {shape} do not fit the axis")
+        keep = band_slice(axis, band)
+        axis = sub_axis(axis, keep)
+        return {"intensities": keep}
 
-    arrays, meta = read_container(path, cut)
-    if meta.get("kind") != "hypercube":
-        raise DataError(f"{path}: container does not hold a hypercube")
-    try:
-        axis = _axis_from_meta(meta["axis"])
+    arrays, meta = read_container(path, "hypercube", cut)
+    with parsing(path, "hypercube"):
         cube = HyperCube(
             intensities=arrays["intensities"],
-            axis=axis if band is None else sub_axis(axis, band_slice(axis, band)),
+            axis=axis,
             core_id=int(meta["core_id"]),
             patient_id=int(meta["patient_id"]),
             core_type=meta["core_type"],
             subtype=meta["subtype"],
         )
-    except KeyError as exc:
-        raise DataError(f"{path}: hypercube container is missing {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{path}: hypercube container is malformed ({exc})") from exc
     extras = {k: v for k, v in arrays.items() if k.startswith("gt_")}
     return cube, extras
 

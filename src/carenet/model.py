@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dataset import CORE_TYPES, SUBTYPES, read_container, write_container
-from .errors import DataError
+from .errors import DataError, parsing
 from .nn import (
     Conv1D,
     Dense,
@@ -220,28 +220,25 @@ def save_checkpoint(model: CarenetModel, path, metadata: dict | None = None) -> 
 
 def load_checkpoint(path, expect_head: str | None = None) -> tuple[CarenetModel, dict]:
     """Rebuild a model from a checkpoint; returns (model, metadata)."""
-    arrays, meta = read_container(path)
-    if meta.get("kind") != "checkpoint":
-        raise DataError(f"{path}: container does not hold a model checkpoint")
-    head = meta.get("head")
-    if head not in HEADS:
-        raise DataError(f"{path}: checkpoint carries unknown head {head!r}")
-    if expect_head is not None and head != expect_head:
-        raise DataError(
-            f"{path}: architecture mismatch, checkpoint head is {head!r} "
-            f"but {expect_head!r} was requested"
-        )
-    model = CarenetModel(head, seed=None)
-    if (meta.get("input_length") != INPUT_LENGTH
-            or meta.get("layers") != model.layer_specs()):
-        raise DataError(f"{path}: checkpoint layer graph does not match this architecture")
-    names = [_param_name(i) for i in range(len(model.parameters()))]
-    if arrays.keys() != set(names):
-        raise DataError(f"{path}: checkpoint arrays are not this model's parameters")
-    if any(a.dtype != np.float32 for a in arrays.values()):
-        raise DataError(f"{path}: checkpoint parameters must be float32")
-    model.set_parameter_values([arrays[name] for name in names])  # checks each shape
-    metadata = meta.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise DataError(f"{path}: checkpoint metadata is not a JSON object")
+    arrays, meta = read_container(path, "checkpoint")
+    with parsing(path, "checkpoint"):
+        head = meta.get("head")
+        if head not in HEADS:
+            raise DataError(f"checkpoint carries unknown head {head!r}")
+        if expect_head is not None and head != expect_head:
+            raise DataError(f"architecture mismatch, checkpoint head is {head!r} "
+                            f"but {expect_head!r} was requested")
+        model = CarenetModel(head, seed=None)
+        if (meta.get("input_length") != INPUT_LENGTH
+                or meta.get("layers") != model.layer_specs()):
+            raise DataError("checkpoint layer graph does not match this architecture")
+        names = [_param_name(i) for i in range(len(model.parameters()))]
+        if arrays.keys() != set(names):
+            raise DataError("checkpoint arrays are not this model's parameters")
+        if any(a.dtype != np.float32 for a in arrays.values()):
+            raise DataError("checkpoint parameters must be float32")
+        model.set_parameter_values([arrays[name] for name in names])  # checks each shape
+        metadata = meta.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise DataError("checkpoint metadata is not a JSON object")
     return model, metadata

@@ -65,6 +65,12 @@ class TestConfigParsing:
         config.write_text("not_a_real_option = 5\n")
         assert run(["synth", "--config", config, "--out-dir", tmp_path / "x"]) == 2
 
+    def test_repeated_key_is_usage_error_naming_both_lines(self, tmp_path, capsys):
+        config = tmp_path / "c.cfg"
+        config.write_text("image_size = 12\n# comment\nimage_size = 16\n")
+        assert run(["synth", "--config", config, "--out-dir", tmp_path / "x"]) == 2
+        assert f"{config}:3: key 'image_size' repeats line 1" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_outputs_and_manifest(self, tiny_run):
@@ -233,7 +239,7 @@ class TestPreprocess:
         elif damage == "truncated":
             path.write_bytes(bytes(raw[:start + 4]))
         else:
-            arrays, meta = read_container(path)
+            arrays, meta = read_container(path, "hypercube")
             arrays["intensities"][0, 0, 0] = np.inf
             write_container(path, arrays, meta)
         out = tmp_path / "out"
@@ -444,6 +450,21 @@ class TestTrainEvalGradcam:
         (copy / "history.json").write_text(history)
         assert run(["gradcam", copy, pre_dir / "spectra.crns",
                     "--out-dir", tmp_path / "out"]) == 3
+
+    def test_best_fold_outside_the_split_is_data_error(self, tiny_run, tmp_path, capsys):
+        # a history.json key joins the checkpoint path: "../other/fold1" would
+        # load another run's checkpoint
+        _, _, pre_dir, train_dirs = tiny_run
+        copy, other = tmp_path / "copy", tmp_path / "other"
+        shutil.copytree(train_dirs["type"], copy)
+        other.mkdir()
+        shutil.copy(copy / "fold1_best.crnm", other / "fold1_best.crnm")
+        history = json.loads((copy / "history.json").read_text())
+        history["../other/fold1"] = {"best_epoch": 1, "epochs": [{"dev_loss": -1.0}]}
+        (copy / "history.json").write_text(json.dumps(history))
+        assert run(["gradcam", copy, pre_dir / "spectra.crns",
+                    "--out-dir", tmp_path / "out"]) == 3
+        assert f"{copy / 'history.json'}: best fold '../other/fold1'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,sidecar", [
         ("eval", "split.json"), ("gradcam", "split.json"), ("gradcam", "history.json")])

@@ -64,7 +64,7 @@ class TestContainer:
         meta = {"kind": "test", "note": "payload"}
         path = tmp_path / "data.crns"
         write_container(path, arrays, meta)
-        back, meta_back = read_container(path)
+        back, meta_back = read_container(path, "test")
         assert meta_back == meta
         for name, arr in arrays.items():
             assert back[name].dtype == arr.dtype
@@ -87,33 +87,33 @@ class TestContainer:
         path = tmp_path / "data.crns"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(DataError):
-            read_container(path)
+            read_container(path, "test")
 
     def test_corrupt_directory_rejected(self, tmp_path):
         path = tmp_path / "data.crns"
-        write_container(path, {"x": np.arange(4)}, {})
+        write_container(path, {"x": np.arange(4)}, {"kind": "test"})
         raw = bytearray(path.read_bytes())
         raw[12] = 0xFF  # stomp inside the JSON directory
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError):
-            read_container(path)
+            read_container(path, "test")
 
     def test_shape_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "data.crns"
-        write_container(path, {"x": np.arange(4, dtype=np.int64)}, {})
+        write_container(path, {"x": np.arange(4, dtype=np.int64)}, {"kind": "test"})
         # now disagrees with byte length
         rewrite_directory(path, lambda d: d["arrays"][0].update(shape=[5]))
         with pytest.raises(DataError):
-            read_container(path)
+            read_container(path, "test")
 
     def test_payload_corruption_fails_crc(self, tmp_path):
         path = tmp_path / "data.crns"
-        write_container(path, {"x": np.arange(64, dtype=np.float64)}, {})
+        write_container(path, {"x": np.arange(64, dtype=np.float64)}, {"kind": "test"})
         raw = bytearray(path.read_bytes())
         raw[-8] ^= 0x01
         path.write_bytes(bytes(raw))
         with pytest.raises(DataError):
-            read_container(path)
+            read_container(path, "test")
 
 
 class TestSpectraSetIO:
@@ -259,7 +259,7 @@ class TestBandRead:
             raw = cube_path.read_bytes()
             cube_path.write_bytes(raw[:_payload_start(cube_path, "intensities") + 4])
         else:
-            arrays, meta = read_container(cube_path)
+            arrays, meta = read_container(cube_path, "hypercube")
             arrays["intensities"][0, 0, 0] = float(damage)
             write_container(cube_path, arrays, meta)  # with the CRC of the new bytes
         for band in (None, BIOFINGERPRINT_BAND):
@@ -281,8 +281,9 @@ class TestBandRead:
         path = tmp_path / "ints.crns"
         write_container(path, {"x": np.arange(12).reshape(3, 4)}, {"kind": "test"})
         with pytest.raises(DataError, match="floating-point"):
-            read_container(path, lambda meta, shapes: {"x": slice(1, 3)})
-        assert read_container(path)[0]["x"].tobytes() == np.arange(12).reshape(3, 4).tobytes()
+            read_container(path, "test", lambda meta, shapes: {"x": slice(1, 3)})
+        whole = read_container(path, "test")[0]["x"]
+        assert whole.tobytes() == np.arange(12).reshape(3, 4).tobytes()
 
 
 class TestCsv:
@@ -319,7 +320,7 @@ class TestCsv:
 def _edited_container(path, edit, n=4):
     write_container(path, {"x": np.arange(n, dtype=np.int64)}, {"kind": "test"})
     rewrite_directory(path, edit)
-    return lambda: read_container(path)
+    return lambda: read_container(path, "test")
 
 
 def _entry(**fields):
@@ -330,7 +331,7 @@ def _duplicate_name(path):
     """Two arrays, both renamed "a" in the directory."""
     write_container(path, {"a": np.arange(4), "b": np.arange(10, 14)}, {"kind": "test"})
     rewrite_directory(path, lambda d: [e.update(name="a") for e in d["arrays"]])
-    return lambda: read_container(path)
+    return lambda: read_container(path, "test")
 
 
 def _cube_with_core_id(path, core_id):
@@ -343,10 +344,20 @@ def _cube_with_core_id(path, core_id):
 def _edited_checkpoint(path, edit):
     """A well-formed container whose checkpoint arrays edit(arrays) has changed."""
     save_checkpoint(CarenetModel("type"), path)
-    arrays, meta = read_container(path)
+    arrays, meta = read_container(path, "checkpoint")
     edit(arrays)
     write_container(path, arrays, meta)
     return lambda: load_checkpoint(path)
+
+
+def _edited_spectraset(path, edit):
+    """A well-formed container whose spectra-set arrays and meta edit(arrays, meta)
+    has changed."""
+    write_spectraset(small_spectraset(), path)
+    arrays, meta = read_container(path, "spectraset")
+    edit(arrays, meta)
+    write_container(path, arrays, meta)
+    return lambda: read_spectraset(path)
 
 
 def _first_array(change):
@@ -385,11 +396,26 @@ def _spectraset_as_checkpoint(path):
                  id="checkpoint-float64-parameter"),
     pytest.param(lambda p: _edited_checkpoint(p, _first_array(lambda v: v.reshape(-1))),
                  id="checkpoint-wrong-shape"),
+    pytest.param(lambda p: _edited_spectraset(p, lambda a, m: a["spectra"].put(0, np.nan)),
+                 id="nan-spectrum"),
+    pytest.param(lambda p: _edited_spectraset(p, lambda a, m: m["axis"].update(n_points=467.5)),
+                 id="non-integer-n-points"),
+    # row fields SpectraSet would cast: 2**31 + 1 wraps round, 0.9 truncates to 0
+    pytest.param(lambda p: _edited_spectraset(
+        p, lambda a, m: a.update(patient_id=a["patient_id"].astype(np.int64) + 2**31)),
+        id="wide-patient-id"),
+    pytest.param(lambda p: _edited_spectraset(p, lambda a, m: a.update(core_id=a["core_id"] + 0.9)),
+                 id="float-core-id"),
+    pytest.param(lambda p: _edited_spectraset(
+        p, lambda a, m: m.update(subtype_order=list(reversed(SUBTYPES)))),
+        id="reordered-subtypes"),
 ])
 def test_malformed_input_is_data_error(tmp_path, make):
-    read = make(tmp_path / "bad.bin")
-    with pytest.raises(DataError):
+    path = tmp_path / "bad.bin"
+    read = make(path)
+    with pytest.raises(DataError) as info:
         read()
+    assert str(path) in str(info.value)
 
 
 def test_oversized_declared_shape_is_rejected_before_allocation(tmp_path):
@@ -410,6 +436,40 @@ def test_oversized_declared_shape_is_rejected_before_allocation(tmp_path):
 
 READERS = {"cube": read_cube, "spectraset": read_spectraset, "checkpoint": load_checkpoint,
            "cube-band": lambda path: read_cube(path, BIOFINGERPRINT_BAND)}
+
+
+# the kind each reader wants
+KINDS = {"cube": "hypercube", "cube-band": "hypercube", "spectraset": "spectraset",
+         "checkpoint": "checkpoint"}
+
+
+@pytest.fixture(scope="module")
+def one_file_per_kind(tmp_path_factory):
+    """A file of each kind, named by it; reading the cube (1.6 MB) or the spectra
+    set (1.9 MB) whole would exceed the 1 MB bound below."""
+    root = tmp_path_factory.mktemp("kinds")
+    write_cube(HyperCube(np.zeros((16, 16, RAW_AXIS.n_points), dtype=np.float32),
+                         RAW_AXIS, 0, 1, "AT", "none"), root / "hypercube")
+    write_spectraset(small_spectraset(1000), root / "spectraset")
+    save_checkpoint(CarenetModel("type"), root / "checkpoint")
+    return root
+
+
+@pytest.mark.parametrize("reader,found", [
+    (reader, found) for reader in sorted(READERS) for found in sorted(set(KINDS.values()))
+    if found != KINDS[reader]])
+def test_another_kind_is_refused_before_any_array_is_read(one_file_per_kind, reader, found):
+    path = one_file_per_kind / found
+
+    def refused():
+        with pytest.raises(DataError) as info:
+            READERS[reader](path)
+        return str(info.value)
+
+    message, peak = traced_peak(refused)
+    assert peak < 1_000_000, peak
+    assert str(path) in message
+    assert repr(found) in message and repr(KINDS[reader]) in message
 
 
 @pytest.fixture(scope="module")
