@@ -30,7 +30,7 @@ from .dataset import (
     write_cube,
     write_spectraset,
 )
-from .errors import DataError, NumericalError, parsing
+from .errors import DataError, NumericalError, json_int, json_number, parsing
 from .evaluation import (
     ConfusionCounts,
     MetricRow,
@@ -275,12 +275,12 @@ def _split_to_json(plan: SplitPlan) -> dict:
 
 def _split_from_json(path: Path) -> SplitPlan:
     return _read_sidecar(path, lambda data: SplitPlan(
-        seed=int(data["seed"]),
-        test_patients=tuple(int(p) for p in data["test_patients"]),
-        test_type_cores=tuple((int(p), str(k)) for p, k in data["test_type_cores"]),
+        seed=json_int(data["seed"]),
+        test_patients=tuple(json_int(p) for p in data["test_patients"]),
+        test_type_cores=tuple((json_int(p), str(k)) for p, k in data["test_type_cores"]),
         folds=tuple(
-            Fold(train_patients=tuple(int(p) for p in f["train"]),
-                 dev_patients=tuple(int(p) for p in f["dev"]))
+            Fold(train_patients=tuple(json_int(p) for p in f["train"]),
+                 dev_patients=tuple(json_int(p) for p in f["dev"]))
             for f in data["folds"]
         ),
     ))
@@ -416,7 +416,7 @@ def _best_fold(path: Path, plan: SplitPlan) -> str:
     """Name of the fold whose best epoch has the lowest dev loss, one of the
     split's folds (the name joins a checkpoint path)."""
     def parse(history):
-        losses = {name: min(float(e["dev_loss"]) for e in fold["epochs"])
+        losses = {name: min(json_number(e["dev_loss"]) for e in fold["epochs"])
                   for name, fold in history.items()}
         best = min(losses, key=losses.get)
         if best not in [_fold_name(k) for k in range(1, len(plan.folds) + 1)]:

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import struct
 import zlib
@@ -55,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, parsing
+from .errors import DataError, json_int, json_number, parsing
 from .spectral import Band, WavenumberAxis, band_slice, sub_axis
 
 __all__ = [
@@ -74,8 +73,6 @@ __all__ = [
     "read_spectraset",
     "write_cube",
     "read_cube",
-    "spectraset_to_csv",
-    "spectraset_from_csv",
 ]
 
 MAGIC = b"CRNS"
@@ -408,9 +405,8 @@ def _axis_meta(axis: WavenumberAxis) -> dict:
 
 
 def _axis_from_meta(meta: dict) -> WavenumberAxis:
-    # operator.index refuses a float point count that int() would truncate
-    return WavenumberAxis(float(meta["start_wn"]), float(meta["end_wn"]),
-                          operator.index(meta["n_points"]))
+    return WavenumberAxis(json_number(meta["start_wn"]), json_number(meta["end_wn"]),
+                          json_int(meta["n_points"]))
 
 
 def write_spectraset(sset: SpectraSet, path) -> None:
@@ -482,68 +478,11 @@ def read_cube(path, band: Band | None = None) -> tuple[HyperCube, dict[str, np.n
         cube = HyperCube(
             intensities=arrays["intensities"],
             axis=axis,
-            core_id=int(meta["core_id"]),
-            patient_id=int(meta["patient_id"]),
+            core_id=json_int(meta["core_id"]),
+            patient_id=json_int(meta["patient_id"]),
             core_type=meta["core_type"],
             subtype=meta["subtype"],
         )
     extras = {k: v for k, v in arrays.items() if k.startswith("gt_")}
     return cube, extras
 
-
-# ---------------------------------------------------------------------------
-# CSV interoperability
-
-
-# metadata columns: every row field but the spectra, the last two as names
-_CSV_COLUMNS = tuple(ROW_FIELDS)[1:]
-
-
-def spectraset_to_csv(sset: SpectraSet, path) -> None:
-    """One spectrum per row; metadata columns first, then one column per wavenumber."""
-    wns = sset.axis.values
-    with open(path, "w", encoding="utf-8") as fh:
-        header = list(_CSV_COLUMNS) + [f"{w:.6f}" for w in wns]
-        fh.write(",".join(header) + "\n")
-        for i in range(len(sset)):
-            ct = CORE_TYPES[sset.core_type[i]]
-            st = "none" if sset.subtype[i] == SUBTYPE_NONE else SUBTYPES[sset.subtype[i]]
-            cells = [str(getattr(sset, name)[i]) for name in _CSV_COLUMNS[:4]] + [ct, st]
-            # %.9g round-trips float32 exactly
-            cells += [f"{v:.9g}" for v in sset.spectra[i]]
-            fh.write(",".join(cells) + "\n")
-
-
-def spectraset_from_csv(path) -> SpectraSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if tuple(header[:6]) != _CSV_COLUMNS:
-            raise DataError(f"{path}: unexpected CSV header")
-        wns = np.array([float(w) for w in header[6:]])
-        if wns.size < 2:
-            raise DataError(f"{path}: CSV carries no spectral columns")
-        rows = []
-        for line in fh:
-            if line.strip():
-                rows.append(line.rstrip("\n").split(","))
-    if not rows:
-        raise DataError(f"{path}: CSV holds no spectra")
-    n = len(rows)
-    spectra = np.empty((n, wns.size), dtype=np.float32)
-    labels = {name: np.empty(n, dtype=ROW_FIELDS[name]) for name in _CSV_COLUMNS}
-    for i, cells in enumerate(rows):
-        where = f"{path}: row {i + 2}"
-        if len(cells) != 6 + wns.size:
-            raise DataError(f"{where} has {len(cells)} cells")
-        try:
-            labels["core_type"][i], labels["subtype"][i] = label_codes(cells[4], cells[5])
-        except DataError as exc:
-            raise DataError(f"{where} has {exc}") from None
-        try:
-            for name, cell in zip(_CSV_COLUMNS, cells[:4]):
-                labels[name][i] = int(cell)
-            spectra[i] = [float(c) for c in cells[6:]]
-        except (ValueError, OverflowError) as exc:
-            raise DataError(f"{where} has a malformed number ({exc})") from exc
-    axis = WavenumberAxis(float(wns[0]), float(wns[-1]), int(wns.size))
-    return SpectraSet(spectra=spectra, **labels, axis=axis)

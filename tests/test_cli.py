@@ -441,15 +441,37 @@ class TestTrainEvalGradcam:
         '{"fold1": {"best_epoch": 1, "epochs": []}}',
         '{"fold1": {"best_epoch": 1, "epochs": [{"dev_loss": "low"}]}}',
         '{"fold9": {"best_epoch": 1, "epochs": [{"dev_loss": 0.5}]}}',
+        # float() would take it as 0.5
+        '{"fold1": {"best_epoch": 1, "epochs": [{"dev_loss": "0.5"}]}}',
     ], ids=["not_json", "fold_not_object", "missing_epochs", "empty_epochs",
-            "dev_loss_not_number", "fold_without_checkpoint"])
-    def test_malformed_history_is_data_error(self, tiny_run, tmp_path, history):
+            "dev_loss_not_number", "fold_without_checkpoint", "dev_loss_string"])
+    def test_malformed_history_is_data_error(self, tiny_run, tmp_path, capsys, history):
         _, _, pre_dir, train_dirs = tiny_run
         copy = tmp_path / "copy"
         shutil.copytree(train_dirs["type"], copy)
         (copy / "history.json").write_text(history)
         assert run(["gradcam", copy, pre_dir / "spectra.crns",
                     "--out-dir", tmp_path / "out"]) == 3
+        assert str(copy / "history.json") in capsys.readouterr().err
+
+    # fields that int() would cast: each edit reads back as the original split,
+    # so an unchecked parse would run eval to exit 0
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["test_patients"].__setitem__(0, d["test_patients"][0] + 0.9),
+        lambda d: d["folds"][0]["train"].__setitem__(0, str(d["folds"][0]["train"][0])),
+        lambda d: d.update(seed=d["seed"] + 0.7),
+    ], ids=["float-test-patient", "string-train-patient", "float-seed"])
+    def test_cast_split_field_is_data_error_naming_the_file(self, tiny_run, tmp_path,
+                                                            capsys, edit):
+        _, _, pre_dir, train_dirs = tiny_run
+        copy = tmp_path / "copy"
+        shutil.copytree(train_dirs["type"], copy)
+        data = json.loads((copy / "split.json").read_text())
+        edit(data)
+        (copy / "split.json").write_text(json.dumps(data))
+        assert run(["eval", copy, pre_dir / "spectra.crns",
+                    "--out-dir", tmp_path / "out"]) == 3
+        assert str(copy / "split.json") in capsys.readouterr().err
 
     def test_best_fold_outside_the_split_is_data_error(self, tiny_run, tmp_path, capsys):
         # a history.json key joins the checkpoint path: "../other/fold1" would

@@ -14,8 +14,6 @@ from carenet.dataset import (
     read_container,
     read_cube,
     read_spectraset,
-    spectraset_from_csv,
-    spectraset_to_csv,
     subtype_one_hot,
     write_container,
     write_cube,
@@ -29,10 +27,9 @@ from tests.conftest import collect_panel, rewrite_directory, traced_peak
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
 
 
-def small_spectraset(n=3, rng=None):
-    rng = rng or np.random.default_rng(0)
+def small_spectraset(n=3):
     return SpectraSet(
-        spectra=rng.random((n, 467), dtype=np.float32),
+        spectra=np.random.default_rng(0).random((n, 467), dtype=np.float32),
         patient_id=np.arange(n, dtype=np.int32) + 1,
         core_id=np.arange(n, dtype=np.int32),
         row=np.zeros(n, dtype=np.int32),
@@ -286,37 +283,6 @@ class TestBandRead:
         assert whole.tobytes() == np.arange(12).reshape(3, 4).tobytes()
 
 
-class TestCsv:
-    def test_round_trip_exact_float32(self, tmp_path, rng):
-        sset = small_spectraset(rng=rng)
-        path = tmp_path / "set.csv"
-        spectraset_to_csv(sset, path)
-        back = spectraset_from_csv(path)
-        np.testing.assert_array_equal(back.spectra, sset.spectra)
-        np.testing.assert_array_equal(back.core_type, sset.core_type)
-        np.testing.assert_array_equal(back.subtype, sset.subtype)
-
-    def test_header_checked(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("something,else\n1,2\n")
-        with pytest.raises(DataError):
-            spectraset_from_csv(path)
-
-    # cell index in a data row: 0-3 ids, 4 core type, 5 subtype, 6.. intensities
-    @pytest.mark.parametrize("cell,value", [(5, "LC"), (1, "2.5"), (40, "abc")],
-                             ids=["unknown-subtype", "non-integer-id", "non-numeric-intensity"])
-    def test_bad_cell_names_its_row(self, tmp_path, cell, value):
-        path = tmp_path / "set.csv"
-        spectraset_to_csv(small_spectraset(), path)
-        lines = path.read_text().splitlines()
-        cells = lines[1].split(",")  # the first data row: a CA core of subtype HER2
-        cells[cell] = value
-        lines[1] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DataError, match="row 2 "):
-            spectraset_from_csv(path)
-
-
 def _edited_container(path, edit, n=4):
     write_container(path, {"x": np.arange(n, dtype=np.int64)}, {"kind": "test"})
     rewrite_directory(path, edit)
@@ -334,10 +300,11 @@ def _duplicate_name(path):
     return lambda: read_container(path, "test")
 
 
-def _cube_with_core_id(path, core_id):
+def _edited_cube(path, edit):
+    """A 2 x 2 cube whose directory meta edit(meta) has changed."""
     write_cube(HyperCube(np.zeros((2, 2, RAW_AXIS.n_points), dtype=np.float32),
                          RAW_AXIS, 0, 1, "AT", "none"), path)
-    rewrite_directory(path, lambda d: d["meta"].update(core_id=core_id))
+    rewrite_directory(path, lambda d: edit(d["meta"]))
     return lambda: read_cube(path)
 
 
@@ -386,7 +353,21 @@ def _spectraset_as_checkpoint(path):
     pytest.param(lambda p: _edited_container(p, lambda d: d.update(arrays=[7])),
                  id="entry-not-an-object"),
     pytest.param(_duplicate_name, id="duplicate-array-name"),
-    pytest.param(lambda p: _cube_with_core_id(p, "seven"), id="non-integer-core-id"),
+    pytest.param(lambda p: _edited_cube(p, lambda m: m.update(core_id="seven")),
+                 id="non-integer-core-id"),
+    # identity and axis fields that int() and float() would cast: 3.9 reads as
+    # core 3, "7" as patient 7, true as core 1, "3950" as 3950.0
+    pytest.param(lambda p: _edited_cube(p, lambda m: m.update(core_id=3.9)),
+                 id="float-core-id-in-cube"),
+    pytest.param(lambda p: _edited_cube(p, lambda m: m.update(patient_id="7")),
+                 id="string-patient-id-in-cube"),
+    pytest.param(lambda p: _edited_cube(p, lambda m: m.update(core_id=True)),
+                 id="bool-core-id-in-cube"),
+    pytest.param(lambda p: _edited_cube(p, lambda m: m["axis"].update(start_wn="3950")),
+                 id="string-start-wn-in-cube"),
+    # float() of an integer past float64's range raises OverflowError
+    pytest.param(lambda p: _edited_cube(p, lambda m: m["axis"].update(start_wn=10**400)),
+                 id="start-wn-beyond-float64-in-cube"),
     pytest.param(_spectraset_as_checkpoint, id="checkpoint-from-spectraset"),
     pytest.param(lambda p: _edited_checkpoint(p, lambda a: a.popitem()),
                  id="checkpoint-missing-parameter"),
@@ -400,6 +381,8 @@ def _spectraset_as_checkpoint(path):
                  id="nan-spectrum"),
     pytest.param(lambda p: _edited_spectraset(p, lambda a, m: m["axis"].update(n_points=467.5)),
                  id="non-integer-n-points"),
+    pytest.param(lambda p: _edited_spectraset(p, lambda a, m: m["axis"].update(end_wn="900")),
+                 id="string-end-wn"),
     # row fields SpectraSet would cast: 2**31 + 1 wraps round, 0.9 truncates to 0
     pytest.param(lambda p: _edited_spectraset(
         p, lambda a, m: a.update(patient_id=a["patient_id"].astype(np.int64) + 2**31)),
