@@ -2,11 +2,20 @@
 
 PCA factors the Gram matrix of the centred rows (p x p, or n x n for fewer
 rows than columns) with one symmetric eigendecomposition; the n x p left
-singular factor is never formed. The p x p Gram is summed over row blocks,
-each centred into one reused block buffer, and scores, T2 and Q are formed
-a row block at a time from the uncentred rows, so no (n, p) centred copy is
-held. Only the snapshot path for fewer rows than columns centres the whole
-matrix, a copy smaller than the p x p Gram it replaces.
+singular factor is never formed. Rows may be float32 or float64: the mean,
+the p x p Gram, and scores, T2 and Q are all formed a ROW_BLOCK-row block
+at a time, each block upcast and centred into one reused float64 buffer, so
+no (n, p) float64 or centred copy of the rows is held. float32 -> float64
+is exact and the sums run in the order of the whole-matrix expressions, so
+float32 rows give bitwise the results of their float64 upcast. Only the
+snapshot path for fewer rows than columns centres the whole matrix, a copy
+smaller than the p x p Gram it replaces.
+
+An interferent block (the water-vapour image, a core's paraffin pixels)
+gets the chain's treatment of tissue before its PCA: one outlier pass, then
+Savitzky-Golay smoothing. Its kept rows are gathered and smoothed a row
+block at a time, once for the mean and once for the Gram matrix, so neither
+a kept copy nor a smoothed float64 copy of the image exists.
 
 The EMSC design matrix stacks the tissue reference, a polynomial baseline
 evaluated on the axis rescaled to [-1, 1], and masked interferent blocks
@@ -23,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .spectral import Band, WavenumberAxis, band_slice
+from .spectral import Band, WavenumberAxis, band_slice, savgol_smooth
 
 __all__ = [
     "PcaModel",
@@ -32,11 +41,13 @@ __all__ = [
     "pca_fit",
     "scores_and_residuals",
     "remove_outliers",
+    "outlier_pass",
     "interferent_block",
     "emsc_build_model",
     "emsc_correct_rows",
     "PARAFFIN_MASK_BAND",
     "H2O_MASK_BAND",
+    "ROW_BLOCK",
 ]
 
 PARAFFIN_MASK_BAND = Band(1500.0, 1350.0)
@@ -48,10 +59,12 @@ _REF_COEF_FLOOR = 1e-6
 _INTERFERENT_VARIANCE = 0.99  # explained-variance share kept per interferent block
 OUTLIER_PCS = 10  # components of the T2/Q outlier model
 OUTLIER_CONFIDENCE = 0.95  # quantile of T2 and of Q above which a spectrum is rejected
-# rows centred at a time, into one (1024, p) buffer, for the Gram sum and for
-# scores, T2 and Q. A 9216 x 467 Gram takes as long at 1024-4096-row blocks as
-# in one product, and longer at 256 (one BLAS thread)
-_RESIDUAL_ROWS = 1024
+# rows read, upcast, smoothed, centred or moved at a time, here and by the
+# pipeline's in-place steps. A 9216 x 467 Gram takes as long at 1024-4096-row
+# blocks as in one product, and longer at 256 (one BLAS thread). Smoothing
+# a block is bitwise the same whether the pipeline or an interferent PCA
+# does it only while both use this one size.
+ROW_BLOCK = 1024
 
 
 @dataclass
@@ -84,24 +97,62 @@ class OutlierReport:
             raise DataError("keep flags inconsistent with thresholds")
 
 
-def _row_blocks(data: np.ndarray, mean: np.ndarray):
-    """(rows slice, data[rows] - mean) per block of _RESIDUAL_ROWS rows.
+def _float_rows(data) -> np.ndarray:
+    """data as an array, float32 left as it is and anything else as float64."""
+    data = np.asarray(data)
+    return data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
 
-    Every block is centred into the same buffer, so a block is valid only
-    until the next one is drawn.
+
+def _reader(data: np.ndarray):
+    """read(rows, out) for the rows of data: out = data[rows], upcast to float64."""
+    return lambda rows, out: np.copyto(out, data[rows])
+
+
+def _read_blocks(read, shape: tuple[int, int], spare: int = 0):
+    """(rows slice, block) per ROW_BLOCK rows of the (n, p) rows read gives.
+
+    read(rows, out) writes that slice of the rows, in float64, into
+    out = block[spare:]; the first `spare` rows of block are the caller's.
+    Every block is a view of the same buffer, so it is valid only until the
+    next one is drawn.
     """
-    n = data.shape[0]
-    buf = np.empty((min(n, _RESIDUAL_ROWS), data.shape[1]))
-    for start in range(0, n, _RESIDUAL_ROWS):
-        rows = slice(start, min(start + _RESIDUAL_ROWS, n))
-        block = buf[:rows.stop - start]
-        np.subtract(data[rows], mean, out=block)
+    n, p = shape
+    buf = np.empty((spare + min(n, ROW_BLOCK), p))
+    for start in range(0, n, ROW_BLOCK):
+        rows = slice(start, min(start + ROW_BLOCK, n))
+        block = buf[:spare + rows.stop - start]
+        read(rows, block[spare:])
         yield rows, block
 
 
-def _variance_spectrum(data: np.ndarray, mean: np.ndarray):
-    """(variances, loadings) of all min(n, p) principal components of the rows
-    of data centred on mean, C = data - mean.
+def _row_blocks(read, shape: tuple[int, int], mean: np.ndarray):
+    """(rows slice, rows - mean) per ROW_BLOCK rows, as `_read_blocks` draws them."""
+    for rows, block in _read_blocks(read, shape):
+        block -= mean
+        yield rows, block
+
+
+def _row_mean(read, shape: tuple[int, int]) -> np.ndarray:
+    """Mean of the rows read gives, in float64.
+
+    The running total is reduced together with each block, as its first
+    row, so the rows are added in the order of numpy's axis-0 sum over the
+    whole matrix: the mean is bitwise `rows.astype(np.float64).mean(axis=0)`.
+    A sum of per-block sums is not.
+    """
+    total = None
+    for _, block in _read_blocks(read, shape, spare=1):
+        if total is None:
+            total = np.add.reduce(block[1:], axis=0)
+        else:
+            block[0] = total
+            total = np.add.reduce(block, axis=0)
+    return total / shape[0]
+
+
+def _variance_spectrum(read, shape: tuple[int, int], mean: np.ndarray):
+    """(variances, loadings) of all min(n, p) principal components of the
+    rows read(rows) gives, centred on mean, C = rows - mean.
 
     One eigendecomposition of the smaller Gram matrix of C, sorted
     descending, with roundoff below zero clipped: C'C (p x p) for n >= p,
@@ -109,15 +160,17 @@ def _variance_spectrum(data: np.ndarray, mean: np.ndarray):
     whose eigenvectors u give the loadings as the normalised C'u (the
     snapshot method).
     """
-    n, p = data.shape
+    n, p = shape
     wide = n < p
     with np.errstate(over="ignore", invalid="ignore"):
         if wide:
-            centered = data - mean
+            centered = np.empty(shape)
+            for rows, block in _row_blocks(read, shape, mean):
+                centered[rows] = block
             gram = centered @ centered.T
         else:
             gram = np.zeros((p, p))
-            for _, block in _row_blocks(data, mean):
+            for _, block in _row_blocks(read, shape, mean):
                 gram += block.T @ block
     if not np.all(np.isfinite(gram)):
         raise NumericalError("PCA Gram matrix overflows float64")
@@ -141,23 +194,31 @@ def _numerical_rank(variances: np.ndarray, shape: tuple[int, int]) -> int:
     return int((variances > variances[0] * max(shape) * np.finfo(np.float64).eps).sum())
 
 
-def pca_fit(data: np.ndarray) -> PcaModel:
-    """PCA from the eigendecomposition of the centred rows' Gram matrix.
-
-    Returns all min(n, p) components by descending variance; each caller
-    keeps the leading ones its own rule selects.
-    """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or data.shape[0] < 2:
+def _pca(read, shape: tuple[int, int]) -> PcaModel:
+    """`pca_fit` of the (n, p) rows read(rows) gives, a row block at a time."""
+    if shape[0] < 2:
         raise DataError("PCA needs a 2-D matrix with at least 2 rows")
-    mean = data.mean(axis=0)
-    variances, loadings = _variance_spectrum(data, mean)
+    mean = _row_mean(read, shape)
+    variances, loadings = _variance_spectrum(read, shape, mean)
     total = float(variances.sum())
     if total <= _VARIANCE_TINY:
         raise NumericalError("data has (numerically) zero variance; PCA is degenerate")
     # C order, so the T2/Q products read the rows of a leading slice contiguously
     return PcaModel(mean=mean, loadings=np.ascontiguousarray(loadings),
                     explained_variance=variances, total_variance=total)
+
+
+def pca_fit(data: np.ndarray) -> PcaModel:
+    """PCA from the eigendecomposition of the centred rows' Gram matrix.
+
+    Rows may be float32 or float64; the model is float64. Returns all
+    min(n, p) components by descending variance; each caller keeps the
+    leading ones its own rule selects.
+    """
+    data = _float_rows(data)
+    if data.ndim != 2:
+        raise DataError("PCA needs a 2-D matrix with at least 2 rows")
+    return _pca(_reader(data), data.shape)
 
 
 def rank_estimate(data: np.ndarray) -> int:
@@ -168,8 +229,9 @@ def rank_estimate(data: np.ndarray) -> int:
     singular-value ratio an SVD-based rank would use; directions below this
     relative level are roundoff and are not counted.
     """
-    data = np.asarray(data, dtype=np.float64)
-    variances, _ = _variance_spectrum(data, data.mean(axis=0))
+    data = _float_rows(data)
+    read = _reader(data)
+    variances, _ = _variance_spectrum(read, data.shape, _row_mean(read, data.shape))
     return _numerical_rank(variances, data.shape)
 
 
@@ -177,15 +239,16 @@ def scores_and_residuals(model: PcaModel, rows: np.ndarray):
     """Scores, Hotelling T2, and Q residual for each row of an (n, p) matrix.
 
     Components with vanishing variance are excluded from T2
-    since dividing by them would make the statistic meaningless. The rows
-    are centred and their residual formed a block at a time; rows is only read.
+    since dividing by them would make the statistic meaningless. The rows,
+    float32 or float64, are upcast, centred and their residual formed a
+    block at a time; rows is only read.
     """
-    rows = np.asarray(rows, dtype=np.float64)
+    rows = _float_rows(rows)
     if rows.ndim != 2 or rows.shape[1] != model.mean.shape[0]:
         raise DataError("spectra must be (n, p) rows matching the PCA model")
     scores = np.empty((rows.shape[0], model.n_components))
     q = np.empty(rows.shape[0])
-    for block_rows, block in _row_blocks(rows, model.mean):
+    for block_rows, block in _row_blocks(_reader(rows), rows.shape, model.mean):
         np.matmul(block, model.loadings.T, out=scores[block_rows])
         block -= scores[block_rows] @ model.loadings
         q[block_rows] = np.square(block, out=block).sum(axis=1)
@@ -198,15 +261,15 @@ def scores_and_residuals(model: PcaModel, rows: np.ndarray):
 def remove_outliers(data: np.ndarray) -> tuple[PcaModel, OutlierReport]:
     """Single-pass T2-vs-Q rejection at empirical percentile thresholds.
 
-    The data is factored once: the model keeps the leading OUTLIER_PCS
-    components that lie above the numerical rank cutoff of `rank_estimate`
-    (identical spectra leave none and raise NumericalError). Thresholds are
-    the OUTLIER_CONFIDENCE quantiles of T2 and Q over the data; a spectrum
-    exceeding either is rejected. Thresholds are not re-fit after rejection.
-    Returns (model, report); the kept rows are `data[report.kept]`, left to
-    the caller to take, or not.
+    The data (float32 or float64, only read) is factored once: the model
+    keeps the leading OUTLIER_PCS components that lie above the numerical
+    rank cutoff of `rank_estimate` (identical spectra leave none and raise
+    NumericalError). Thresholds are the OUTLIER_CONFIDENCE quantiles of T2
+    and Q over the data; a spectrum exceeding either is rejected.
+    Thresholds are not re-fit after rejection. Returns (model, report); the
+    kept rows are `data[report.kept]`, left to the caller to take, or not.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = _float_rows(data)
     if data.ndim != 2:
         raise DataError("expected a 2-D spectra matrix")
     if data.shape[0] <= OUTLIER_PCS:
@@ -226,6 +289,19 @@ def remove_outliers(data: np.ndarray) -> tuple[PcaModel, OutlierReport]:
     report = OutlierReport(t2=t2, q=q, kept=kept, t2_threshold=t2_thr,
                            q_threshold=q_thr, n_components=model.n_components)
     return model, report
+
+
+def outlier_pass(rows: np.ndarray) -> np.ndarray:
+    """Keep mask from one T2/Q pass; a pass with nothing to model keeps everything.
+
+    Identical spectra give every point the same (zero) statistics, and fewer
+    rows than components leave too little data to model; either way there
+    is nothing to reject, so the pass is skipped rather than failed.
+    """
+    try:
+        return remove_outliers(rows)[1].kept
+    except (DataError, NumericalError):
+        return np.ones(rows.shape[0], dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -265,20 +341,36 @@ class EmscModel:
 def interferent_block(spectra: np.ndarray, axis: WavenumberAxis, band: Band) -> np.ndarray:
     """Global mean plus 99%-variance PCA loadings as rows, all zeroed outside the band.
 
-    Row 0 is the mean; the rows after it are the loadings, so a block has
-    `block.shape[0] - 1` principal components.
+    The spectra are an interferent's raw rows, float32 or float64, and are
+    only read. They get what tissue gets before EMSC: one `outlier_pass`,
+    then `savgol_smooth`, and the PCA is of the kept, smoothed rows. Those
+    are gathered and smoothed a ROW_BLOCK-row block at a time, once for the
+    mean and once for the Gram matrix, in the blocks the pipeline smooths
+    its tissue rows in. Row 0 is the mean; the rows after it are the
+    loadings, so a block has `block.shape[0] - 1` principal components.
     """
-    spectra = np.asarray(spectra, dtype=np.float64)
+    spectra = _float_rows(spectra)
     if spectra.ndim != 2 or spectra.shape[0] == 0:
         raise DataError("interferent set must be a non-empty 2-D matrix")
     if spectra.shape[1] != axis.n_points:
         raise DataError("interferent spectra do not match the model axis")
 
+    kept = np.flatnonzero(outlier_pass(spectra))
+    shape = (kept.size, spectra.shape[1])
+    # gathered and upcast into one reused buffer: a new float64 block per read
+    # took longer, in page faults, than its smoothing
+    gathered = np.empty((min(kept.size, ROW_BLOCK), spectra.shape[1]))
+
+    def smoothed(rows: slice, out: np.ndarray) -> None:
+        block = gathered[:rows.stop - rows.start]
+        block[...] = spectra[kept[rows]]
+        savgol_smooth(block, out=out)
+
     try:
-        model = pca_fit(spectra)
+        model = _pca(smoothed, shape)
     except (DataError, NumericalError):
         # one row, or identical rows: the mean says everything there is to say
-        basis = spectra.mean(axis=0)[None, :]
+        basis = _row_mean(smoothed, shape)[None, :]
     else:
         ratios = np.cumsum(model.explained_variance) / model.total_variance
         k = int(np.searchsorted(ratios, _INTERFERENT_VARIANCE - 1e-12) + 1)
@@ -293,9 +385,10 @@ def emsc_build_model(tissue_mean: np.ndarray, paraffin_spectra: np.ndarray,
                      h2o_block: np.ndarray, axis: WavenumberAxis) -> EmscModel:
     """Assemble the EMSC design: reference | baseline | paraffin | H2O blocks.
 
-    The paraffin block is built here from the core's paraffin spectra; the
-    H2O block is the panel-wide `interferent_block` of the water-vapour
-    spectra, built once and shared by every core.
+    The paraffin block is the `interferent_block` of the core's raw paraffin
+    spectra (float32 or float64), built here; the H2O block is the
+    panel-wide `interferent_block` of the water-vapour spectra, built once
+    and shared by every core.
     """
     reference = np.asarray(tissue_mean, dtype=np.float64)
     if reference.shape != (axis.n_points,):

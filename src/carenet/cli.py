@@ -165,13 +165,25 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's (key, value) pairs as a dict; json alone keeps the
+    last of a repeated key without a word, here it is a DataError."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise DataError(f"key {key!r} given twice")
+        obj[key] = value
+    return obj
+
+
 def _read_sidecar(path: Path, parse):
-    """parse(the JSON object in path). A missing file, bad JSON, a shape
-    parse cannot read, or a DataError from parse is a DataError naming the file."""
+    """parse(the JSON object in path). A missing file, bad JSON, a repeated
+    key, a shape parse cannot read, or a DataError from parse is a DataError
+    naming the file."""
     if not path.exists():
         raise DataError(f"{path.parent}: no {path.name} found")
     with parsing(path, path.name), open(path, "r", encoding="utf-8") as fh:
-        return parse(json.load(fh))
+        return parse(json.load(fh, object_pairs_hook=_unique_keys))
 
 
 def _fold_name(k: int) -> str:
@@ -229,6 +241,11 @@ def _panel_paths(panel_dir: Path) -> tuple[list[Path], Path]:
     """Core cube paths in core-id order and the H2O cube path, from panel.json."""
     def parse(index):
         cores = {int(k): v for k, v in index["cores"].items()}
+        # int() reads " 5" and "03" as 5 and 3, so two keys could name one
+        # core, and only one of their files would be read
+        for key in index["cores"]:
+            if str(int(key)) != key:
+                raise DataError(f"core key {key!r} is not a core id in plain decimal")
         # a file name that is not a string fails the join: TypeError
         return [panel_dir / cores[core_id] for core_id in sorted(cores)], panel_dir / index["h2o"]
     return _read_sidecar(panel_dir / "panel.json", parse)

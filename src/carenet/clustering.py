@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chemometrics import ROW_BLOCK
 from .dataset import HyperCube
 from .errors import DataError, NumericalError
 from .spectral import (
@@ -85,21 +86,35 @@ class PixelMask:
         return not self.low_coverage and self.area_contrast >= AREA_CONTRAST_FLOOR
 
 
-def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||p - c||^2 expanded; clip the tiny negatives the expansion can produce
+def _squared_distances_to(points: np.ndarray, center, buf: np.ndarray) -> np.ndarray:
+    """((points - center) ** 2).sum(axis=1), formed in buf a block of its rows at a time."""
+    d2 = np.empty(points.shape[0])
+    for start in range(0, points.shape[0], buf.shape[0]):
+        rows = slice(start, start + buf.shape[0])
+        block = buf[:d2[rows].size]
+        np.subtract(points[rows], center, out=block)
+        d2[rows] = np.square(block, out=block).sum(axis=1)
+    return d2
+
+
+def _squared_distances(points: np.ndarray, norms: np.ndarray,
+                       centroids: np.ndarray) -> np.ndarray:
+    # ||p - c||^2 expanded, norms being ||p||^2; clip the tiny negatives the
+    # expansion can produce. 2 (p c') is bitwise (2 p) c', with no scaled copy
     d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
+        norms[:, None]
+        - 2.0 * (points @ centroids.T)
         + (centroids * centroids).sum(axis=1)[None, :]
     )
     return np.maximum(d2, 0.0)
 
 
-def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
+               buf: np.ndarray) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[rng.integers(n)]
-    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    d2 = _squared_distances_to(points, centroids[0], buf)
     for j in range(1, k):
         total = d2.sum()
         if not total > 0.0:
@@ -107,25 +122,32 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         probs = d2 / total
         idx = rng.choice(n, p=probs)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _squared_distances_to(points, centroids[j], buf))
     return centroids
 
 
 def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KmeansResult:
-    """Lloyd's algorithm with k-means++ seeding; deterministic for a fixed seed."""
+    """Lloyd's algorithm with k-means++ seeding; deterministic for a fixed seed.
+
+    The point norms are formed once, and every distance pass over the
+    points runs through one reused ROW_BLOCK-row buffer, so no (n, d)
+    temporary is made.
+    """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
         raise DataError("kmeans expects a non-empty 2-D point matrix")
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
-    centroids = _kmeans_pp(points, k, rng)
+    buf = np.empty((min(points.shape[0], ROW_BLOCK), points.shape[1]))
+    centroids = _kmeans_pp(points, k, rng, buf)
+    norms = _squared_distances_to(points, 0.0, buf)
 
     assignments = np.zeros(points.shape[0], dtype=np.int64)
     wcss_path = []
     n_iter = 0
     for n_iter in range(1, KMEANS_MAX_ITER + 1):
-        d2 = _squared_distances(points, centroids)
+        d2 = _squared_distances(points, norms, centroids)
         assignments = d2.argmin(axis=1)
         point_d2 = d2[np.arange(points.shape[0]), assignments]
         wcss_path.append(float(point_d2.sum()))

@@ -23,10 +23,11 @@ import numpy as np
 
 from .chemometrics import (
     H2O_MASK_BAND,
+    ROW_BLOCK,
     emsc_build_model,
     emsc_correct_rows,
     interferent_block,
-    remove_outliers,
+    outlier_pass,
 )
 from .clustering import PixelMask, select_paraffin, select_tissue
 from .dataset import (
@@ -230,22 +231,6 @@ class CoreResult:
     paraffin_mask: PixelMask
 
 
-_ROW_BLOCK = 1024  # rows moved or smoothed at a time by the in-place chain steps
-
-
-def _outlier_pass(rows: np.ndarray) -> np.ndarray:
-    """Keep mask from one T2/Q pass; a pass with nothing to model keeps everything.
-
-    Identical spectra give every point the same (zero) statistics, and fewer
-    rows than components leave too little data to model; either way there
-    is nothing to reject, so the pass is skipped rather than failed.
-    """
-    try:
-        return remove_outliers(rows)[1].kept
-    except (DataError, NumericalError):
-        return np.ones(rows.shape[0], dtype=bool)
-
-
 def _keep_rows(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """rows[keep], moved to the front of rows itself a row block at a time.
 
@@ -254,35 +239,33 @@ def _keep_rows(rows: np.ndarray, keep: np.ndarray) -> np.ndarray:
     later block reads a row that an earlier block overwrote.
     """
     idx = np.flatnonzero(keep)
-    for start in range(0, idx.size, _ROW_BLOCK):
-        src = idx[start:start + _ROW_BLOCK]
+    for start in range(0, idx.size, ROW_BLOCK):
+        src = idx[start:start + ROW_BLOCK]
         rows[start:start + src.size] = rows[src]
     return rows[:idx.size]
 
 
 def _smooth_in_place(rows: np.ndarray) -> None:
     """`savgol_smooth` written back over rows, a row block at a time."""
-    for start in range(0, rows.shape[0], _ROW_BLOCK):
-        block = rows[start:start + _ROW_BLOCK]
+    for start in range(0, rows.shape[0], ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
         block[...] = savgol_smooth(block)
 
 
 def preprocess_h2o(h2o_cube: HyperCube) -> np.ndarray:
     """The panel's EMSC water-vapour block from its environment image.
 
-    Truncate, outlier pass, smooth, then `interferent_block` over the H2O
-    band: built once per panel and shared by every core's EMSC model. The
-    float64 rows are the one (n, p) matrix of the chain: the outlier pass
-    moves its kept rows to the front and the smoothing writes its output
-    back, a row block at a time. The cube goes once its rows are taken, when
-    the caller hands over its only reference.
+    Truncate, then `interferent_block` over the H2O band, which runs the
+    outlier pass and the smoothing: built once per panel and shared by every
+    core's EMSC model. The cube's float32 band is the one (n, p) matrix of
+    the chain: it is only read, a row block at a time, and no float64 copy
+    of it is made. The cube goes with the block's last read, when the caller
+    hands over its only reference.
     """
     sel = band_slice(h2o_cube.axis, BIOFINGERPRINT_BAND)
     axis = sub_axis(h2o_cube.axis, sel)
-    rows = h2o_cube.spectra_matrix()[:, sel].astype(np.float64)
+    rows = h2o_cube.spectra_matrix()[:, sel]
     del h2o_cube
-    rows = _keep_rows(rows, _outlier_pass(rows))
-    _smooth_in_place(rows)
     return interferent_block(rows, axis, H2O_MASK_BAND)
 
 
@@ -290,8 +273,10 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
     """Run the full per-core chain against the panel's `preprocess_h2o` block.
 
     The cube goes once its tissue and paraffin rows are taken, when the
-    caller hands over its only reference. Outlier passes and smoothing work
-    in place on those rows; EMSC and normalisation each write one new matrix.
+    caller hands over its only reference. The tissue rows are upcast to
+    float64 and the outlier passes and smoothing work in place on them; EMSC
+    and normalisation each write one new matrix. The paraffin rows stay
+    float32: `interferent_block` reads them a row block at a time.
     The surviving rows come back as a SpectraSet labelled with the cube's
     identity. Raises DataError when no tissue survives, naming no core id:
     the caller knows which cube it passed.
@@ -306,7 +291,7 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
         raise DataError("clustering found no paraffin pixels")
 
     # cut to the biofingerprint and gather the pixels in float32, then drop
-    # the cube before the selected rows are upcast
+    # the cube before the tissue rows are upcast
     sel = band_slice(cube.axis, BIOFINGERPRINT_BAND)
     axis = sub_axis(cube.axis, sel)
     flat = cube.spectra_matrix()[:, sel]
@@ -315,7 +300,6 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
     spectra, paraffin = flat[tissue_idx], flat[paraffin_mask.mask.ravel()]
     del flat
     spectra = spectra.astype(np.float64)
-    paraffin = paraffin.astype(np.float64)
     sizes = [spectra.shape[0]]
 
     def survivors(rows: np.ndarray, keep: np.ndarray, failure: str) -> np.ndarray:
@@ -328,12 +312,9 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
         sizes.append(rows.shape[0])
         return rows
 
-    spectra = survivors(spectra, _outlier_pass(spectra),
+    spectra = survivors(spectra, outlier_pass(spectra),
                         "no tissue spectra survived outlier removal")
-    paraffin = _keep_rows(paraffin, _outlier_pass(paraffin))
-
     _smooth_in_place(spectra)
-    _smooth_in_place(paraffin)
 
     emsc = emsc_build_model(spectra.mean(axis=0), paraffin, h2o_block, axis)
     del paraffin
@@ -343,7 +324,7 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
 
     spectra, keep = minmax_normalize_rows(spectra)
     spectra = survivors(spectra, keep, "all spectra degenerate after normalization")
-    spectra = survivors(spectra, _outlier_pass(spectra),
+    spectra = survivors(spectra, outlier_pass(spectra),
                         "second outlier pass rejected everything")
 
     n = spectra.shape[0]

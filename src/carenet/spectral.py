@@ -1,12 +1,13 @@
 """Wavenumber-axis arithmetic and row-wise spectral primitives.
 
 The primitives work row-wise on (n, points) matrices, one spectrum per row.
-All math here runs in 64-bit floats; callers that store spectra in 32-bit
-are expected to upcast before calling in and downcast on the way out.
+All math here runs in 64-bit floats: 32-bit rows are upcast on the way in,
+and callers that store spectra in 32-bit downcast on the way out.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,13 +126,29 @@ SAVGOL_WINDOW = 11
 SAVGOL_POLY_ORDER = 2
 
 
-def savgol_smooth(y: np.ndarray) -> np.ndarray:
+@functools.cache
+def _savgol_hat(window: int, poly_order: int) -> np.ndarray:
+    """(window, window) least-squares fitted values at every in-window offset.
+
+    Built once per (window, order) rather than once per call: its pinv runs
+    an SVD, and the chain smooths a block of rows at a time.
+    """
+    offsets = np.arange(window, dtype=np.float64) - window // 2
+    vand = np.vander(offsets, poly_order + 1, increasing=True)
+    hat = vand @ np.linalg.pinv(vand)
+    hat.flags.writeable = False
+    return hat
+
+
+def savgol_smooth(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Savitzky-Golay smoothing along each row of an (n, points) matrix.
 
     Interior points get the centered local least-squares fit of a
     SAVGOL_POLY_ORDER polynomial over SAVGOL_WINDOW points; the first and
     last half-window points are the polynomial fitted to the first/last full
     window, evaluated at their offsets, so the output keeps the input length.
+    The result is written into out (float64, y's shape, not y itself) when
+    one is given, else into a new array.
     """
     window, poly_order = SAVGOL_WINDOW, SAVGOL_POLY_ORDER
     y = np.asarray(y, dtype=np.float64)
@@ -146,11 +163,10 @@ def savgol_smooth(y: np.ndarray) -> np.ndarray:
         raise DataError(f"signal length {n} shorter than window {window}")
 
     half = window // 2
-    offsets = np.arange(window, dtype=np.float64) - half
-    vand = np.vander(offsets, poly_order + 1, increasing=True)
-    hat = vand @ np.linalg.pinv(vand)  # fitted values at every in-window offset
+    hat = _savgol_hat(window, poly_order)
 
-    out = np.empty(y.shape)  # head, interior and tail are written straight into it
+    if out is None:
+        out = np.empty(y.shape)  # head, interior and tail are written straight into it
     np.matmul(y[:, :window], hat[:half].T, out=out[:, :half])
     np.matmul(sliding_window_view(y, window, axis=1), hat[half], out=out[:, half:n - half])
     np.matmul(y[:, -window:], hat[half + 1 :].T, out=out[:, n - half:])

@@ -16,7 +16,8 @@ from carenet.chemometrics import (
     scores_and_residuals,
 )
 from carenet.errors import DataError, NumericalError
-from carenet.spectral import Band, WavenumberAxis, band_slice
+from carenet.pipeline import _smooth_in_place
+from carenet.spectral import Band, WavenumberAxis, band_slice, savgol_smooth
 from tests.conftest import traced_peak
 
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
@@ -68,14 +69,14 @@ class TestPcaFit:
         np.testing.assert_allclose(np.abs(model.loadings[0]), [1.0, 0.0], atol=1e-12)
 
     def test_variance_threshold_selector(self):
-        # exact ratios (0.7, 0.25, 0.05): cumulative hits 0.99 only at p=3
-        a, b, c = np.sqrt(0.7), np.sqrt(0.25), np.sqrt(0.05)
-        data = np.array([
-            [a, 0, 0], [-a, 0, 0],
-            [0, b, 0], [0, -b, 0],
-            [0, 0, c], [0, 0, -c],
-        ])
-        block = interferent_block(data, WavenumberAxis(3.0, 1.0, 3), Band(3.0, 1.0))
+        # exact ratios (0.7, 0.25, 0.05): cumulative hits 0.99 only at p=3. The
+        # directions are orthonormal quadratics on one smoothing window, which
+        # interferent_block's smoothing keeps as they are
+        directions = np.linalg.qr(np.vander(np.arange(11.0), 3))[0].T
+        data = np.array([sign * np.sqrt(share) * d
+                         for share, d in zip((0.7, 0.25, 0.05), directions)
+                         for sign in (1.0, -1.0)])
+        block = interferent_block(data, WavenumberAxis(11.0, 1.0, 11), Band(11.0, 1.0))
         assert block.shape[0] == 1 + 3  # the mean, then the three loadings
 
     def test_loadings_orthonormal(self, rng):
@@ -225,6 +226,66 @@ def test_gram_is_summed_a_block_at_a_time(rng):
 
 def h2o_block(spectra):
     return interferent_block(spectra, AXIS, H2O_MASK_BAND)
+
+
+def float32_spectra(rng, n, p):
+    """n random-walk rows of p points, stored in float32."""
+    return (1.0 + 0.05 * rng.standard_normal((n, p)).cumsum(axis=1)).astype(np.float32)
+
+
+def band_mask(band):
+    mask = np.zeros(AXIS.n_points)
+    mask[band_slice(AXIS, band)] = 1.0
+    return mask
+
+
+class TestFloat32Rows:
+    """float32 rows give bitwise the results of their float64 upcast."""
+
+    # more rows than columns, over three row blocks; fewer (the snapshot path)
+    @pytest.mark.parametrize("n", [2500, 40], ids=["gram_blocks", "snapshot"])
+    def test_pca_fit(self, rng, n):
+        rows = float32_spectra(rng, n, 60)
+        got, want = pca_fit(rows), pca_fit(rows.astype(np.float64))
+        for name in ("mean", "loadings", "explained_variance"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    def test_remove_outliers(self, rng):
+        rows = float32_spectra(rng, 2500, 60)
+        got, want = remove_outliers(rows)[1], remove_outliers(rows.astype(np.float64))[1]
+        for name in ("t2", "q", "kept"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("n", [2500, 300], ids=["gram_blocks", "snapshot"])
+    def test_interferent_block_is_the_chain_before_it(self, rng, n):
+        # what the pipeline did before the block read its rows in blocks: an
+        # outlier pass, the kept rows smoothed in place, then a float64 PCA
+        rows = float32_spectra(rng, n, AXIS.n_points)
+        kept = rows[remove_outliers(rows.astype(np.float64))[1].kept].astype(np.float64)
+        _smooth_in_place(kept)
+        model = pca_fit(kept)
+        ratios = np.cumsum(model.explained_variance) / model.total_variance
+        k = int(np.searchsorted(ratios, 0.99 - 1e-12) + 1)
+        want = np.vstack([model.mean, model.loadings[:k]]) * band_mask(H2O_MASK_BAND)
+        assert h2o_block(rows).tobytes() == want.tobytes()
+        assert h2o_block(rows.astype(np.float64)).tobytes() == want.tobytes()
+
+    def test_identical_rows_give_their_smoothed_mean(self):
+        rows = np.tile(tissue_like(AXIS.values).astype(np.float32), (40, 1))
+        want = savgol_smooth(rows.astype(np.float64)).mean(axis=0) * band_mask(H2O_MASK_BAND)
+        assert h2o_block(rows).tobytes() == want[None, :].tobytes()
+        assert h2o_block(rows.astype(np.float64)).tobytes() == want[None, :].tobytes()
+
+
+def test_float32_paraffin_rows_get_no_float64_copy(rng):
+    # as many paraffin rows as a large core has: the block reads them in row
+    # blocks, and no float64 or kept copy of them is made
+    paraffin = float32_spectra(rng, 12288, AXIS.n_points)
+    h2o = float32_spectra(rng, 50, AXIS.n_points)
+    _, peak = traced_peak(emsc_build_model, tissue_like(AXIS.values), paraffin,
+                          h2o_block(h2o), AXIS)
+    float64_copy = paraffin.size * 8
+    assert peak < 0.5 * float64_copy, peak / float64_copy
 
 
 class TestEmscModel:

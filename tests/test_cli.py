@@ -406,10 +406,26 @@ class TestTrainEvalGradcam:
             rewrite_directory(path, lambda d: d["arrays"][0].update(dtype=dtype))
             assert run(["train", path, "--head", "type", "--out-dir", tmp_path / "out"]) == 3
 
+    def test_repeated_core_key_is_data_error_naming_panel_json(self, tiny_run, tmp_path,
+                                                               capsys):
+        _, synth_dir, _, _ = tiny_run
+        copy = tmp_path / "copy"
+        shutil.copytree(synth_dir, copy)
+        text = (copy / "panel.json").read_text()
+        core_1 = json.loads(text)["cores"]["1"]
+        # a second "0", naming core 1's file: json.loads alone keeps one "0"
+        (copy / "panel.json").write_text(
+            text.replace('"cores": {', f'"cores": {{"0": "{core_1}", ', 1))
+        assert run(["preprocess", copy, "--out-dir", tmp_path / "out"]) == 3
+        err = capsys.readouterr().err
+        assert "panel.json" in err and "'0' given twice" in err
+
     @pytest.mark.parametrize("sidecar,edit", [
         ("panel.json", lambda d: d.update(cores=[1])),
         ("panel.json", lambda d: d.pop("h2o")),
         ("panel.json", lambda d: d["cores"].update(x=d["cores"].pop("0"))),
+        ("panel.json", lambda d: d["cores"].update({"01": d["cores"]["1"]})),
+        ("panel.json", lambda d: d["cores"].update({" 1": d["cores"].pop("1")})),
         ("split.json", lambda d: d.update(folds=5)),
         ("split.json", lambda d: d.update(folds=[])),
         ("split.json", lambda d: d["test_type_cores"][0].__setitem__(0, 999)),
@@ -417,7 +433,8 @@ class TestTrainEvalGradcam:
         ("split.json", lambda d: d["folds"][0].update(dev=[999])),
         ("split.json", lambda d: d["folds"][0]["train"].append(d["test_patients"][0])),
         ("split.json", lambda d: d["folds"][1]["dev"].append(d["folds"][1]["train"][0])),
-    ], ids=["cores_list", "missing_h2o", "core_key_x", "folds_int", "folds_empty",
+    ], ids=["cores_list", "missing_h2o", "core_key_x", "core_key_01_beside_1",
+            "core_key_space_1", "folds_int", "folds_empty",
             "type_core_of_other_patient", "type_core_kind_xx", "dev_patient_not_in_container",
             "fold1_trains_on_test_patient", "fold2_dev_holds_train_patient"])
     def test_malformed_sidecar_is_data_error(self, tiny_run, tmp_path, sidecar, edit):

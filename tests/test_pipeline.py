@@ -27,7 +27,13 @@ from carenet.pipeline import (
     train_fold,
     undersample_balance,
 )
-from carenet.spectral import BIOFINGERPRINT_BAND, WavenumberAxis, savgol_smooth
+from carenet.spectral import (
+    BIOFINGERPRINT_BAND,
+    WavenumberAxis,
+    band_slice,
+    savgol_smooth,
+    sub_axis,
+)
 from carenet.synthgen import SynthConfig
 from tests.conftest import collect_panel, traced_peak, write_panel
 
@@ -363,10 +369,11 @@ class TestPreprocessCore:
         h2o = read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]
         band_rows = h2o.n_spectra * h2o.axis.n_points * 8
 
-        # the rows, kept and smoothed in place, plus row blocks and the H2O PCA
+        # row blocks, the outlier statistics and the H2O PCA: no copy of the rows
         h2o_block, peak = traced_peak(preprocess_h2o, h2o)
         assert peak / band_rows < 1.8, peak / band_rows
-        # tissue and paraffin rows (~0.3 and ~0.35 of the pixels), one working copy each
+        # tissue and paraffin rows (~0.3 and ~0.35 of the pixels) in float32, and
+        # one float64 working copy of the tissue rows
         for path in core_paths:
             _, peak = traced_peak(preprocess_core, read_cube(path, BIOFINGERPRINT_BAND)[0],
                                   h2o_block)
@@ -375,6 +382,20 @@ class TestPreprocessCore:
             _, peak = traced_peak(
                 lambda: preprocess_core(read_cube(path, BIOFINGERPRINT_BAND)[0], h2o_block))
             assert peak / band_rows < 1.5, peak / band_rows
+
+    def test_h2o_band_gets_no_float64_copy(self):
+        # at 96x96 the band's float64 copy, which the chain no longer makes, is
+        # 34.4 MB: row blocks, the outlier statistics and the PCA stay under half
+        cube = collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=96,
+                                         seed=21)).h2o_cube
+        sel = band_slice(cube.axis, BIOFINGERPRINT_BAND)
+        band = HyperCube(np.ascontiguousarray(cube.intensities[:, :, sel]),
+                         sub_axis(cube.axis, sel), cube.core_id, cube.patient_id,
+                         cube.core_type, cube.subtype)
+        del cube
+        float64_copy = band.n_spectra * band.axis.n_points * 8
+        _, peak = traced_peak(preprocess_h2o, band)
+        assert peak < 0.5 * float64_copy, peak / float64_copy
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_core_cube_is_freed_before_smoothing(self, small_panel_files, monkeypatch, jobs):
