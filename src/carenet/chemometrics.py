@@ -13,9 +13,12 @@ smaller than the p x p Gram it replaces.
 
 An interferent block (the water-vapour image, a core's paraffin pixels)
 gets the chain's treatment of tissue before its PCA: one outlier pass, then
-Savitzky-Golay smoothing. Its kept rows are gathered and smoothed a row
-block at a time, once for the mean and once for the Gram matrix, so neither
-a kept copy nor a smoothed float64 copy of the image exists.
+Savitzky-Golay smoothing. Smoothing is linear, so the PCA of the kept,
+smoothed rows comes from the outlier fit's own p x p Gram matrix: the
+rejected rows' scatter is taken out, the result is re-centred on the kept
+mean and smoothed on both sides. The image is read once for the fit's mean,
+once for its Gram and once for its T2/Q scores, then only its rejected rows;
+no kept or smoothed copy of it exists.
 
 The EMSC design matrix stacks the tissue reference, a polynomial baseline
 evaluated on the axis rescaled to [-1, 1], and masked interferent blocks
@@ -42,6 +45,7 @@ __all__ = [
     "scores_and_residuals",
     "remove_outliers",
     "outlier_pass",
+    "row_mean",
     "interferent_block",
     "emsc_build_model",
     "emsc_correct_rows",
@@ -61,9 +65,7 @@ OUTLIER_PCS = 10  # components of the T2/Q outlier model
 OUTLIER_CONFIDENCE = 0.95  # quantile of T2 and of Q above which a spectrum is rejected
 # rows read, upcast, smoothed, centred or moved at a time, here and by the
 # pipeline's in-place steps. A 9216 x 467 Gram takes as long at 1024-4096-row
-# blocks as in one product, and longer at 256 (one BLAS thread). Smoothing
-# a block is bitwise the same whether the pipeline or an interferent PCA
-# does it only while both use this one size.
+# blocks as in one product, and longer at 256 (one BLAS thread).
 ROW_BLOCK = 1024
 
 
@@ -75,6 +77,9 @@ class PcaModel:
     loadings: np.ndarray            # (n_components, p)
     explained_variance: np.ndarray  # (n_components,)
     total_variance: float
+    # (p, p) Gram matrix of the rows centred on mean, as fitted; None when
+    # the fit had fewer rows than columns and formed the n x n one instead
+    gram: np.ndarray | None = None
 
     @property
     def n_components(self) -> int:
@@ -103,88 +108,85 @@ def _float_rows(data) -> np.ndarray:
     return data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
 
 
-def _reader(data: np.ndarray):
-    """read(rows, out) for the rows of data: out = data[rows], upcast to float64."""
-    return lambda rows, out: np.copyto(out, data[rows])
+def _read_blocks(data: np.ndarray, index: np.ndarray | None = None, spare: int = 0):
+    """(rows slice, block) per ROW_BLOCK rows of data, or of data[index].
 
-
-def _read_blocks(read, shape: tuple[int, int], spare: int = 0):
-    """(rows slice, block) per ROW_BLOCK rows of the (n, p) rows read gives.
-
-    read(rows, out) writes that slice of the rows, in float64, into
-    out = block[spare:]; the first `spare` rows of block are the caller's.
-    Every block is a view of the same buffer, so it is valid only until the
-    next one is drawn.
+    Each slice of the rows is upcast to float64 into block[spare:]; the first
+    `spare` rows of block are the caller's. Every block is a view of the same
+    buffer, so it is valid only until the next one is drawn.
     """
-    n, p = shape
-    buf = np.empty((spare + min(n, ROW_BLOCK), p))
+    n = data.shape[0] if index is None else index.size
+    buf = np.empty((spare + min(n, ROW_BLOCK), data.shape[1]))
     for start in range(0, n, ROW_BLOCK):
         rows = slice(start, min(start + ROW_BLOCK, n))
         block = buf[:spare + rows.stop - start]
-        read(rows, block[spare:])
+        block[spare:] = data[rows] if index is None else data[index[rows]]
         yield rows, block
 
 
-def _row_blocks(read, shape: tuple[int, int], mean: np.ndarray):
+def _row_blocks(data: np.ndarray, mean: np.ndarray, index: np.ndarray | None = None):
     """(rows slice, rows - mean) per ROW_BLOCK rows, as `_read_blocks` draws them."""
-    for rows, block in _read_blocks(read, shape):
+    for rows, block in _read_blocks(data, index):
         block -= mean
         yield rows, block
 
 
-def _row_mean(read, shape: tuple[int, int]) -> np.ndarray:
-    """Mean of the rows read gives, in float64.
+def row_mean(data: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """Mean of the rows of data, or of data[index], in float64.
 
-    The running total is reduced together with each block, as its first
-    row, so the rows are added in the order of numpy's axis-0 sum over the
-    whole matrix: the mean is bitwise `rows.astype(np.float64).mean(axis=0)`.
-    A sum of per-block sums is not.
+    The rows are read a ROW_BLOCK at a time, and the running total is
+    reduced together with each block, as its first row, so the rows are
+    added in the order of numpy's axis-0 sum over the whole matrix: the mean
+    is bitwise `data[index].astype(np.float64).mean(axis=0)`, with no
+    gathered copy. A sum of per-block sums is not.
     """
     total = None
-    for _, block in _read_blocks(read, shape, spare=1):
+    for _, block in _read_blocks(data, index, spare=1):
         if total is None:
             total = np.add.reduce(block[1:], axis=0)
         else:
             block[0] = total
             total = np.add.reduce(block, axis=0)
-    return total / shape[0]
+    return total / (data.shape[0] if index is None else index.size)
 
 
-def _variance_spectrum(read, shape: tuple[int, int], mean: np.ndarray):
-    """(variances, loadings) of all min(n, p) principal components of the
-    rows read(rows) gives, centred on mean, C = rows - mean.
-
-    One eigendecomposition of the smaller Gram matrix of C, sorted
-    descending, with roundoff below zero clipped: C'C (p x p) for n >= p,
-    summed a row block at a time; for fewer rows than columns C C' (n x n),
-    whose eigenvectors u give the loadings as the normalised C'u (the
-    snapshot method).
-    """
-    n, p = shape
-    wide = n < p
-    with np.errstate(over="ignore", invalid="ignore"):
-        if wide:
-            centered = np.empty(shape)
-            for rows, block in _row_blocks(read, shape, mean):
-                centered[rows] = block
-            gram = centered @ centered.T
-        else:
-            gram = np.zeros((p, p))
-            for _, block in _row_blocks(read, shape, mean):
-                gram += block.T @ block
+def _eigen(gram: np.ndarray, n: int):
+    """(variances, eigenvectors as columns) of the centred Gram matrix of n
+    rows, sorted descending, with roundoff below zero clipped."""
     if not np.all(np.isfinite(gram)):
         raise NumericalError("PCA Gram matrix overflows float64")
     try:
         eigvals, eigvecs = np.linalg.eigh(gram)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"PCA eigendecomposition failed: {exc}") from exc
-    eigvals, eigvecs = eigvals[::-1], eigvecs[:, ::-1]
-    if wide:
-        eigvecs = centered.T @ eigvecs
-        norms = np.linalg.norm(eigvecs, axis=0)
-        eigvecs /= np.where(norms > 0.0, norms, 1.0)
-    variances = np.maximum(eigvals, 0.0) / (n - 1)
-    return variances, eigvecs.T
+    return np.maximum(eigvals[::-1], 0.0) / (n - 1), eigvecs[:, ::-1]
+
+
+def _variance_spectrum(data: np.ndarray, mean: np.ndarray):
+    """(variances, loadings, Gram) of all min(n, p) principal components of
+    the rows of data centred on mean, C = data - mean.
+
+    One eigendecomposition of the smaller Gram matrix of C: C'C (p x p) for
+    n >= p, summed a row block at a time and returned; for fewer rows than
+    columns C C' (n x n), whose eigenvectors u give the loadings as the
+    normalised C'u (the snapshot method), and no Gram is returned.
+    """
+    n, p = data.shape
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n < p:
+            centered = data - mean
+            gram = centered @ centered.T
+        else:
+            gram = np.zeros((p, p))
+            for _, block in _row_blocks(data, mean):
+                gram += block.T @ block
+    variances, eigvecs = _eigen(gram, n)
+    if n >= p:
+        return variances, eigvecs.T, gram
+    eigvecs = centered.T @ eigvecs
+    norms = np.linalg.norm(eigvecs, axis=0)
+    eigvecs /= np.where(norms > 0.0, norms, 1.0)
+    return variances, eigvecs.T, None
 
 
 def _numerical_rank(variances: np.ndarray, shape: tuple[int, int]) -> int:
@@ -194,18 +196,15 @@ def _numerical_rank(variances: np.ndarray, shape: tuple[int, int]) -> int:
     return int((variances > variances[0] * max(shape) * np.finfo(np.float64).eps).sum())
 
 
-def _pca(read, shape: tuple[int, int]) -> PcaModel:
-    """`pca_fit` of the (n, p) rows read(rows) gives, a row block at a time."""
-    if shape[0] < 2:
-        raise DataError("PCA needs a 2-D matrix with at least 2 rows")
-    mean = _row_mean(read, shape)
-    variances, loadings = _variance_spectrum(read, shape, mean)
+def _model(mean: np.ndarray, variances: np.ndarray, loadings: np.ndarray,
+           gram: np.ndarray | None = None) -> PcaModel:
+    """PcaModel of these components; (numerically) zero total variance raises."""
     total = float(variances.sum())
     if total <= _VARIANCE_TINY:
         raise NumericalError("data has (numerically) zero variance; PCA is degenerate")
     # C order, so the T2/Q products read the rows of a leading slice contiguously
     return PcaModel(mean=mean, loadings=np.ascontiguousarray(loadings),
-                    explained_variance=variances, total_variance=total)
+                    explained_variance=variances, total_variance=total, gram=gram)
 
 
 def pca_fit(data: np.ndarray) -> PcaModel:
@@ -216,9 +215,10 @@ def pca_fit(data: np.ndarray) -> PcaModel:
     leading ones its own rule selects.
     """
     data = _float_rows(data)
-    if data.ndim != 2:
+    if data.ndim != 2 or data.shape[0] < 2:
         raise DataError("PCA needs a 2-D matrix with at least 2 rows")
-    return _pca(_reader(data), data.shape)
+    mean = row_mean(data)
+    return _model(mean, *_variance_spectrum(data, mean))
 
 
 def rank_estimate(data: np.ndarray) -> int:
@@ -230,8 +230,7 @@ def rank_estimate(data: np.ndarray) -> int:
     relative level are roundoff and are not counted.
     """
     data = _float_rows(data)
-    read = _reader(data)
-    variances, _ = _variance_spectrum(read, data.shape, _row_mean(read, data.shape))
+    variances = _variance_spectrum(data, row_mean(data))[0]
     return _numerical_rank(variances, data.shape)
 
 
@@ -248,7 +247,7 @@ def scores_and_residuals(model: PcaModel, rows: np.ndarray):
         raise DataError("spectra must be (n, p) rows matching the PCA model")
     scores = np.empty((rows.shape[0], model.n_components))
     q = np.empty(rows.shape[0])
-    for block_rows, block in _row_blocks(_reader(rows), rows.shape, model.mean):
+    for block_rows, block in _row_blocks(rows, model.mean):
         np.matmul(block, model.loadings.T, out=scores[block_rows])
         block -= scores[block_rows] @ model.loadings
         q[block_rows] = np.square(block, out=block).sum(axis=1)
@@ -267,7 +266,9 @@ def remove_outliers(data: np.ndarray) -> tuple[PcaModel, OutlierReport]:
     NumericalError). Thresholds are the OUTLIER_CONFIDENCE quantiles of T2
     and Q over the data; a spectrum exceeding either is rejected.
     Thresholds are not re-fit after rejection. Returns (model, report); the
-    kept rows are `data[report.kept]`, left to the caller to take, or not.
+    model keeps the fit's Gram matrix, from which `interferent_block` builds
+    its PCA, and the kept rows are `data[report.kept]`, left to the caller
+    to take, or not.
     """
     data = _float_rows(data)
     if data.ndim != 2:
@@ -291,6 +292,16 @@ def remove_outliers(data: np.ndarray) -> tuple[PcaModel, OutlierReport]:
     return model, report
 
 
+def _outlier_fit(rows: np.ndarray) -> tuple[PcaModel | None, np.ndarray]:
+    """(model, keep mask) of one `remove_outliers` pass; a pass with nothing
+    to model has no model and keeps everything."""
+    try:
+        model, report = remove_outliers(rows)
+    except (DataError, NumericalError):
+        return None, np.ones(rows.shape[0], dtype=bool)
+    return model, report.kept
+
+
 def outlier_pass(rows: np.ndarray) -> np.ndarray:
     """Keep mask from one T2/Q pass; a pass with nothing to model keeps everything.
 
@@ -298,10 +309,7 @@ def outlier_pass(rows: np.ndarray) -> np.ndarray:
     rows than components leave too little data to model; either way there
     is nothing to reject, so the pass is skipped rather than failed.
     """
-    try:
-        return remove_outliers(rows)[1].kept
-    except (DataError, NumericalError):
-        return np.ones(rows.shape[0], dtype=bool)
+    return _outlier_fit(rows)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +346,40 @@ class EmscModel:
         return slice(start, start + 1 + self.n_h2o_pcs)
 
 
+def _kept_gram(spectra: np.ndarray, fit: PcaModel, kept: np.ndarray):
+    """(mean, centred Gram) of spectra[kept], from the outlier fit of all of them.
+
+    The fit's Gram G of every row about the mean mu loses the rejected rows'
+    scatter, summed a ROW_BLOCK-row block at a time, and is re-centred on
+    the kept mean: G_kept = G - sum_rej (x - mu)(x - mu)' - n_kept d d',
+    with d = mean_kept - mu = -sum_rej (x - mu) / n_kept. Only the rejected
+    rows are read. The fit's Gram is updated in place.
+    """
+    rejected = np.flatnonzero(~kept)
+    n_kept = kept.size - rejected.size
+    gram, shift = fit.gram, np.zeros(spectra.shape[1])
+    for _, block in _row_blocks(spectra, fit.mean, rejected):
+        gram -= block.T @ block
+        shift += block.sum(axis=0)
+    d = shift / -n_kept
+    gram -= n_kept * np.outer(d, d)
+    return fit.mean + d, gram
+
+
 def interferent_block(spectra: np.ndarray, axis: WavenumberAxis, band: Band) -> np.ndarray:
     """Global mean plus 99%-variance PCA loadings as rows, all zeroed outside the band.
 
     The spectra are an interferent's raw rows, float32 or float64, and are
     only read. They get what tissue gets before EMSC: one `outlier_pass`,
-    then `savgol_smooth`, and the PCA is of the kept, smoothed rows. Those
-    are gathered and smoothed a ROW_BLOCK-row block at a time, once for the
-    mean and once for the Gram matrix, in the blocks the pipeline smooths
-    its tissue rows in. Row 0 is the mean; the rows after it are the
-    loadings, so a block has `block.shape[0] - 1` principal components.
+    then `savgol_smooth`, and the PCA is of the kept, smoothed rows.
+    Smoothing is a linear map H on each row, so those rows have mean H m and
+    centred Gram H G H', where m and G are the kept rows' own: the PCA comes
+    from the outlier fit's Gram (`_kept_gram`) and two smoothings of a p x p
+    matrix, and no kept row is read again or smoothed. A fit with fewer rows
+    than columns has no p x p Gram, and a pass with nothing to model has no
+    fit; then the kept rows are gathered, smoothed and fitted. Row 0 is the
+    mean; the rows after it are the loadings, so a block has
+    `block.shape[0] - 1` principal components.
     """
     spectra = _float_rows(spectra)
     if spectra.ndim != 2 or spectra.shape[0] == 0:
@@ -355,22 +387,24 @@ def interferent_block(spectra: np.ndarray, axis: WavenumberAxis, band: Band) -> 
     if spectra.shape[1] != axis.n_points:
         raise DataError("interferent spectra do not match the model axis")
 
-    kept = np.flatnonzero(outlier_pass(spectra))
-    shape = (kept.size, spectra.shape[1])
-    # gathered and upcast into one reused buffer: a new float64 block per read
-    # took longer, in page faults, than its smoothing
-    gathered = np.empty((min(kept.size, ROW_BLOCK), spectra.shape[1]))
-
-    def smoothed(rows: slice, out: np.ndarray) -> None:
-        block = gathered[:rows.stop - rows.start]
-        block[...] = spectra[kept[rows]]
-        savgol_smooth(block, out=out)
-
+    fit, kept = _outlier_fit(spectra)
+    if fit is None or fit.gram is None:
+        # fewer rows than columns, or rows the pass found nothing to model in
+        rows, gram = savgol_smooth(spectra[kept]), None
+        mean = rows.mean(axis=0)
+    else:
+        mean, gram = _kept_gram(spectra, fit, kept)
+        mean = savgol_smooth(mean[None, :])[0]  # H m
+        gram = savgol_smooth(savgol_smooth(gram).T)  # (G H')' H' = H G H'
     try:
-        model = _pca(smoothed, shape)
+        if gram is None:
+            model = pca_fit(rows)
+        else:
+            variances, vectors = _eigen(gram, int(kept.sum()))
+            model = _model(mean, variances, vectors.T)
     except (DataError, NumericalError):
         # one row, or identical rows: the mean says everything there is to say
-        basis = _row_mean(smoothed, shape)[None, :]
+        basis = mean[None, :]
     else:
         ratios = np.cumsum(model.explained_variance) / model.total_variance
         k = int(np.searchsorted(ratios, _INTERFERENT_VARIANCE - 1e-12) + 1)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chemometrics import ROW_BLOCK
+from .chemometrics import ROW_BLOCK, row_mean
 from .dataset import HyperCube
 from .errors import DataError, NumericalError
 from .spectral import (
@@ -131,7 +131,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KmeansResult:
 
     The point norms are formed once, and every distance pass over the
     points runs through one reused ROW_BLOCK-row buffer, so no (n, d)
-    temporary is made.
+    temporary is made. Each centroid update is `row_mean` of its members,
+    bitwise their gathered mean with no gathered copy.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] == 0:
@@ -154,9 +155,9 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KmeansResult:
 
         new_centroids = centroids.copy()
         for c in range(k):
-            members = assignments == c
-            if members.any():
-                new_centroids[c] = points[members].mean(axis=0)
+            members = np.flatnonzero(assignments == c)
+            if members.size:
+                new_centroids[c] = row_mean(points, members)
             else:
                 # repair: hand the empty cluster the point farthest from its centroid
                 far = int(point_d2.argmax())

@@ -140,15 +140,13 @@ def _savgol_hat(window: int, poly_order: int) -> np.ndarray:
     return hat
 
 
-def savgol_smooth(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def savgol_smooth(y: np.ndarray) -> np.ndarray:
     """Savitzky-Golay smoothing along each row of an (n, points) matrix.
 
     Interior points get the centered local least-squares fit of a
     SAVGOL_POLY_ORDER polynomial over SAVGOL_WINDOW points; the first and
     last half-window points are the polynomial fitted to the first/last full
     window, evaluated at their offsets, so the output keeps the input length.
-    The result is written into out (float64, y's shape, not y itself) when
-    one is given, else into a new array.
     """
     window, poly_order = SAVGOL_WINDOW, SAVGOL_POLY_ORDER
     y = np.asarray(y, dtype=np.float64)
@@ -165,8 +163,7 @@ def savgol_smooth(y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     half = window // 2
     hat = _savgol_hat(window, poly_order)
 
-    if out is None:
-        out = np.empty(y.shape)  # head, interior and tail are written straight into it
+    out = np.empty(y.shape)  # head, interior and tail are written straight into it
     np.matmul(y[:, :window], hat[:half].T, out=out[:, :half])
     np.matmul(sliding_window_view(y, window, axis=1), hat[half], out=out[:, half:n - half])
     np.matmul(y[:, -window:], hat[half + 1 :].T, out=out[:, n - half:])

@@ -256,25 +256,68 @@ class TestFloat32Rows:
         for name in ("t2", "q", "kept"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
-    @pytest.mark.parametrize("n", [2500, 300], ids=["gram_blocks", "snapshot"])
-    def test_interferent_block_is_the_chain_before_it(self, rng, n):
-        # what the pipeline did before the block read its rows in blocks: an
-        # outlier pass, the kept rows smoothed in place, then a float64 PCA
+    # more rows than columns, with and without gross outliers; fewer (the snapshot path)
+    @pytest.mark.parametrize("n, spikes", [(2500, False), (2500, True), (300, False)],
+                             ids=["gram_blocks", "gram_spikes", "snapshot"])
+    def test_interferent_block_is_the_chain_before_it(self, rng, n, spikes):
+        # the float64 oracle is the chain the block stands for: an outlier
+        # pass, the kept rows smoothed in place, then a PCA of them
         rows = float32_spectra(rng, n, AXIS.n_points)
-        kept = rows[remove_outliers(rows.astype(np.float64))[1].kept].astype(np.float64)
-        _smooth_in_place(kept)
-        model = pca_fit(kept)
+        if spikes:
+            # rejected rows whose scatter dwarfs the kept rows' in the Gram
+            # it is subtracted from
+            rows[::25] *= 100
+        kept = remove_outliers(rows.astype(np.float64))[1].kept
+        if spikes:
+            assert not kept[::25].any()
+        oracle = rows[kept].astype(np.float64)
+        _smooth_in_place(oracle)
+        model = pca_fit(oracle)
         ratios = np.cumsum(model.explained_variance) / model.total_variance
         k = int(np.searchsorted(ratios, 0.99 - 1e-12) + 1)
         want = np.vstack([model.mean, model.loadings[:k]]) * band_mask(H2O_MASK_BAND)
-        assert h2o_block(rows).tobytes() == want.tobytes()
-        assert h2o_block(rows.astype(np.float64)).tobytes() == want.tobytes()
+
+        got = h2o_block(rows)
+        assert got.tobytes() == h2o_block(rows.astype(np.float64)).tobytes()
+        assert got.shape == want.shape  # the same k
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0.0)
+        signs = np.sign((got[1:] * want[1:]).sum(axis=1))[:, None]
+        assert np.abs(signs * got[1:] - want[1:]).max() <= 1e-10
+        if n < AXIS.n_points:  # the snapshot path still gathers, smooths and fits
+            assert got.tobytes() == want.tobytes()
 
     def test_identical_rows_give_their_smoothed_mean(self):
         rows = np.tile(tissue_like(AXIS.values).astype(np.float32), (40, 1))
         want = savgol_smooth(rows.astype(np.float64)).mean(axis=0) * band_mask(H2O_MASK_BAND)
         assert h2o_block(rows).tobytes() == want[None, :].tobytes()
         assert h2o_block(rows.astype(np.float64)).tobytes() == want[None, :].tobytes()
+
+
+@pytest.mark.parametrize("n", [600, 2500, 5000])
+def test_interferent_pca_smooths_no_row_and_reads_only_rejected_ones(rng, monkeypatch, n):
+    # n >= p rows: the PCA comes from the outlier fit's Gram, so smoothing
+    # runs on the mean and twice on a p x p matrix whatever n is, and once
+    # the pass is done, the rows it kept are never read again
+    rows = float32_spectra(rng, n, AXIS.n_points)
+    want = h2o_block(rows.copy())
+    smoothed = []
+
+    def counting_smooth(y):
+        smoothed.append(np.shape(y))
+        return savgol_smooth(y)
+
+    def poisoning_pass(data):
+        model, report = remove_outliers(data)
+        data[report.kept] = np.nan  # a kept row read from here on poisons the block
+        return model, report
+
+    monkeypatch.setattr(chemometrics, "savgol_smooth", counting_smooth)
+    monkeypatch.setattr(chemometrics, "remove_outliers", poisoning_pass)
+    got = h2o_block(rows)
+    assert np.isnan(rows).any()  # the pass did poison the caller's rows
+    assert got.tobytes() == want.tobytes()
+    p = AXIS.n_points
+    assert sorted(smoothed) == [(1, p), (p, p), (p, p)]
 
 
 def test_float32_paraffin_rows_get_no_float64_copy(rng):

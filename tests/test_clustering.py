@@ -10,7 +10,7 @@ from carenet.clustering import (
 )
 from carenet.errors import DataError, NumericalError
 from carenet.synthgen import SynthConfig
-from tests.conftest import collect_panel
+from tests.conftest import collect_panel, traced_peak
 
 
 def exhaustive_two_partition(points):
@@ -94,6 +94,23 @@ class TestKmeans:
             assert assignment_wcss(points, result.assignments, 2) == pytest.approx(
                 oracle_wcss, rel=1e-12
             )
+
+    def test_centroids_are_the_gathered_means_bitwise(self, rng):
+        # members over several row blocks: the blocked mean keeps numpy's
+        # summation order, so the masks do not move
+        points = np.concatenate([rng.standard_normal((3000, 8)),
+                                 rng.standard_normal((2200, 8)) + 4.0])
+        result = kmeans(points, 2, seed=3)
+        for c in range(2):
+            want = points[result.assignments == c].mean(axis=0)
+            assert result.centroids[c].tobytes() == want.tobytes()
+
+    def test_update_gathers_no_cluster(self, rng):
+        points = np.concatenate([rng.standard_normal((10000, 200)),
+                                 rng.standard_normal((10000, 200)) + 3.0])
+        result, peak = traced_peak(kmeans, points, 2, 0)
+        gathered = np.bincount(result.assignments).min() * points.shape[1] * 8
+        assert peak < 0.5 * gathered, peak / gathered
 
 
 def all_valid(assign):
