@@ -4,12 +4,15 @@ PCA factors the Gram matrix of the centred rows (p x p, or n x n for fewer
 rows than columns) with one symmetric eigendecomposition; the n x p left
 singular factor is never formed. Rows may be float32 or float64: the mean,
 the p x p Gram, and scores, T2 and Q are all formed a ROW_BLOCK-row block
-at a time, each block upcast and centred into one reused float64 buffer, so
-no (n, p) float64 or centred copy of the rows is held. float32 -> float64
-is exact and the sums run in the order of the whole-matrix expressions, so
-float32 rows give bitwise the results of their float64 upcast. Only the
-snapshot path for fewer rows than columns centres the whole matrix, a copy
-smaller than the p x p Gram it replaces.
+at a time by `row_blocks` (K-means' too), each block upcast and centred into
+one reused float64 buffer, so no (n, p) float64 or centred copy of the rows
+is held. float32 -> float64 is exact and the sums run in the order of the
+whole-matrix expressions, so float32 rows give bitwise the results of their
+float64 upcast. Only the snapshot path for fewer rows than columns centres
+the whole matrix, a copy smaller than the p x p Gram it replaces.
+
+`outlier_pass` is the chain's one T2/Q pass: the `remove_outliers` fit and
+keep mask, or, with nothing to model, no fit and every row kept.
 
 An interferent block (the water-vapour image, a core's paraffin pixels)
 gets the chain's treatment of tissue before its PCA: one outlier pass, then
@@ -20,8 +23,8 @@ mean and smoothed on both sides. The image is read once for the fit's mean,
 once for its Gram and once for its T2/Q scores, then only its rejected rows;
 no kept or smoothed copy of it exists.
 
-The EMSC design matrix stacks the tissue reference, a polynomial baseline
-evaluated on the axis rescaled to [-1, 1], and masked interferent blocks
+The EMSC design matrix stacks the tissue reference, the polynomial baseline
+`spectral.baseline_basis` (the generator's own), and masked interferent blocks
 (per-block global mean plus PCA loadings, zeroed outside the block's band).
 Its pseudo-inverse is computed once per model, so correcting a matrix of
 spectra is one projection onto the design rather than a least-squares
@@ -35,7 +38,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .spectral import Band, WavenumberAxis, band_slice, savgol_smooth
+from .spectral import (BASELINE_ORDER, Band, WavenumberAxis, band_slice, baseline_basis,
+                       savgol_smooth)
 
 __all__ = [
     "PcaModel",
@@ -45,6 +49,7 @@ __all__ = [
     "scores_and_residuals",
     "remove_outliers",
     "outlier_pass",
+    "row_blocks",
     "row_mean",
     "interferent_block",
     "emsc_build_model",
@@ -58,7 +63,6 @@ PARAFFIN_MASK_BAND = Band(1500.0, 1350.0)
 H2O_MASK_BAND = Band(1800.0, 1300.0)
 
 _VARIANCE_TINY = 1e-12
-_BASELINE_ORDER = 4
 _REF_COEF_FLOOR = 1e-6
 _INTERFERENT_VARIANCE = 0.99  # explained-variance share kept per interferent block
 OUTLIER_PCS = 10  # components of the T2/Q outlier model
@@ -124,7 +128,7 @@ def _read_blocks(data: np.ndarray, index: np.ndarray | None = None, spare: int =
         yield rows, block
 
 
-def _row_blocks(data: np.ndarray, mean: np.ndarray, index: np.ndarray | None = None):
+def row_blocks(data: np.ndarray, mean: np.ndarray, index: np.ndarray | None = None):
     """(rows slice, rows - mean) per ROW_BLOCK rows, as `_read_blocks` draws them."""
     for rows, block in _read_blocks(data, index):
         block -= mean
@@ -178,7 +182,7 @@ def _variance_spectrum(data: np.ndarray, mean: np.ndarray):
             gram = centered @ centered.T
         else:
             gram = np.zeros((p, p))
-            for _, block in _row_blocks(data, mean):
+            for _, block in row_blocks(data, mean):
                 gram += block.T @ block
     variances, eigvecs = _eigen(gram, n)
     if n >= p:
@@ -247,7 +251,7 @@ def scores_and_residuals(model: PcaModel, rows: np.ndarray):
         raise DataError("spectra must be (n, p) rows matching the PCA model")
     scores = np.empty((rows.shape[0], model.n_components))
     q = np.empty(rows.shape[0])
-    for block_rows, block in _row_blocks(rows, model.mean):
+    for block_rows, block in row_blocks(rows, model.mean):
         np.matmul(block, model.loadings.T, out=scores[block_rows])
         block -= scores[block_rows] @ model.loadings
         q[block_rows] = np.square(block, out=block).sum(axis=1)
@@ -292,24 +296,18 @@ def remove_outliers(data: np.ndarray) -> tuple[PcaModel, OutlierReport]:
     return model, report
 
 
-def _outlier_fit(rows: np.ndarray) -> tuple[PcaModel | None, np.ndarray]:
-    """(model, keep mask) of one `remove_outliers` pass; a pass with nothing
-    to model has no model and keeps everything."""
+def outlier_pass(rows: np.ndarray) -> tuple[PcaModel | None, np.ndarray]:
+    """(model, keep mask) of one `remove_outliers` pass over rows.
+
+    Identical spectra give every point the same (zero) statistics, and fewer
+    rows than components leave too little data to model; either way nothing
+    is rejected and the pass is skipped, not failed: no model, every row kept.
+    """
     try:
         model, report = remove_outliers(rows)
     except (DataError, NumericalError):
         return None, np.ones(rows.shape[0], dtype=bool)
     return model, report.kept
-
-
-def outlier_pass(rows: np.ndarray) -> np.ndarray:
-    """Keep mask from one T2/Q pass; a pass with nothing to model keeps everything.
-
-    Identical spectra give every point the same (zero) statistics, and fewer
-    rows than components leave too little data to model; either way there
-    is nothing to reject, so the pass is skipped rather than failed.
-    """
-    return _outlier_fit(rows)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +319,7 @@ class EmscModel:
     """Assembled design for spectra on a fixed axis, with its pseudo-inverse."""
 
     axis: WavenumberAxis
-    reference: np.ndarray       # (p,) tissue reference, first design column
-    design: np.ndarray          # (p, m)
+    design: np.ndarray          # (p, m), the tissue reference its first column
     projector: np.ndarray       # (m, p) pseudo-inverse of design
     n_paraffin_pcs: int
     n_h2o_pcs: int
@@ -333,17 +330,15 @@ class EmscModel:
 
     @property
     def baseline_cols(self) -> slice:
-        return slice(1, 1 + _BASELINE_ORDER + 1)
+        return slice(1, 2 + BASELINE_ORDER)
 
     @property
     def paraffin_cols(self) -> slice:
-        start = 1 + _BASELINE_ORDER + 1
-        return slice(start, start + 1 + self.n_paraffin_pcs)
+        return slice(2 + BASELINE_ORDER, 3 + BASELINE_ORDER + self.n_paraffin_pcs)
 
     @property
     def h2o_cols(self) -> slice:
-        start = 1 + _BASELINE_ORDER + 1 + 1 + self.n_paraffin_pcs
-        return slice(start, start + 1 + self.n_h2o_pcs)
+        return slice(self.paraffin_cols.stop, self.paraffin_cols.stop + 1 + self.n_h2o_pcs)
 
 
 def _kept_gram(spectra: np.ndarray, fit: PcaModel, kept: np.ndarray):
@@ -358,7 +353,7 @@ def _kept_gram(spectra: np.ndarray, fit: PcaModel, kept: np.ndarray):
     rejected = np.flatnonzero(~kept)
     n_kept = kept.size - rejected.size
     gram, shift = fit.gram, np.zeros(spectra.shape[1])
-    for _, block in _row_blocks(spectra, fit.mean, rejected):
+    for _, block in row_blocks(spectra, fit.mean, rejected):
         gram -= block.T @ block
         shift += block.sum(axis=0)
     d = shift / -n_kept
@@ -387,7 +382,7 @@ def interferent_block(spectra: np.ndarray, axis: WavenumberAxis, band: Band) -> 
     if spectra.shape[1] != axis.n_points:
         raise DataError("interferent spectra do not match the model axis")
 
-    fit, kept = _outlier_fit(spectra)
+    fit, kept = outlier_pass(spectra)
     if fit is None or fit.gram is None:
         # fewer rows than columns, or rows the pass found nothing to model in
         rows, gram = savgol_smooth(spectra[kept]), None
@@ -431,14 +426,8 @@ def emsc_build_model(tissue_mean: np.ndarray, paraffin_spectra: np.ndarray,
     if h2o_block.ndim != 2 or h2o_block.shape[0] == 0 or h2o_block.shape[1] != axis.n_points:
         raise DataError("H2O block must be a non-empty (k, axis.n_points) matrix")
 
-    values = axis.values
-    mid = 0.5 * (values[0] + values[-1])
-    halfspan = 0.5 * (values[0] - values[-1])
-    t = (values - mid) / halfspan
-    baseline = np.vander(t, _BASELINE_ORDER + 1, increasing=True)  # (p, 5)
     par_block = interferent_block(paraffin_spectra, axis, PARAFFIN_MASK_BAND)
-
-    design = np.column_stack([reference, baseline, par_block.T, h2o_block.T])
+    design = np.column_stack([reference, baseline_basis(axis), par_block.T, h2o_block.T])
     if not np.all(np.isfinite(design)):
         raise NumericalError("EMSC design matrix contains non-finite values")
     # lstsq(rcond=None)'s cutoff; pinv's own default (1e-15) would keep more
@@ -447,7 +436,7 @@ def emsc_build_model(tissue_mean: np.ndarray, paraffin_spectra: np.ndarray,
         projector = np.linalg.pinv(design, rcond=rcond)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"EMSC design pseudo-inverse failed: {exc}") from exc
-    return EmscModel(axis=axis, reference=reference, design=design, projector=projector,
+    return EmscModel(axis=axis, design=design, projector=projector,
                      n_paraffin_pcs=par_block.shape[0] - 1,
                      n_h2o_pcs=h2o_block.shape[0] - 1)
 

@@ -5,6 +5,9 @@ the larger mean integrated amide area "tissue". The second pass zeroes the
 tissue pixels, clusters the strongest paraffin band, and calls the larger
 band-area cluster "paraffin". Pixels in neither mask are discarded as pure
 slide.
+
+K-means reads its points by `chemometrics.row_blocks` and updates each
+centroid by `chemometrics.row_mean`: no (n, d) temporary or gathered copy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chemometrics import ROW_BLOCK, row_mean
+from .chemometrics import row_blocks, row_mean
 from .dataset import HyperCube
 from .errors import DataError, NumericalError
 from .spectral import (
@@ -70,7 +73,6 @@ class PixelMask:
     """
 
     mask: np.ndarray
-    role: str  # tissue | paraffin
     low_coverage: bool = False
     area_contrast: float = np.inf
 
@@ -78,21 +80,16 @@ class PixelMask:
         self.mask = np.asarray(self.mask, dtype=bool)
         if self.mask.ndim != 2:
             raise DataError("pixel mask must be 2-D")
-        if self.role not in ("tissue", "paraffin"):
-            raise DataError(f"unknown mask role {self.role!r}")
 
     @property
     def plausible(self) -> bool:
         return not self.low_coverage and self.area_contrast >= AREA_CONTRAST_FLOOR
 
 
-def _squared_distances_to(points: np.ndarray, center, buf: np.ndarray) -> np.ndarray:
-    """((points - center) ** 2).sum(axis=1), formed in buf a block of its rows at a time."""
+def _squared_distances_to(points: np.ndarray, center) -> np.ndarray:
+    """((points - center) ** 2).sum(axis=1), a `row_blocks` block at a time."""
     d2 = np.empty(points.shape[0])
-    for start in range(0, points.shape[0], buf.shape[0]):
-        rows = slice(start, start + buf.shape[0])
-        block = buf[:d2[rows].size]
-        np.subtract(points[rows], center, out=block)
+    for rows, block in row_blocks(points, center):
         d2[rows] = np.square(block, out=block).sum(axis=1)
     return d2
 
@@ -109,12 +106,11 @@ def _squared_distances(points: np.ndarray, norms: np.ndarray,
     return np.maximum(d2, 0.0)
 
 
-def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
-               buf: np.ndarray) -> np.ndarray:
+def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = points.shape[0]
     centroids = np.empty((k, points.shape[1]), dtype=np.float64)
     centroids[0] = points[rng.integers(n)]
-    d2 = _squared_distances_to(points, centroids[0], buf)
+    d2 = _squared_distances_to(points, centroids[0])
     for j in range(1, k):
         total = d2.sum()
         if not total > 0.0:
@@ -122,7 +118,7 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
         probs = d2 / total
         idx = rng.choice(n, p=probs)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances_to(points, centroids[j], buf))
+        d2 = np.minimum(d2, _squared_distances_to(points, centroids[j]))
     return centroids
 
 
@@ -130,8 +126,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KmeansResult:
     """Lloyd's algorithm with k-means++ seeding; deterministic for a fixed seed.
 
     The point norms are formed once, and every distance pass over the
-    points runs through one reused ROW_BLOCK-row buffer, so no (n, d)
-    temporary is made. Each centroid update is `row_mean` of its members,
+    points runs through chemometrics' `row_blocks`, so no (n, d) temporary
+    is made. Each centroid update is `row_mean` of its members,
     bitwise their gathered mean with no gathered copy.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -140,9 +136,8 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0) -> KmeansResult:
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     rng = np.random.default_rng(seed)
-    buf = np.empty((min(points.shape[0], ROW_BLOCK), points.shape[1]))
-    centroids = _kmeans_pp(points, k, rng, buf)
-    norms = _squared_distances_to(points, 0.0, buf)
+    centroids = _kmeans_pp(points, k, rng)
+    norms = _squared_distances_to(points, 0.0)
 
     assignments = np.zeros(points.shape[0], dtype=np.int64)
     wcss_path = []
@@ -204,7 +199,7 @@ def order_clusters_by_area(assignments: np.ndarray, band_areas: np.ndarray,
     return labels, selected / abs(rejected)
 
 
-def _select(cube: HyperCube, band: Band, role: str, seed: int,
+def _select(cube: HyperCube, band: Band, seed: int,
             excluded: np.ndarray | None = None) -> PixelMask:
     """Cluster the band's spectra (k=2) and mask the larger-area cluster.
 
@@ -221,13 +216,13 @@ def _select(cube: HyperCube, band: Band, role: str, seed: int,
     areas = integrate_band_rows(spectra, sub_axis(cube.axis, sel), band)
     labels, contrast = order_clusters_by_area(result.assignments, areas, valid)
     mask = ((labels == 1) & valid).reshape(cube.rows, cube.cols)
-    return PixelMask(mask=mask, role=role, low_coverage=mask.mean() < COVERAGE_FLOOR,
+    return PixelMask(mask=mask, low_coverage=mask.mean() < COVERAGE_FLOOR,
                      area_contrast=contrast)
 
 
 def select_tissue(cube: HyperCube, seed: int = 0) -> PixelMask:
     """First clustering step: amide-band k=2, larger-area cluster is tissue."""
-    return _select(cube, AMIDE_BAND, "tissue", seed)
+    return _select(cube, AMIDE_BAND, seed)
 
 
 def select_paraffin(cube: HyperCube, tissue_mask: PixelMask, seed: int = 0) -> PixelMask:
@@ -240,8 +235,8 @@ def select_paraffin(cube: HyperCube, tissue_mask: PixelMask, seed: int = 0) -> P
         raise DataError("tissue mask shape does not match cube")
     if tissue_mask.mask.all():
         mask = np.zeros((cube.rows, cube.cols), dtype=bool)
-        return PixelMask(mask=mask, role="paraffin", low_coverage=True, area_contrast=0.0)
-    return _select(cube, PARAFFIN_PEAK_BAND, "paraffin", seed, excluded=tissue_mask.mask.ravel())
+        return PixelMask(mask=mask, low_coverage=True, area_contrast=0.0)
+    return _select(cube, PARAFFIN_PEAK_BAND, seed, excluded=tissue_mask.mask.ravel())
 
 
 def write_masks_pgm(path, tissue_mask: PixelMask, paraffin_mask: PixelMask) -> None:

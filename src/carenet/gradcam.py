@@ -33,7 +33,6 @@ class Heatmap1D:
 
     values: np.ndarray  # (467,) in [0, 1]
     class_label: str
-    n_samples: int = 1
     degenerate: bool = False
 
     def __post_init__(self):
@@ -103,8 +102,7 @@ def class_average(cams_by_class: dict[str, np.ndarray]) -> dict[str, Heatmap1D]:
         positions = np.linspace(0.0, mean.size - 1.0, INPUT_LENGTH)
         values, keep = minmax_normalize_rows(
             np.interp(positions, np.arange(mean.size), mean)[None, :])
-        out[label] = Heatmap1D(values=values[0], class_label=label, n_samples=cams.shape[0],
-                               degenerate=not keep[0])
+        out[label] = Heatmap1D(values=values[0], class_label=label, degenerate=not keep[0])
     return out
 
 

@@ -117,15 +117,6 @@ class Layer:
     def params(self) -> list[Param]:
         return []
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def spec(self) -> dict:
-        raise NotImplementedError
-
     def _need_cache(self, cache):
         if cache is None:
             raise PipelineError(f"{type(self).__name__}.backward called before forward")

@@ -312,7 +312,7 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
         sizes.append(rows.shape[0])
         return rows
 
-    spectra = survivors(spectra, outlier_pass(spectra),
+    spectra = survivors(spectra, outlier_pass(spectra)[1],
                         "no tissue spectra survived outlier removal")
     _smooth_in_place(spectra)
 
@@ -324,7 +324,7 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
 
     spectra, keep = minmax_normalize_rows(spectra)
     spectra = survivors(spectra, keep, "all spectra degenerate after normalization")
-    spectra = survivors(spectra, outlier_pass(spectra),
+    spectra = survivors(spectra, outlier_pass(spectra)[1],
                         "second outlier pass rejected everything")
 
     n = spectra.shape[0]
@@ -343,32 +343,38 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
     before any core is read, and each worker reads its own core, so at most
     `jobs` core cubes are in memory at once. Each is a band read of the
     biofingerprint, the only part of a spectrum preprocessing looks at, so a
-    cube in memory holds 467 of its 1580 points per pixel. A cube that cannot
-    be read is a DataError for the whole panel; a core whose preprocessing
-    fails, or whose band axis is not the H2O image's, is reported and
-    skipped, and so is its patient's other core. Returns (SpectraSet,
-    per-core CoreResult dict, skipped list of (core_id, reason)), no reason
-    repeating its core id; the SpectraSet is the kept cores' sets,
-    concatenated in core order.
+    cube in memory holds 467 of its 1580 points per pixel. A DataError for
+    the whole panel, naming the file: a cube that cannot be read, an H2O
+    cube that is not an H2O image or a core cube that is one, and two core
+    cubes with one core id. A core whose preprocessing fails, or whose band
+    axis is not the H2O image's, is reported and skipped, and so is its
+    patient's other core. Returns (SpectraSet, per-core CoreResult dict,
+    skipped list of (core_id, reason)), no reason repeating its core id; the
+    SpectraSet is the kept cores' sets, concatenated in core order.
     """
     h2o = [read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]]
+    if h2o[0].core_type != "H2O":
+        raise DataError(f"{h2o_path}: core {h2o[0].core_id} is a {h2o[0].core_type} "
+                        "core, not an H2O image")
     axis = h2o[0].axis
     h2o_block = preprocess_h2o(h2o.pop())  # the H2O cube's only reference, as below
 
-    def run(path) -> tuple[int, CoreResult | tuple[int, str]]:
-        """(patient id, the core's CoreResult or its (core_id, reason) skip)."""
+    def run(path) -> tuple[int, int, CoreResult | str]:
+        """(core id, patient id, the core's CoreResult or the reason it is skipped)."""
         held = [read_cube(path, BIOFINGERPRINT_BAND)[0]]
         core_id, patient_id = held[0].core_id, held[0].patient_id
+        if held[0].core_type == "H2O":
+            raise DataError(f"{path}: an H2O image is listed as a core")
         try:
             if held[0].axis != axis:
                 raise DataError(f"band axis {held[0].axis} is not the "
                                 f"H2O image's band axis {axis}")
             # pop hands preprocess_core the only reference, so the cube goes
             # as soon as its tissue and paraffin rows are taken
-            return patient_id, preprocess_core(held.pop(), h2o_block, seed=seed)
+            return core_id, patient_id, preprocess_core(held.pop(), h2o_block, seed=seed)
         except (DataError, NumericalError) as exc:
             # only the message: the traceback's frames would keep the cube alive
-            return patient_id, (core_id, str(exc))
+            return core_id, patient_id, str(exc)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -377,15 +383,20 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
         # no 1-worker pool: its thread's own glibc malloc arena adds ~15% peak RSS
         results = [run(path) for path in core_paths]
 
+    first_path = {}
+    for path, (core_id, _, _) in zip(core_paths, results):
+        if core_id in first_path:
+            raise DataError(f"{first_path[core_id]} and {path} both hold core {core_id}")
+        first_path[core_id] = path
     # a patient with a skipped core would have no CA/AT pair, so its other
     # core goes too
-    failed = {pid: res[0] for pid, res in results if not isinstance(res, CoreResult)}
+    failed = {pid: cid for cid, pid, res in results if isinstance(res, str)}
     kept, skipped = [], []
-    for pid, res in results:
-        if not isinstance(res, CoreResult):
-            skipped.append(res)
+    for cid, pid, res in results:
+        if isinstance(res, str):
+            skipped.append((cid, res))
         elif pid in failed:
-            skipped.append((res.core_id, f"patient {pid}'s core {failed[pid]} was skipped"))
+            skipped.append((cid, f"patient {pid}'s core {failed[pid]} was skipped"))
         else:
             kept.append(res)
     if not kept:

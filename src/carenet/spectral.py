@@ -25,6 +25,8 @@ __all__ = [
     "SAVGOL_WINDOW",
     "SAVGOL_POLY_ORDER",
     "minmax_normalize_rows",
+    "baseline_basis",
+    "BASELINE_ORDER",
     "RAW_AXIS",
     "BIOFINGERPRINT_BAND",
     "AMIDE_BAND",
@@ -109,6 +111,17 @@ def sub_axis(axis: WavenumberAxis, sel: slice) -> WavenumberAxis:
     values = axis.values
     count = sel.stop - sel.start
     return WavenumberAxis(float(values[sel.start]), float(values[sel.stop - 1]), count)
+
+
+BASELINE_ORDER = 4  # degree of the polynomial baseline the generator adds and EMSC models
+
+
+def baseline_basis(axis: WavenumberAxis) -> np.ndarray:
+    """(n_points, BASELINE_ORDER + 1) Vandermonde powers of the axis rescaled to [-1, 1]."""
+    values = axis.values
+    mid = 0.5 * (values[0] + values[-1])
+    halfspan = 0.5 * (values[0] - values[-1])
+    return np.vander((values - mid) / halfspan, BASELINE_ORDER + 1, increasing=True)
 
 
 def integrate_band_rows(rows: np.ndarray, axis: WavenumberAxis, band: Band) -> np.ndarray:

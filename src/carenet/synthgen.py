@@ -27,13 +27,13 @@ arithmetic walks each chunk in blocks of ROW_BLOCK rows and draws each
 block's normals into a reused buffer; normals fill in C order, so the blocks
 do not change the stream. Per row, in float64 and in this order, a
 spectrum is chem * scale + coefs @ powers + normals * noise_sigma, rounded
-once to the cube's float32; chem is base + par_f * paraffin + h2o_f * h2o
-for tissue, the paraffin profile, zero on slide, and factors @ lines for
-H2O. The two matrix products run per block, and a BLAS may round the last
-float64 bit of a product's edge rows differently for a different row count
-(or thread count); that has not survived the float32 rounding in any cube
-checked (tests/test_synthgen.py compares every role and class against a
-whole-chunk oracle).
+once to the cube's float32; powers is `spectral.baseline_basis` (transposed),
+and chem is base + par_f * paraffin + h2o_f * h2o for tissue, the paraffin
+profile, zero on slide, and factors @ lines for H2O. The two matrix products
+run per block, and a BLAS may round the last float64 bit of a product's edge
+rows differently for a different row count (or thread count); that has not
+survived the float32 rounding in any cube checked (tests/test_synthgen.py
+compares every role and class against a whole-chunk oracle).
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .dataset import SUBTYPES, HyperCube, PatientRecord
 from .errors import DataError
-from .spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice
+from .spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice, baseline_basis
 
 __all__ = [
     "BandSpec",
@@ -244,12 +244,10 @@ def _fill_rows(dest: np.ndarray, rows: np.ndarray, class_label: str, role: int, 
         lines = np.stack([_band_profile((b,), class_label, 0.0, values) for b in H2O_LINES])
         factors = rng.uniform(0.7, 1.4, (count, len(H2O_LINES)))
     scale = rng.uniform(*config.scale_range, count)[:, None]
-    coefs = np.empty((count, 5))
+    powers = baseline_basis(config.axis).T  # (BASELINE_ORDER + 1, n_points)
+    coefs = np.empty((count, powers.shape[0]))
     coefs[:, 0] = rng.uniform(*config.baseline_const_range, count)
-    coefs[:, 1:] = rng.uniform(*config.baseline_coef_range, (count, 4))
-    mid = 0.5 * (values[0] + values[-1])
-    halfspan = 0.5 * abs(values[0] - values[-1])
-    powers = np.vander((values - mid) / halfspan, 5, increasing=True).T  # (5, n_points)
+    coefs[:, 1:] = rng.uniform(*config.baseline_coef_range, (count, powers.shape[0] - 1))
 
     block = np.empty((min(ROW_BLOCK, count), values.size))
     term = np.empty_like(block)

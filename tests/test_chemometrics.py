@@ -17,7 +17,10 @@ from carenet.chemometrics import (
 )
 from carenet.errors import DataError, NumericalError
 from carenet.pipeline import _smooth_in_place
-from carenet.spectral import Band, WavenumberAxis, band_slice, savgol_smooth
+from carenet.spectral import (BASELINE_ORDER, BIOFINGERPRINT_BAND, RAW_AXIS, Band,
+                              WavenumberAxis, band_slice, baseline_basis, savgol_smooth,
+                              sub_axis)
+from carenet.synthgen import SynthConfig, gen_spectrum
 from tests.conftest import traced_peak
 
 AXIS = WavenumberAxis(1800.0, 900.0, 467)
@@ -359,10 +362,14 @@ class TestEmscModel:
         return emsc_build_model(m, paraffin, h2o_block(h2o), AXIS), m, paraffin, h2o
 
     def test_column_count(self, rng):
-        model, _, _, _ = self.build(rng)
+        model, m, _, _ = self.build(rng)
         expected = 1 + 5 + (1 + model.n_paraffin_pcs) + (1 + model.n_h2o_pcs)
         assert model.n_columns == expected
-        np.testing.assert_array_equal(model.design[:, 0], model.reference)
+        np.testing.assert_array_equal(model.design[:, 0], m)
+
+    def test_baseline_columns_are_the_baseline_basis(self, rng):
+        model, _, _, _ = self.build(rng)
+        assert model.design[:, model.baseline_cols].tobytes() == baseline_basis(AXIS).tobytes()
 
     def test_single_paraffin_spectrum_gives_mean_only(self, rng):
         values = self.values()
@@ -410,6 +417,34 @@ class TestEmscModel:
         with pytest.raises(DataError):
             emsc_build_model(tissue_like(values), np.empty((0, 467)),
                              h2o_block(np.ones((3, 467))), AXIS)
+
+
+def test_generator_baseline_is_the_baseline_basis():
+    # a noiseless slide pixel is its baseline alone; its draws are a scale
+    # factor, the constant and the BASELINE_ORDER coefficients
+    config = SynthConfig(noise_sigma=0.0)
+    spectrum = gen_spectrum("AT", "slide", np.random.default_rng(4), config)
+    rng = np.random.default_rng(4)
+    rng.uniform(*config.scale_range, 1)
+    coefs = np.column_stack([rng.uniform(*config.baseline_const_range, 1),
+                             rng.uniform(*config.baseline_coef_range, (1, BASELINE_ORDER))])
+    np.testing.assert_allclose(spectrum, (coefs @ baseline_basis(RAW_AXIS).T)[0], rtol=1e-12)
+
+
+def test_generated_baselines_lie_in_the_emsc_baseline_span(rng):
+    # the generator's baselines, cut to the biofingerprint EMSC sees, are
+    # polynomials of the same order on the cut axis: EMSC's baseline columns
+    # span them
+    config = SynthConfig()
+    coefs = np.column_stack([rng.uniform(*config.baseline_const_range, 50),
+                             rng.uniform(*config.baseline_coef_range, (50, BASELINE_ORDER))])
+    sel = band_slice(RAW_AXIS, BIOFINGERPRINT_BAND)
+    baselines = (coefs @ baseline_basis(RAW_AXIS).T)[:, sel]
+    basis = baseline_basis(sub_axis(RAW_AXIS, sel))
+    assert basis.shape == (AXIS.n_points, BASELINE_ORDER + 1)
+    fit = np.linalg.lstsq(basis, baselines.T, rcond=None)[0]
+    residual = np.linalg.norm(baselines.T - basis @ fit, axis=0)
+    assert np.all(residual <= 1e-10 * np.linalg.norm(baselines, axis=1))
 
 
 def emsc_one(x, model):

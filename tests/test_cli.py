@@ -246,6 +246,63 @@ class TestPreprocess:
         assert run(["preprocess", panel, "--out-dir", out]) == 3
         assert not (out / "spectra.crns").exists()
 
+    @staticmethod
+    def _preprocess_edited_panel(tiny_run, tmp_path, edit, jobs=1):
+        """Preprocess a copy of the tiny panel after edit(panel.json dict, panel
+        dir) has changed its index; (exit code, out dir)."""
+        _, synth_dir, _, _ = tiny_run
+        panel = tmp_path / "panel"
+        shutil.copytree(synth_dir, panel)
+        index = json.loads((panel / "panel.json").read_text())
+        edit(index, panel)
+        (panel / "panel.json").write_text(json.dumps(index))
+        out = tmp_path / "out"
+        return run(["preprocess", panel, "--jobs", jobs, "--out-dir", out]), out
+
+    def test_h2o_entry_naming_a_core_is_data_error_before_any_core_is_read(
+            self, tiny_run, tmp_path, capsys, monkeypatch):
+        from carenet import pipeline
+
+        reads = []
+
+        def recording_read(path, band=None):
+            reads.append(Path(path).name)
+            return read_cube(path, band)
+
+        monkeypatch.setattr(pipeline, "read_cube", recording_read)
+        code, out = self._preprocess_edited_panel(
+            tiny_run, tmp_path, lambda index, _: index.update(h2o=index["cores"]["0"]))
+        assert code == 3 and not (out / "spectra.crns").exists()
+        assert reads == ["core_0000.crns"]  # the h2o entry's cube, and nothing after it
+        err = capsys.readouterr().err
+        assert "core_0000.crns" in err and "not an H2O image" in err
+
+    def test_cores_entry_naming_the_h2o_image_is_data_error(self, tiny_run, tmp_path, capsys):
+        code, out = self._preprocess_edited_panel(
+            tiny_run, tmp_path, lambda index, _: index["cores"].update({"99": index["h2o"]}))
+        assert code == 3 and not (out / "spectra.crns").exists()
+        err = capsys.readouterr().err
+        assert "h2o.crns: an H2O image is listed as a core" in err and "skipped" not in err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("copied", [False, True], ids=["same_file", "copied_file"])
+    def test_one_core_listed_twice_is_data_error(self, tiny_run, tmp_path, capsys, copied,
+                                                 jobs):
+        # core 0 under a second key, as its own file or as a copy of it: its
+        # rows would land in the container twice
+        second = "copy_of_core_0.crns" if copied else "core_0000.crns"
+
+        def edit(index, panel):
+            if copied:
+                shutil.copy(panel / index["cores"]["0"], panel / second)
+            index["cores"]["99"] = second
+
+        code, out = self._preprocess_edited_panel(tiny_run, tmp_path, edit, jobs)
+        assert code == 3 and not (out / "spectra.crns").exists()
+        err = capsys.readouterr().err
+        assert "both hold core 0" in err
+        assert err.count("core_0000.crns") == 1 + (not copied) and second in err
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unreadable_last_core_is_data_error_not_skipped(self, tiny_run, tmp_path, capsys,
                                                              jobs):

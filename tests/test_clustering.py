@@ -191,7 +191,7 @@ class TestSelectors:
         cube = next(iter(panel.cubes.values()))
         from carenet.clustering import PixelMask
 
-        all_tissue = PixelMask(np.ones((cube.rows, cube.cols), dtype=bool), "tissue")
+        all_tissue = PixelMask(np.ones((cube.rows, cube.cols), dtype=bool))
         paraffin = select_paraffin(cube, all_tissue)
         assert not paraffin.mask.any()
         assert paraffin.low_coverage
@@ -257,7 +257,7 @@ class TestPgmExport:
         from carenet.clustering import PixelMask
 
         path = tmp_path / "masks.pgm"
-        write_masks_pgm(path, PixelMask(tissue, "tissue"), PixelMask(paraffin, "paraffin"))
+        write_masks_pgm(path, PixelMask(tissue), PixelMask(paraffin))
         raw = path.read_bytes()
         header, rest = raw.split(b"\n255\n", 1)
         assert header == b"P5\n5 4"
@@ -271,5 +271,4 @@ class TestPgmExport:
 
         both = np.ones((2, 2), dtype=bool)
         with pytest.raises(DataError):
-            write_masks_pgm(tmp_path / "x.pgm", PixelMask(both, "tissue"),
-                            PixelMask(both, "paraffin"))
+            write_masks_pgm(tmp_path / "x.pgm", PixelMask(both), PixelMask(both))

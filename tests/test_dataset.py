@@ -67,6 +67,19 @@ class TestContainer:
             assert back[name].dtype == arr.dtype
             np.testing.assert_array_equal(back[name], arr)
 
+    def test_big_endian_arrays_are_written_little_endian(self, tmp_path, rng):
+        native = {"f": rng.standard_normal((7, 5)).astype("<f4"),
+                  "i": rng.integers(-100, 100, 13).astype("<i4")}
+        swapped = {name: arr.astype(arr.dtype.newbyteorder(">")) for name, arr in native.items()}
+        assert all(arr.dtype.byteorder == ">" for arr in swapped.values())
+        write_container(tmp_path / "big.crns", swapped, {"kind": "test"})
+        write_container(tmp_path / "little.crns", native, {"kind": "test"})
+        assert (tmp_path / "big.crns").read_bytes() == (tmp_path / "little.crns").read_bytes()
+        back, _ = read_container(tmp_path / "big.crns", "test")
+        for name, arr in swapped.items():
+            assert back[name].dtype == native[name].dtype
+            np.testing.assert_array_equal(back[name], arr)
+
     def test_array_starts_are_64_byte_aligned(self, tmp_path):
         arrays = {"x": np.arange(5, dtype=np.int8), "y": np.arange(9, dtype=np.float64)}
         path = tmp_path / "data.crns"
