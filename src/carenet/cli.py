@@ -231,34 +231,35 @@ def _config_dict(config: SynthConfig) -> dict:
     """The config's scalar and range fields, for manifest.json."""
     out = {}
     for field in dataclasses.fields(config):
-        if field.name not in ("tissue_bands", "axis"):
+        if field.name != "tissue_bands":
             value = getattr(config, field.name)
             out[field.name] = list(value) if isinstance(value, tuple) else value
     return out
 
 
-def _panel_paths(panel_dir: Path) -> tuple[list[Path], Path]:
-    """Core cube paths in core-id order and the H2O cube path, from panel.json."""
+def _panel_paths(panel_dir: Path) -> tuple[list[tuple[int, Path]], Path]:
+    """panel.json's (core id, core cube path) pairs, in its order, and the H2O
+    cube path. Each cube must hold its key's id, which preprocess_panel checks."""
     def parse(index):
-        cores = {int(k): v for k, v in index["cores"].items()}
-        # int() reads " 5" and "03" as 5 and 3, so two keys could name one
-        # core, and only one of their files would be read
+        if not index["cores"]:
+            raise DataError("its cores entry lists no core")
+        # int() reads " 5" and "03" as 5 and 3: a core has one key, its plain decimal id
         for key in index["cores"]:
             if str(int(key)) != key:
                 raise DataError(f"core key {key!r} is not a core id in plain decimal")
         # a file name that is not a string fails the join: TypeError
-        return [panel_dir / cores[core_id] for core_id in sorted(cores)], panel_dir / index["h2o"]
+        return ([(int(key), panel_dir / name) for key, name in index["cores"].items()],
+                panel_dir / index["h2o"])
     return _read_sidecar(panel_dir / "panel.json", parse)
 
 
 def cmd_preprocess(args) -> dict:
-    core_paths, h2o_path = _panel_paths(Path(args.input))
-    sset, results, skipped = preprocess_panel(core_paths, h2o_path, seed=args.seed,
-                                              jobs=args.jobs)
+    cores, h2o_path = _panel_paths(Path(args.input))
+    sset, results, skipped = preprocess_panel(cores, h2o_path, seed=args.seed, jobs=args.jobs)
     out_path = args.run_dir / "spectra.crns"
     write_spectraset(sset, out_path)
     outputs = [out_path]
-    for core_id, result in sorted(results.items()):
+    for core_id, result in results.items():
         pgm_path = args.run_dir / f"masks_core_{core_id:04d}.pgm"
         write_masks_pgm(pgm_path, result.tissue_mask, result.paraffin_mask)
         outputs.append(pgm_path)
@@ -269,9 +270,9 @@ def cmd_preprocess(args) -> dict:
     except DataError as exc:
         print(f"preprocess: warning: train cannot split this container: {exc}",
               file=sys.stderr)
-    stage_log = {str(cid): dataclasses.asdict(r.counts) for cid, r in sorted(results.items())}
-    flagged = sorted(cid for cid, r in results.items()
-                     if not (r.tissue_mask.plausible and r.paraffin_mask.plausible))
+    stage_log = {str(cid): dataclasses.asdict(r.counts) for cid, r in results.items()}
+    flagged = [cid for cid, r in results.items()
+               if not (r.tissue_mask.plausible and r.paraffin_mask.plausible)]
     print(f"preprocess: {len(sset)} spectra from {len(results)} cores -> {out_path}")
     return {"config": {"jobs": args.jobs}, "outputs": outputs, "stage_counts": stage_log,
             "implausible_cores": flagged,

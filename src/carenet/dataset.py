@@ -144,6 +144,11 @@ class HyperCube:
             raise DataError("cube intensities must be finite")
         if self.core_type not in CORE_TYPES + ("H2O",):
             raise DataError(f"unknown core type {self.core_type!r}")
+        for name in ("core_id", "patient_id"):
+            # a SpectraSet casts ids to int32, and a wrapped id could be another core's
+            bounds = np.iinfo(ROW_FIELDS[name])
+            if not bounds.min <= getattr(self, name) <= bounds.max:
+                raise DataError(f"{name} {getattr(self, name)} does not fit in {bounds.dtype}")
         if self.core_type == "CA":
             if self.subtype not in SUBTYPES:
                 raise DataError("CA cubes must carry a subtype")

@@ -336,21 +336,20 @@ def preprocess_core(cube: HyperCube, h2o_block: np.ndarray, seed: int = 0) -> Co
                       tissue_mask=tissue_mask, paraffin_mask=paraffin_mask)
 
 
-def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
-    """Preprocess every core cube file against one shared H2O block.
+def preprocess_panel(cores, h2o_path, seed: int = 0, jobs: int = 1):
+    """Preprocess every listed core cube file against one shared H2O block.
 
-    Cubes stream: the H2O cube is read, reduced to its block and dropped
-    before any core is read, and each worker reads its own core, so at most
-    `jobs` core cubes are in memory at once. Each is a band read of the
-    biofingerprint, the only part of a spectrum preprocessing looks at, so a
-    cube in memory holds 467 of its 1580 points per pixel. A DataError for
-    the whole panel, naming the file: a cube that cannot be read, an H2O
-    cube that is not an H2O image or a core cube that is one, and two core
-    cubes with one core id. A core whose preprocessing fails, or whose band
-    axis is not the H2O image's, is reported and skipped, and so is its
-    patient's other core. Returns (SpectraSet, per-core CoreResult dict,
-    skipped list of (core_id, reason)), no reason repeating its core id; the
-    SpectraSet is the kept cores' sets, concatenated in core order.
+    cores holds (listed core id, cube path) pairs, iterated once. Cubes stream:
+    the H2O cube is read, reduced to its block and dropped before any core is
+    read, and each worker reads its own core, so at most `jobs` core cubes are
+    in memory at once, each a band read of the biofingerprint: 467 of 1580
+    points per pixel. A DataError for the whole panel, naming the file: an
+    unreadable cube, an H2O cube that is not an H2O image or a core cube that is
+    one, a core cube not holding its listed id, and two with one id. A core
+    whose preprocessing fails, or whose band axis is not the H2O image's, is
+    skipped, and so is its patient's other core. Returns (SpectraSet of the kept
+    cores' rows, CoreResult by core id, skipped list of (core_id, reason)), no
+    reason repeating its core id, each in core-id order whatever the listing's.
     """
     h2o = [read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]]
     if h2o[0].core_type != "H2O":
@@ -359,40 +358,42 @@ def preprocess_panel(core_paths: list, h2o_path, seed: int = 0, jobs: int = 1):
     axis = h2o[0].axis
     h2o_block = preprocess_h2o(h2o.pop())  # the H2O cube's only reference, as below
 
-    def run(path) -> tuple[int, int, CoreResult | str]:
-        """(core id, patient id, the core's CoreResult or the reason it is skipped)."""
+    def run(listed) -> tuple[int, int, object, CoreResult | str]:
+        """(core id, patient id, path, the core's CoreResult or the reason it is skipped)."""
+        core_id, path = listed
         held = [read_cube(path, BIOFINGERPRINT_BAND)[0]]
-        core_id, patient_id = held[0].core_id, held[0].patient_id
         if held[0].core_type == "H2O":
             raise DataError(f"{path}: an H2O image is listed as a core")
+        if held[0].core_id != core_id:
+            raise DataError(f"{path}: holds core {held[0].core_id}, listed as core {core_id}")
+        patient_id = held[0].patient_id
         try:
             if held[0].axis != axis:
                 raise DataError(f"band axis {held[0].axis} is not the "
                                 f"H2O image's band axis {axis}")
             # pop hands preprocess_core the only reference, so the cube goes
             # as soon as its tissue and paraffin rows are taken
-            return core_id, patient_id, preprocess_core(held.pop(), h2o_block, seed=seed)
+            return core_id, patient_id, path, preprocess_core(held.pop(), h2o_block, seed=seed)
         except (DataError, NumericalError) as exc:
             # only the message: the traceback's frames would keep the cube alive
-            return core_id, patient_id, str(exc)
+            return core_id, patient_id, path, str(exc)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, core_paths))
+            results = list(pool.map(run, cores))
     else:
         # no 1-worker pool: its thread's own glibc malloc arena adds ~15% peak RSS
-        results = [run(path) for path in core_paths]
+        results = [run(listed) for listed in cores]
 
-    first_path = {}
-    for path, (core_id, _, _) in zip(core_paths, results):
-        if core_id in first_path:
-            raise DataError(f"{first_path[core_id]} and {path} both hold core {core_id}")
-        first_path[core_id] = path
+    results.sort(key=lambda result: result[0])  # stable: one core's files in listing order
+    for (core_id, _, first, _), (next_id, _, path, _) in zip(results, results[1:]):
+        if core_id == next_id:
+            raise DataError(f"{first} and {path} both hold core {core_id}")
     # a patient with a skipped core would have no CA/AT pair, so its other
     # core goes too
-    failed = {pid: cid for cid, pid, res in results if isinstance(res, str)}
+    failed = {pid: cid for cid, pid, _, res in results if isinstance(res, str)}
     kept, skipped = [], []
-    for cid, pid, res in results:
+    for cid, pid, _, res in results:
         if isinstance(res, str):
             skipped.append((cid, res))
         elif pid in failed:

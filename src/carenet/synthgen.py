@@ -46,7 +46,7 @@ import numpy as np
 
 from .dataset import SUBTYPES, HyperCube, PatientRecord
 from .errors import DataError
-from .spectral import BIOFINGERPRINT_BAND, RAW_AXIS, WavenumberAxis, band_slice, baseline_basis
+from .spectral import BIOFINGERPRINT_BAND, RAW_AXIS, band_slice, baseline_basis
 
 __all__ = [
     "BandSpec",
@@ -159,7 +159,6 @@ class SynthConfig:
     tissue_h2o_range: tuple[float, float] = (0.0, 0.8)
     spike_fraction: float = 0.0
     spike_amplitude: float = 30.0
-    axis: WavenumberAxis = RAW_AXIS
     seed: int = 0
 
     def __post_init__(self):
@@ -230,7 +229,7 @@ def _fill_rows(dest: np.ndarray, rows: np.ndarray, class_label: str, role: int, 
     The chunk's per-row uniforms are drawn first, then its noise block by
     block (see the module docstring); dest is float32 cube rows or float64.
     """
-    values = config.axis.values
+    values = RAW_AXIS.values
     count = rows.size
     if role == ROLE_TISSUE:
         base = _band_profile(config.tissue_bands, class_label, config.class_separation, values)
@@ -244,7 +243,7 @@ def _fill_rows(dest: np.ndarray, rows: np.ndarray, class_label: str, role: int, 
         lines = np.stack([_band_profile((b,), class_label, 0.0, values) for b in H2O_LINES])
         factors = rng.uniform(0.7, 1.4, (count, len(H2O_LINES)))
     scale = rng.uniform(*config.scale_range, count)[:, None]
-    powers = baseline_basis(config.axis).T  # (BASELINE_ORDER + 1, n_points)
+    powers = baseline_basis(RAW_AXIS).T  # (BASELINE_ORDER + 1, n_points)
     coefs = np.empty((count, powers.shape[0]))
     coefs[:, 0] = rng.uniform(*config.baseline_const_range, count)
     coefs[:, 1:] = rng.uniform(*config.baseline_coef_range, (count, powers.shape[0] - 1))
@@ -273,14 +272,14 @@ def _fill_rows(dest: np.ndarray, rows: np.ndarray, class_label: str, role: int, 
 
 def gen_spectrum(class_label: str, role: str, rng: np.random.Generator,
                  config: SynthConfig | None = None) -> np.ndarray:
-    """One float64 spectrum on config.axis; role is tissue|paraffin|slide|h2o."""
+    """One float64 spectrum on RAW_AXIS; role is tissue|paraffin|slide|h2o."""
     config = config or SynthConfig()
     codes = {"tissue": ROLE_TISSUE, "paraffin": ROLE_PARAFFIN, "slide": ROLE_SLIDE, "h2o": ROLE_H2O}
     if role not in codes:
         raise DataError(f"unknown role {role!r}")
     if class_label not in CLASS_LABELS:
         raise DataError(f"unknown class label {class_label!r}")
-    out = np.empty((1, config.axis.n_points))
+    out = np.empty((1, RAW_AXIS.n_points))
     _fill_rows(out, np.arange(1), class_label, codes[role], rng, config)
     return out[0]
 
@@ -319,7 +318,7 @@ def _fill_core(data: np.ndarray, class_label: str, rng: np.random.Generator,
     if config.spike_fraction > 0.0:
         # spikes land inside the biofingerprint region: anything outside is
         # truncated away downstream and could never be flagged
-        sel = band_slice(config.axis, BIOFINGERPRINT_BAND)
+        sel = band_slice(RAW_AXIS, BIOFINGERPRINT_BAND)
         tissue_idx = np.flatnonzero(flat_role == ROLE_TISSUE)
         n_spike = int(round(config.spike_fraction * tissue_idx.size))
         if n_spike:
@@ -341,7 +340,7 @@ def gen_cube(config: SynthConfig, index: int) -> tuple[HyperCube, GroundTruth | 
         raise DataError(f"cube index {index} is outside this panel's 0..{n_cores}")
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(config.seed, spawn_key=(index,))))
-    size, n_points = config.image_size, config.axis.n_points
+    size, n_points = config.image_size, RAW_AXIS.n_points
     try:
         data = np.empty((size * size, n_points), dtype=np.float32)
     except (MemoryError, ValueError) as exc:  # ValueError: more bytes than an index can hold
@@ -357,7 +356,7 @@ def gen_cube(config: SynthConfig, index: int) -> tuple[HyperCube, GroundTruth | 
         core_id, patient_id = index, patient.patient_id
         core_type, subtype = ("AT", "none") if index % 2 else ("CA", patient.subtype)
         truth = _fill_core(data, "AT" if index % 2 else subtype, rng, config)
-    cube = HyperCube(intensities=data.reshape(size, size, n_points), axis=config.axis,
+    cube = HyperCube(intensities=data.reshape(size, size, n_points), axis=RAW_AXIS,
                      core_id=core_id, patient_id=patient_id, core_type=core_type,
                      subtype=subtype)
     return cube, truth

@@ -94,13 +94,14 @@ def collect_panel(config):
 
 
 def write_panel(panel, directory):
-    """Write a generated panel's cubes; returns (core paths in core-id order, H2O path)."""
+    """Write a generated panel's cubes; returns ((core id, path) pairs in
+    core-id order, H2O path), the listing preprocess_panel takes."""
     from carenet.dataset import write_cube
 
     directory = Path(directory)
-    core_paths = []
+    cores = []
     for core_id in sorted(panel.cubes):
-        core_paths.append(directory / f"core_{core_id:04d}.crns")
-        write_cube(panel.cubes[core_id], core_paths[-1])
+        cores.append((core_id, directory / f"core_{core_id:04d}.crns"))
+        write_cube(panel.cubes[core_id], cores[-1][1])
     write_cube(panel.h2o_cube, directory / "h2o.crns")
-    return core_paths, directory / "h2o.crns"
+    return cores, directory / "h2o.crns"

@@ -300,8 +300,31 @@ class TestPreprocess:
         code, out = self._preprocess_edited_panel(tiny_run, tmp_path, edit, jobs)
         assert code == 3 and not (out / "spectra.crns").exists()
         err = capsys.readouterr().err
-        assert "both hold core 0" in err
-        assert err.count("core_0000.crns") == 1 + (not copied) and second in err
+        assert f"{second}: holds core 0, listed as core 99" in err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_swapped_core_keys_are_data_error(self, tiny_run, tmp_path, capsys, jobs):
+        # a key is the core id its cube must hold: with keys "0" and "2" swapped,
+        # the container's cores and bytes would follow panel.json's order
+        def edit(index, _):
+            index["cores"]["0"], index["cores"]["2"] = index["cores"]["2"], index["cores"]["0"]
+
+        code, out = self._preprocess_edited_panel(tiny_run, tmp_path, edit, jobs)
+        assert code == 3 and not (out / "spectra.crns").exists()
+        err = capsys.readouterr().err
+        assert "core_0002.crns: holds core 2, listed as core 0" in err and "skipped" not in err
+
+    def test_empty_cores_is_data_error_before_the_h2o_cube_is_read(
+            self, tiny_run, tmp_path, capsys, monkeypatch):
+        from carenet import pipeline
+
+        reads = []
+        monkeypatch.setattr(pipeline, "read_cube", lambda *args: reads.append(args))
+        code, out = self._preprocess_edited_panel(
+            tiny_run, tmp_path, lambda index, _: index.update(cores={}))
+        assert code == 3 and reads == [] and not (out / "spectra.crns").exists()
+        err = capsys.readouterr().err
+        assert "panel.json" in err and "lists no core" in err
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unreadable_last_core_is_data_error_not_skipped(self, tiny_run, tmp_path, capsys,

@@ -219,6 +219,13 @@ class TestCubeIO:
         with pytest.raises(DataError):
             HyperCube(np.zeros((2, 2, RAW_AXIS.n_points)), RAW_AXIS, 0, 1, "CA", "none")
 
+    @pytest.mark.parametrize("ids", [(2**32 + 3, 1), (0, 2**40 + 7), (-2**31 - 1, 1)])
+    def test_id_outside_int32_rejected(self, ids):
+        data = np.zeros((2, 2, RAW_AXIS.n_points), dtype=np.float32)
+        with pytest.raises(DataError, match="does not fit in int32"):
+            HyperCube(data, RAW_AXIS, *ids, "AT", "none")
+        HyperCube(data, RAW_AXIS, -1, -1, "H2O", "none")  # the H2O image's ids fit
+
 
 def _payload_start(path, name):
     """File offset of an array's first byte in a CRNS file."""
@@ -378,6 +385,11 @@ def _spectraset_as_checkpoint(path):
                  id="bool-core-id-in-cube"),
     pytest.param(lambda p: _edited_cube(p, lambda m: m["axis"].update(start_wn="3950")),
                  id="string-start-wn-in-cube"),
+    # ids a SpectraSet's int32 would wrap: 2**32 + 3 to core 3, 2**40 + 7 to patient 7
+    pytest.param(lambda p: _edited_cube(p, lambda m: m.update(core_id=2**32 + 3)),
+                 id="core-id-past-int32-in-cube"),
+    pytest.param(lambda p: _edited_cube(p, lambda m: m.update(patient_id=2**40 + 7)),
+                 id="patient-id-past-int32-in-cube"),
     # float() of an integer past float64's range raises OverflowError
     pytest.param(lambda p: _edited_cube(p, lambda m: m["axis"].update(start_wn=10**400)),
                  id="start-wn-beyond-float64-in-cube"),

@@ -1,3 +1,5 @@
+import re
+import shutil
 import sys
 import threading
 import weakref
@@ -5,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from carenet.dataset import HyperCube, read_cube, write_cube
+from carenet.dataset import HyperCube, read_cube, write_cube, write_spectraset
 from carenet.errors import DataError
 from carenet.model import FORWARD_CHUNK, INPUT_LENGTH, CarenetModel
 from carenet.nn import Conv1D, ReLU, bce_loss, cce_loss
@@ -173,7 +175,7 @@ def small_panel():
 
 @pytest.fixture(scope="module")
 def small_panel_files(small_panel, tmp_path_factory):
-    """small_panel's cube files: (core paths in core-id order, H2O path)."""
+    """small_panel's cube files: ((core id, path) pairs in core-id order, H2O path)."""
     return write_panel(small_panel, tmp_path_factory.mktemp("small_panel"))
 
 
@@ -260,34 +262,59 @@ class TestPreprocessCore:
             np.testing.assert_array_equal(getattr(serial, name), getattr(parallel, name))
         assert serial.axis == parallel.axis
 
+    def test_container_is_in_core_order_whatever_the_listing(self, small_panel_files,
+                                                             tmp_path):
+        cores, h2o_path = small_panel_files
+        runs = {}
+        for name, listing in (("id_order", cores), ("reversed", cores[::-1])):
+            sset, results, _ = preprocess_panel(listing, h2o_path, seed=0)
+            write_spectraset(sset, tmp_path / f"{name}.crns")
+            runs[name] = list(results)
+        assert runs["id_order"] == runs["reversed"] == [0, 1, 2, 3]
+        assert ((tmp_path / "id_order.crns").read_bytes()
+                == (tmp_path / "reversed.crns").read_bytes())
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("listing", [list, iter])
+    def test_core_listed_twice_is_data_error(self, small_panel_files, tmp_path, listing,
+                                             jobs):
+        # the listing is read once, so a generator is checked like a list
+        cores, h2o_path = small_panel_files
+        copy = tmp_path / "copy_of_core_0.crns"
+        shutil.copy(cores[0][1], copy)
+        message = f"{cores[0][1]} and {copy} both hold core 0"
+        with pytest.raises(DataError, match=re.escape(message)):
+            preprocess_panel(listing([cores[0], cores[1], (0, copy)]), h2o_path, seed=0,
+                             jobs=jobs)
+
     def test_core_on_another_axis_is_skipped(self, small_panel, tmp_path):
         # same point count, shifted by 0.3 cm^-1: its rows would take the
         # H2O image's wavenumbers in the container
-        core_paths, h2o_path = write_panel(small_panel, tmp_path)
+        cores, h2o_path = write_panel(small_panel, tmp_path)
         cube = small_panel.cubes[1]
         shifted = WavenumberAxis(3950.3, 900.3, cube.axis.n_points)
         write_cube(HyperCube(cube.intensities, shifted, cube.core_id, cube.patient_id,
-                             cube.core_type, cube.subtype), core_paths[1])
-        sset, results, skipped = preprocess_panel(core_paths, h2o_path, seed=0)
+                             cube.core_type, cube.subtype), cores[1][1])
+        sset, results, skipped = preprocess_panel(cores, h2o_path, seed=0)
         # core 0 is patient 1's CA core: without its AT partner it goes too
         assert sorted(results) == [2, 3] and [core for core, _ in skipped] == [0, 1]
         band = read_cube(h2o_path, BIOFINGERPRINT_BAND)[0].axis
         reason = skipped[1][1]
         assert str(band) in reason
-        assert str(read_cube(core_paths[1], BIOFINGERPRINT_BAND)[0].axis) in reason
+        assert str(read_cube(cores[1][1], BIOFINGERPRINT_BAND)[0].axis) in reason
         assert "patient 1" in skipped[0][1] and "core 1 " in skipped[0][1]
         assert not np.isin([0, 1], sset.core_id).any() and sset.axis == band
         assert [p.patient_id for p in patients_from_spectraset(sset)] == [2]
 
     def test_panel_left_with_half_patients_only_is_data_error(self, tmp_path):
         panel = collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=16, seed=21))
-        core_paths, h2o_path = write_panel(panel, tmp_path)
+        cores, h2o_path = write_panel(panel, tmp_path)
         cube = panel.cubes[1]
         shifted = WavenumberAxis(3950.3, 900.3, cube.axis.n_points)
         write_cube(HyperCube(cube.intensities, shifted, cube.core_id, cube.patient_id,
-                             cube.core_type, cube.subtype), core_paths[1])
+                             cube.core_type, cube.subtype), cores[1][1])
         with pytest.raises(DataError, match="lost its patient's other core"):
-            preprocess_panel(core_paths, h2o_path, seed=0)
+            preprocess_panel(cores, h2o_path, seed=0)
 
     def test_h2o_block_built_once_per_panel(self, small_panel_files, monkeypatch):
         from carenet import chemometrics, pipeline
@@ -302,8 +329,8 @@ class TestPreprocessCore:
 
         for module in (chemometrics, pipeline):
             monkeypatch.setattr(module, "interferent_block", counting)
-        core_paths, h2o_path = small_panel_files
-        _, results, skipped = preprocess_panel(core_paths[:3], h2o_path, seed=0)
+        cores, h2o_path = small_panel_files
+        _, results, skipped = preprocess_panel(cores[:3], h2o_path, seed=0)
         assert len(results) == 3 and skipped == []
         assert len(h2o_builds) == 1
 
@@ -312,14 +339,15 @@ class TestPreprocessCore:
                                          monkeypatch, jobs):
         from carenet import pipeline
 
-        core_paths, h2o_path = small_panel_files
-        assert len(core_paths) == 4
-        # a constant cube fails clustering, so its core is skipped; it goes first,
-        # so a skipped core's cube kept alive (say, by a stored traceback) shows
+        cores, h2o_path = small_panel_files
+        assert len(cores) == 4
+        # a constant cube fails clustering, so its core is skipped; it is listed
+        # first, so a skipped core's cube kept alive (say, by a stored
+        # traceback) shows
         flat = small_panel.cubes[0]
         write_cube(HyperCube(np.ones_like(flat.intensities), flat.axis, 99, 99, "AT", "none"),
                    tmp_path / "flat.crns")
-        core_paths = [tmp_path / "flat.crns"] + core_paths
+        cores = [(99, tmp_path / "flat.crns")] + cores
         lock = threading.RLock()
         live = {"core": 0, "h2o": 0}
         most_cores = 0
@@ -342,7 +370,7 @@ class TestPreprocessCore:
             return cube, extras
 
         monkeypatch.setattr(pipeline, "read_cube", tracked_read)
-        _, results, skipped = preprocess_panel(core_paths, h2o_path, seed=0, jobs=jobs)
+        _, results, skipped = preprocess_panel(cores, h2o_path, seed=0, jobs=jobs)
         assert len(results) == 4 and [core for core, _ in skipped] == [99]
         assert 1 <= most_cores <= jobs
         assert h2o_live_at_core_reads == [0] * 5
@@ -358,14 +386,14 @@ class TestPreprocessCore:
             return read_cube(path, *band)
 
         monkeypatch.setattr(pipeline, "read_cube", recording_read)
-        core_paths, h2o_path = small_panel_files
-        preprocess_panel(core_paths[:2], h2o_path, seed=0)
+        cores, h2o_path = small_panel_files
+        preprocess_panel(cores[:2], h2o_path, seed=0)
         assert bands == [(BIOFINGERPRINT_BAND,)] * 3
 
     def test_chain_holds_a_bounded_number_of_row_copies(self, tmp_path):
         # peaks are in units of the cube's band upcast to float64, over every pixel
         panel = collect_panel(SynthConfig(n_patients=(1, 0, 0, 0), image_size=64, seed=21))
-        core_paths, h2o_path = write_panel(panel, tmp_path)
+        cores, h2o_path = write_panel(panel, tmp_path)
         h2o = read_cube(h2o_path, BIOFINGERPRINT_BAND)[0]
         band_rows = h2o.n_spectra * h2o.axis.n_points * 8
 
@@ -374,7 +402,7 @@ class TestPreprocessCore:
         assert peak / band_rows < 1.8, peak / band_rows
         # tissue and paraffin rows (~0.3 and ~0.35 of the pixels) in float32, and
         # one float64 working copy of the tissue rows
-        for path in core_paths:
+        for _, path in cores:
             _, peak = traced_peak(preprocess_core, read_cube(path, BIOFINGERPRINT_BAND)[0],
                                   h2o_block)
             assert peak / band_rows < 1.6, peak / band_rows
@@ -401,7 +429,7 @@ class TestPreprocessCore:
     def test_core_cube_is_freed_before_smoothing(self, small_panel_files, monkeypatch, jobs):
         from carenet import pipeline
 
-        core_paths, h2o_path = small_panel_files
+        cores, h2o_path = small_panel_files
         lock = threading.Lock()
         cubes = {}  # thread id -> weakref to the core cube that thread last read
         smoothed = []
@@ -423,7 +451,7 @@ class TestPreprocessCore:
 
         monkeypatch.setattr(pipeline, "read_cube", weak_read)
         monkeypatch.setattr(pipeline, "savgol_smooth", checking_smooth)
-        _, results, skipped = preprocess_panel(core_paths[:2], h2o_path, seed=0, jobs=jobs)
+        _, results, skipped = preprocess_panel(cores[:2], h2o_path, seed=0, jobs=jobs)
         assert len(results) == 2 and skipped == []
         assert smoothed  # the check ran on core rows
 

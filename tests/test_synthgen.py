@@ -8,7 +8,7 @@ import pytest
 
 import carenet
 from carenet.errors import DataError
-from carenet.spectral import BIOFINGERPRINT_BAND, Band, band_slice, integrate_band_rows
+from carenet.spectral import BIOFINGERPRINT_BAND, RAW_AXIS, Band, band_slice, integrate_band_rows
 from carenet.synthgen import (
     CLASS_LABELS,
     DRAW_CHUNK,
@@ -34,7 +34,7 @@ def tissue_profile(config: SynthConfig, class_label: str) -> np.ndarray:
     """Oracle: noiseless tissue band sum for one class (no baseline, scale 1)."""
     assert class_label in CLASS_LABELS
     return _band_profile(config.tissue_bands, class_label, config.class_separation,
-                         config.axis.values)
+                         RAW_AXIS.values)
 
 
 def class_mean_separation(config: SynthConfig, class_a: str, class_b: str) -> float:
@@ -53,7 +53,7 @@ def spectra_block_oracle(class_label: str, role: int, count: int, rng,
     The same draws in the same order as the generator, but every term is a
     full (count, n_points) temporary and the noise is one draw.
     """
-    values = config.axis.values
+    values = RAW_AXIS.values
     if role == ROLE_TISSUE:
         base = tissue_profile(config, class_label)
         par = _band_profile(PARAFFIN_BANDS, class_label, 0.0, values)
@@ -86,7 +86,7 @@ def cube_oracle(class_label: str, rng, config: SynthConfig) -> tuple[np.ndarray,
     """Oracle: (float32 (pixels, n_points) rows, spike mask) of one core."""
     size = config.image_size
     flat_role = _role_map(size).ravel()
-    data = np.empty((size * size, config.axis.n_points), dtype=np.float32)
+    data = np.empty((size * size, RAW_AXIS.n_points), dtype=np.float32)
     for code in (ROLE_TISSUE, ROLE_PARAFFIN, ROLE_SLIDE):
         idx = np.flatnonzero(flat_role == code)
         for start in range(0, idx.size, 4096):
@@ -94,7 +94,7 @@ def cube_oracle(class_label: str, rng, config: SynthConfig) -> tuple[np.ndarray,
             data[part] = spectra_block_oracle(class_label, code, part.size, rng, config)
     spike = np.zeros(size * size, dtype=bool)
     if config.spike_fraction > 0.0:
-        sel = band_slice(config.axis, BIOFINGERPRINT_BAND)
+        sel = band_slice(RAW_AXIS, BIOFINGERPRINT_BAND)
         tissue_idx = np.flatnonzero(flat_role == ROLE_TISSUE)
         n_spike = int(round(config.spike_fraction * tissue_idx.size))
         if n_spike:
@@ -119,7 +119,7 @@ class TestGenSpectrum:
         tissue = gen_spectrum("LA", "tissue", rng, config)
         slide = gen_spectrum("LA", "slide", rng, config)
         band = Band(1700, 1500)
-        tissue_area, slide_area = integrate_band_rows(np.stack([tissue, slide]), config.axis, band)
+        tissue_area, slide_area = integrate_band_rows(np.stack([tissue, slide]), RAW_AXIS, band)
         slide_area = abs(slide_area)
         assert tissue_area >= 10 * max(slide_area, 1e-9)
 
@@ -127,9 +127,9 @@ class TestGenSpectrum:
         config = noiseless_config(tissue_paraffin_range=(0.4, 0.4), tissue_h2o_range=(0.0, 0.0))
         rng = np.random.default_rng(0)
         spec = gen_spectrum("HER2", "tissue", rng, config)
-        assert spec.dtype == np.float64 and spec.shape == (config.axis.n_points,)
+        assert spec.dtype == np.float64 and spec.shape == (RAW_AXIS.n_points,)
 
-        values = config.axis.values
+        values = RAW_AXIS.values
         expected = tissue_profile(config, "HER2")
         expected = expected + 0.4 * _band_profile(PARAFFIN_BANDS, "HER2", 0.0, values)
         expected = expected + 0.01  # constant baseline term only
@@ -139,13 +139,13 @@ class TestGenSpectrum:
         config = noiseless_config(baseline_const_range=(0.0, 0.0))
         rng = np.random.default_rng(3)
         spec = gen_spectrum("AT", "paraffin", rng, config)
-        values = config.axis.values
+        values = RAW_AXIS.values
         top = values[int(np.argmax(spec))]
-        assert abs(top - 1462.0) <= config.axis.spacing
+        assert abs(top - 1462.0) <= RAW_AXIS.spacing
         # second family: strongest point within 1400-1350
         window = (values <= 1400) & (values >= 1350)
         second = values[window][int(np.argmax(spec[window]))]
-        assert abs(second - 1373.0) <= config.axis.spacing
+        assert abs(second - 1373.0) <= RAW_AXIS.spacing
 
     def test_unknown_role_rejected(self):
         with pytest.raises(DataError):
